@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SourceParams, validate_params
+from .core import SourceParams
 from .errors import GridTooCoarse
 
 __all__ = [
@@ -68,13 +68,12 @@ class Density2D:
 
 
 def gaussian_quadratic_form(params: SourceParams) -> QuadraticForm2:
-    p = validate_params(params)
-    lsum = p.lambda_d + p.lambda_u
-    pump = 2.0 / (p.pump_waist**2 * lsum**2)
-    pm = 4.0 * math.pi / (p.crystal_length * lsum)
-    a_dd = p.lambda_u**2 * pump + pm
-    a_uu = p.lambda_d**2 * pump + pm
-    a_du = p.lambda_d * p.lambda_u * pump - pm
+    lsum = params.lambda_d + params.lambda_u
+    pump = 2.0 / (params.pump_waist**2 * lsum**2)
+    pm = 4.0 * math.pi / (params.crystal_length * lsum)
+    a_dd = params.lambda_u**2 * pump + pm
+    a_uu = params.lambda_d**2 * pump + pm
+    a_du = params.lambda_d * params.lambda_u * pump - pm
     det = a_dd * a_uu - a_du**2
     return QuadraticForm2(a_dd=a_dd, a_uu=a_uu, a_du=a_du, norm=math.sqrt(det) / math.pi)
 
@@ -105,12 +104,11 @@ def gaussian_density_grid(
     """Gaussian-model density sampled on symmetric (x_d, x_u) grids
     spanning span_widths marginal 1/e widths, renormalized to unit
     trapezoidal integral (same conventions as the sinc model)."""
-    p = validate_params(params)
-    q = gaussian_quadratic_form(p)
+    q = gaussian_quadratic_form(params)
     det = q.a_dd * q.a_uu - q.a_du**2
     half = span_widths * max(math.sqrt(q.a_uu / det), math.sqrt(q.a_dd / det))
     grid = np.linspace(-half, half, n_grid)
-    values = joint_density_gaussian(p, grid[:, None], grid[None, :])
+    values = joint_density_gaussian(params, grid[:, None], grid[None, :])
     z = np.trapezoid(np.trapezoid(values, grid, axis=1), grid)
     return Density2D(grid_d=grid, grid_u=grid.copy(), values=values / z, model="gaussian")
 
@@ -174,13 +172,14 @@ def joint_density_sinc_1d(
     normalized density by less than convergence_tol in integrated
     absolute difference, else GridTooCoarse is raised.
     """
-    p = validate_params(params)
     if n_grid < 16:
         raise ValueError("n_grid too small")
-    lsum = p.lambda_d + p.lambda_u
-    a = p.crystal_length * p.lambda_p / (8.0 * math.pi * p.lambda_d * p.lambda_u)
+    lsum = params.lambda_d + params.lambda_u
+    a = params.crystal_length * params.lambda_p / (
+        8.0 * math.pi * params.lambda_d * params.lambda_u
+    )
 
-    q = gaussian_quadratic_form(p)
+    q = gaussian_quadratic_form(params)
     det = q.a_dd * q.a_uu - q.a_du**2
     # 1/e half-widths of the Gaussian-model marginals
     width_d = math.sqrt(q.a_uu / det)
@@ -199,7 +198,7 @@ def joint_density_sinc_1d(
 
     xd = grid[:, None]
     xu = grid[None, :]
-    zeta = (p.lambda_u * xd + p.lambda_d * xu) / lsum  # pump-factor coordinate (m)
+    zeta = (params.lambda_u * xd + params.lambda_d * xu) / lsum  # pump-factor coordinate (m)
     # eta depends on x_d - x_u only: 2n-1 distinct values on a uniform grid
     eta_unique = (grid - grid[0]) / lsum  # 0 .. 2*half, n_grid values
     eta_all = np.concatenate([-eta_unique[:0:-1], eta_unique])  # ascending
@@ -210,7 +209,7 @@ def joint_density_sinc_1d(
         idx = np.arange(n_grid)
         offs = idx[:, None] - idx[None, :] + (n_grid - 1)
         g2 = g[offs]
-        amp = np.exp(-(zeta**2) / p.pump_waist**2) * g2
+        amp = np.exp(-(zeta**2) / params.pump_waist**2) * g2
         dens = amp**2
         z = np.trapezoid(np.trapezoid(dens, grid, axis=1), grid)
         return dens / z

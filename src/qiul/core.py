@@ -20,12 +20,7 @@ from .errors import (
     ThinCrystalRegime,
 )
 
-# Reference imaging configuration: two 4f relays, magnification 2.67
-# between crystal and camera (f3/f2 = 200/75). Focal lengths are
-# documentation only; magnifications enter the model as plain numbers.
-F1_M = 125e-3
-F2_M = 75e-3
-F3_M = 200e-3
+# crystal-to-camera magnification of the reference setup: f3/f2 = 200/75
 DEFAULT_M_D_C = 2.67
 
 ENERGY_REL_TOL = 0.01
@@ -40,6 +35,10 @@ class SourceParams:
     lambda_p/lambda_d/lambda_u: pump, detected, undetected wavelengths;
     crystal_length: nonlinear crystal length L; pump_waist: pump beam
     waist w_p at the crystal center.
+
+    Every instance is valid: constructing one with invalid values
+    (directly, or through dataclasses.replace, with_waist or
+    with_crystal_length) raises a typed ValidationError.
     """
 
     lambda_p: float
@@ -48,11 +47,14 @@ class SourceParams:
     crystal_length: float
     pump_waist: float
 
+    def __post_init__(self):
+        validate_params(self)
+
     def with_waist(self, pump_waist: float) -> "SourceParams":
-        return validate_params(replace(self, pump_waist=pump_waist))
+        return replace(self, pump_waist=pump_waist)
 
     def with_crystal_length(self, crystal_length: float) -> "SourceParams":
-        return validate_params(replace(self, crystal_length=crystal_length))
+        return replace(self, crystal_length=crystal_length)
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,8 @@ class RegimeReport:
 
 def validate_params(raw: SourceParams) -> SourceParams:
     """Check positivity, energy conservation, and the long-crystal
-    regime; returns the input unchanged when valid."""
+    regime; returns the input unchanged when valid, else raises a typed
+    ValidationError. SourceParams runs this check on construction."""
     for name in ("lambda_p", "lambda_d", "lambda_u", "crystal_length", "pump_waist"):
         value = getattr(raw, name)
         if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
@@ -116,19 +119,18 @@ def validate_params(raw: SourceParams) -> SourceParams:
 def singular_waist(params: SourceParams) -> float:
     """Pump waist at which the Gaussian-approximated biphoton state
     factorizes: w_sing = sqrt(ld lu L / (2 pi (ld + lu)))."""
-    p = validate_params(params)
     return math.sqrt(
-        p.lambda_d * p.lambda_u * p.crystal_length / (2.0 * math.pi * (p.lambda_d + p.lambda_u))
+        params.lambda_d * params.lambda_u * params.crystal_length
+        / (2.0 * math.pi * (params.lambda_d + params.lambda_u))
     )
 
 
 def regime_classify(params: SourceParams) -> RegimeReport:
-    p = validate_params(params)
-    lsum = p.lambda_d + p.lambda_u
-    w2 = p.pump_waist**2
-    margin_u = w2 * lsum / (p.lambda_u**2 * p.crystal_length)
-    margin_d = w2 * lsum / (p.lambda_d**2 * p.crystal_length)
-    sep = p.pump_waist / singular_waist(p)
+    lsum = params.lambda_d + params.lambda_u
+    w2 = params.pump_waist**2
+    margin_u = w2 * lsum / (params.lambda_u**2 * params.crystal_length)
+    margin_d = w2 * lsum / (params.lambda_d**2 * params.crystal_length)
+    sep = params.pump_waist / singular_waist(params)
     return RegimeReport(
         margin_u=margin_u,
         margin_d=margin_d,
@@ -206,15 +208,7 @@ def load_config(path) -> tuple[SourceParams, OpticalSetup]:
             else:
                 raise SchemaError(f"{path}:{lineno}: unknown key {key!r}")
     values.update(explicit)
-    params = validate_params(
-        SourceParams(
-            lambda_p=values["lambda_p"],
-            lambda_d=values["lambda_d"],
-            lambda_u=values["lambda_u"],
-            crystal_length=values["crystal_length"],
-            pump_waist=values["pump_waist"],
-        )
-    )
+    params = SourceParams(**{key: values[key] for key in _LENGTH_KEYS})
     m_d_i = values["m_d_i"]
     m_d_c = values["m_d_c"]
     setup = OpticalSetup(

@@ -264,8 +264,11 @@ def load_stack(manifest_path) -> InterferogramStack:
         raise SchemaError(f"{manifest_path}: frames/phases length mismatch")
     shape = tuple(manifest["shape"])
     frames = np.empty((len(names), *shape), dtype=float)
+    stack_dir = manifest_path.parent.resolve()
     for k, name in enumerate(names):
         path = manifest_path.parent / name
+        if not path.resolve().is_relative_to(stack_dir):
+            raise SchemaError(f"{manifest_path}: frame {name!r} lies outside the manifest directory")
         if not path.is_file():
             raise CorruptFrame(path, "file not found")
         try:
@@ -274,6 +277,8 @@ def load_stack(manifest_path) -> InterferogramStack:
             raise CorruptFrame(path, str(exc)) from exc
         if frame.shape != shape:
             raise CorruptFrame(path, f"shape {frame.shape} != manifest shape {shape}")
+        if not np.isfinite(frame).all():
+            raise CorruptFrame(path, "non-finite values")
         frames[k] = frame
     return InterferogramStack(
         frames=frames,

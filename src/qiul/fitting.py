@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .core import SourceParams, validate_params
+from .core import SourceParams
 from .errors import (
     GateFailed,
     NotConverged,
@@ -277,8 +277,7 @@ def fit_edge_profiles(
     only when the deviation stays below gate_threshold. Below the
     separability waist the theory ratio is undefined and the gate always
     fails (the fits are still reported)."""
-    p = validate_params(params)
-    g_model, v_model = _edge_models(p)
+    g_model, v_model = _edge_models(params)
 
     def fit_one(model, profile):
         span = float(profile.grid[-1] - profile.grid[0])
@@ -304,11 +303,11 @@ def fit_edge_profiles(
     m_d_v = v_fit.parameters["m_d"]
 
     try:
-        theory_ratio = spread_g_esf_numeric(p) / spread_v_closed(p)
+        theory_ratio = spread_g_esf_numeric(params) / spread_v_closed(params)
         measured_g = m_d_g * spread_g_esf_numeric(
-            p, x_tilde_o=g_fit.parameters["m_u_x_o"] / m_d_g
+            params, x_tilde_o=g_fit.parameters["m_u_x_o"] / m_d_g
         )
-        measured_v = m_d_v * spread_v_closed(p)
+        measured_v = m_d_v * spread_v_closed(params)
         deviation = abs((measured_g / measured_v) / theory_ratio - 1.0)
         passed = deviation < gate_threshold
     except SeparableState:

@@ -29,8 +29,8 @@ import numpy as np
 from scipy.special import erf
 
 from .biphoton import gaussian_quadratic_form
-from .core import OpticalSetup, SourceParams, singular_waist, validate_params
-from .errors import QuadratureNotConverged, SeparableState
+from .core import OpticalSetup, SourceParams, singular_waist
+from .errors import QuadratureNotConverged, SchemaError, SeparableState
 
 __all__ = [
     "Profile1D",
@@ -106,8 +106,11 @@ def read_profile_csv(path, kind: str | None = None) -> Profile1D:
                 plane = line.split("plane=", 1)[1].strip()
             if not line.startswith("#"):
                 break
-    data = np.loadtxt(path, delimiter=",")
-    return Profile1D(grid=data[:, 0], values=data[:, 1], plane=plane, kind=kind)
+    try:
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
+        return Profile1D(grid=data[:, 0], values=data[:, 1], plane=plane, kind=kind)
+    except (ValueError, IndexError) as exc:
+        raise SchemaError(f"{path}: not a profile CSV ({exc})") from exc
 
 
 @dataclass(frozen=True)
@@ -191,10 +194,9 @@ def _as_array(x):
 def g_envelope_coefficient(params: SourceParams) -> float:
     """Coefficient k of the ESF Gaussian envelope exp{-k x_c^2 / M_d^2}:
     k = 4 pi (ld+lu) / (ld^2 L + 2 pi w_p^2 (ld+lu))."""
-    p = validate_params(params)
-    lsum = p.lambda_d + p.lambda_u
+    lsum = params.lambda_d + params.lambda_u
     return 4.0 * math.pi * lsum / (
-        p.lambda_d**2 * p.crystal_length + 2.0 * math.pi * p.pump_waist**2 * lsum
+        params.lambda_d**2 * params.crystal_length + 2.0 * math.pi * params.pump_waist**2 * lsum
     )
 
 
@@ -207,13 +209,12 @@ def esf_slope_coefficient(params: SourceParams) -> float:
     Negative above the singular waist, zero at it. c^2 equals the
     exponent coefficient of v_psf, which is the derivative identity
     d/dx_c V_ESF (normalized) = V_PSF."""
-    p = validate_params(params)
-    lsum = p.lambda_d + p.lambda_u
-    tw = 2.0 * math.pi * p.pump_waist**2 * lsum
-    num = math.sqrt(2.0) * (p.lambda_d * p.lambda_u * p.crystal_length - tw)
+    lsum = params.lambda_d + params.lambda_u
+    tw = 2.0 * math.pi * params.pump_waist**2 * lsum
+    num = math.sqrt(2.0) * (params.lambda_d * params.lambda_u * params.crystal_length - tw)
     den = (
-        math.sqrt((p.lambda_d**2 * p.crystal_length + tw) * p.crystal_length)
-        * p.pump_waist
+        math.sqrt((params.lambda_d**2 * params.crystal_length + tw) * params.crystal_length)
+        * params.pump_waist
         * lsum
     )
     return num / den
@@ -241,14 +242,13 @@ def v_psf(params: SourceParams, setup: OpticalSetup, rho_c):
 
     Raises SeparableState at the singular waist where the visibility
     becomes constant and the spread is undefined."""
-    p = validate_params(params)
-    _require_not_separable(p)
-    lsum = p.lambda_d + p.lambda_u
-    L = p.crystal_length
-    w2 = p.pump_waist**2
+    _require_not_separable(params)
+    lsum = params.lambda_d + params.lambda_u
+    L = params.crystal_length
+    w2 = params.pump_waist**2
     tw = 2.0 * math.pi * w2 * lsum
-    coeff = 2.0 * (tw - p.lambda_d * p.lambda_u * L) ** 2 / (
-        2.0 * math.pi * w2**2 * lsum**3 * L + w2 * p.lambda_d**2 * lsum**2 * L**2
+    coeff = 2.0 * (tw - params.lambda_d * params.lambda_u * L) ** 2 / (
+        2.0 * math.pi * w2**2 * lsum**3 * L + w2 * params.lambda_d**2 * lsum**2 * L**2
     )
     rho = _as_array(rho_c)
     out = np.exp(-coeff * rho**2 / setup.m_d**2)
@@ -259,9 +259,8 @@ def g_esf(params: SourceParams, setup: OpticalSetup, x_c, x_tilde_o: float = 0.0
     """Amplitude-image edge response: Gaussian envelope times
     [1 - erf{c (x_c - M_u x_o~) / M_d}]. Ranges over (0, ~2) times the
     envelope; the absolute scale is a convention."""
-    p = validate_params(params)
-    k = g_envelope_coefficient(p)
-    c = esf_slope_coefficient(p)
+    k = g_envelope_coefficient(params)
+    c = esf_slope_coefficient(params)
     x = _as_array(x_c)
     u = (x - setup.m_u * x_tilde_o) / setup.m_d
     out = np.exp(-k * (x / setup.m_d) ** 2) * (1.0 - erf(c * u))
@@ -272,8 +271,7 @@ def v_esf(params: SourceParams, setup: OpticalSetup, x_c, x_tilde_o: float = 0.0
     """Visibility edge response (1/2)[1 - erf{c (x_c - M_u x_o~) / M_d}],
     bounded to [0, 1]. At the singular waist c = 0 and the response is
     the constant 1/2."""
-    p = validate_params(params)
-    c = esf_slope_coefficient(p)
+    c = esf_slope_coefficient(params)
     x = _as_array(x_c)
     u = (x - setup.m_u * x_tilde_o) / setup.m_d
     out = 0.5 * (1.0 - erf(c * u))
@@ -283,9 +281,8 @@ def v_esf(params: SourceParams, setup: OpticalSetup, x_c, x_tilde_o: float = 0.0
 def g_esf_derivative(params: SourceParams, setup: OpticalSetup, x_c, x_tilde_o: float = 0.0):
     """Analytic d/dx_c of g_esf (signed; not a classical LSF because the
     system is not isoplanatic in the amplitude image)."""
-    p = validate_params(params)
-    k = g_envelope_coefficient(p)
-    c = esf_slope_coefficient(p)
+    k = g_envelope_coefficient(params)
+    c = esf_slope_coefficient(params)
     x = _as_array(x_c)
     m_d = setup.m_d
     u = (x - setup.m_u * x_tilde_o) / m_d
@@ -391,14 +388,13 @@ def image_function_numeric(
 
     Gauss-Legendre with n_nodes over +-8 conditional widths,
     convergence-checked by node doubling."""
-    p = validate_params(params)
     x = np.asarray(grid, dtype=float)
-    peak = _open_aperture_peak(p, setup, n_nodes)
+    peak = _open_aperture_peak(params, setup, n_nodes)
     if t.kind == "point":
-        vals2 = _point_image(p, setup, t.x0, x)
+        vals2 = _point_image(params, setup, t.x0, x)
     else:
-        vals = _integrate_t_weighted(p, setup, t, x, n_nodes)
-        vals2 = _integrate_t_weighted(p, setup, t, x, 2 * n_nodes - 1)
+        vals = _integrate_t_weighted(params, setup, t, x, n_nodes)
+        vals2 = _integrate_t_weighted(params, setup, t, x, 2 * n_nodes - 1)
         _converged_pair(vals, vals2, rel_tol, peak)
     return Profile1D(grid=x, values=vals2 / peak, plane="camera", kind="g")
 
@@ -422,14 +418,13 @@ def visibility_numeric(
 ) -> Profile1D:
     """Visibility V(x_c): ratio of the T-weighted to the unweighted
     integral of the joint density at each camera position."""
-    p = validate_params(params)
     x = np.asarray(grid, dtype=float)
     if t.kind == "point":
         raise ValueError("visibility of a point object is a ratio of deltas; use g/v PSFs")
-    num = _integrate_t_weighted(p, setup, t, x, n_nodes)
-    num2 = _integrate_t_weighted(p, setup, t, x, 2 * n_nodes - 1)
-    den = _integrate_t_weighted(p, setup, None, x, n_nodes)
-    den2 = _integrate_t_weighted(p, setup, None, x, 2 * n_nodes - 1)
+    num = _integrate_t_weighted(params, setup, t, x, n_nodes)
+    num2 = _integrate_t_weighted(params, setup, t, x, 2 * n_nodes - 1)
+    den = _integrate_t_weighted(params, setup, None, x, n_nodes)
+    den2 = _integrate_t_weighted(params, setup, None, x, 2 * n_nodes - 1)
     _converged_pair(num, num2, rel_tol, float(np.max(den2)))
     _converged_pair(den, den2, rel_tol, float(np.max(den2)))
     vals = np.clip(num2 / den2, 0.0, 1.0)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import OpticalSetup, SourceParams, singular_waist, validate_params
+from .core import OpticalSetup, SourceParams, singular_waist
 from .dpsh import (
     DemodulationResult,
     NoiseModel,
@@ -81,18 +81,17 @@ def build_edge_scene(
     """Scene whose demodulated amplitude row is proportional to the
     closed-form edge response and whose visibility row equals the
     visibility edge response: B = B0 Gy(y) E(x), A = B V_esf(x)."""
-    p = validate_params(params)
     if rows < 1 or cols < 8:
         raise ValueError("image too small")
     x = (np.arange(cols) - (cols - 1) / 2.0) * pixel_pitch
     y = (np.arange(rows) - (rows - 1) / 2.0) * pixel_pitch
     if beam_sigma_y is None:
         beam_sigma_y = rows * pixel_pitch / 4.0
-    k = g_envelope_coefficient(p)
+    k = g_envelope_coefficient(params)
     envelope = np.exp(-k * (x / setup.m_d) ** 2)
     beam_y = np.exp(-((y / beam_sigma_y) ** 2))
     b = background * np.outer(beam_y, envelope)
-    vis = v_esf(p, setup, x, x_tilde_o)
+    vis = v_esf(params, setup, x, x_tilde_o)
     a = b * vis[None, :]
     return SceneModel(background=b, modulation=a, phase_map=np.zeros_like(b))
 
@@ -213,7 +212,7 @@ def analyze_stack(manifest_path, params: SourceParams, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stack = load_stack(manifest_path)
-    analysis, *_ = _analyze(stack, validate_params(params), out)
+    analysis, *_ = _analyze(stack, params, out)
     return analysis
 
 
@@ -233,24 +232,23 @@ def simulate_edge(
     """Synthesize an edge measurement, save the stack, analyze it from
     the saved files, and emit a measured-vs-theory comparison. Returns
     {"analysis": ..., "comparison": ...}."""
-    p = validate_params(params)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    scene = build_edge_scene(p, setup, rows, cols, pixel_pitch, background, x_tilde_o)
+    scene = build_edge_scene(params, setup, rows, cols, pixel_pitch, background, x_tilde_o)
     phases = 2.0 * math.pi * np.arange(n_phases) / n_phases
     stack = synthesize_stack(scene, phases, noise=noise, seed=seed, pixel_pitch=pixel_pitch)
     manifest = save_stack(stack, out)
     stack_from_disk = load_stack(manifest)
-    analysis, _, _, _, estimate = _analyze(stack_from_disk, p, out)
+    analysis, _, _, _, estimate = _analyze(stack_from_disk, params, out)
 
     theory = {
-        "spread_g_psf_m": spread_g_psf_closed(p),
-        "spread_g_esf_m": spread_g_esf_numeric(p),
-        "w_sing_m": singular_waist(p),
+        "spread_g_psf_m": spread_g_psf_closed(params),
+        "spread_g_esf_m": spread_g_esf_numeric(params),
+        "w_sing_m": singular_waist(params),
     }
     try:
-        theory["spread_v_m"] = spread_v_closed(p)
-        theory["d_min_m"] = min_resolvable_distance(p, setup.m_u)
+        theory["spread_v_m"] = spread_v_closed(params)
+        theory["d_min_m"] = min_resolvable_distance(params, setup.m_u)
     except SeparableState:
         theory["spread_v_m"] = "SeparableState"
         theory["d_min_m"] = "SeparableState"

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import OpticalSetup, SourceParams, singular_waist, validate_params
+from .core import OpticalSetup, SourceParams, singular_waist
 from .errors import MultiPeak, NoCrossing, RangeNotSpanned, SeparableState
 from .imaging import Profile1D, esf_slope_coefficient, g_envelope_coefficient, g_esf_derivative
 
@@ -164,10 +164,11 @@ def lsf_from_esf(esf: Profile1D) -> Profile1D:
 def spread_g_psf_closed(params: SourceParams) -> float:
     """1/e half-width of the amplitude PSF, magnification adjusted:
     sqrt(L(ld+lu)/(4 pi)) / sqrt(1 + lu^2 L / (2 pi w_p^2 (ld+lu)))."""
-    p = validate_params(params)
-    lsum = p.lambda_d + p.lambda_u
-    lead = math.sqrt(p.crystal_length * lsum / (4.0 * math.pi))
-    corr = 1.0 + p.lambda_u**2 * p.crystal_length / (2.0 * math.pi * p.pump_waist**2 * lsum)
+    lsum = params.lambda_d + params.lambda_u
+    lead = math.sqrt(params.crystal_length * lsum / (4.0 * math.pi))
+    corr = 1.0 + params.lambda_u**2 * params.crystal_length / (
+        2.0 * math.pi * params.pump_waist**2 * lsum
+    )
     return lead / math.sqrt(corr)
 
 
@@ -178,20 +179,22 @@ def spread_v_closed(params: SourceParams, below_singularity: bool = False) -> fl
     below_singularity is set, in which case the branch below the
     singularity is returned with positive sign (paraxial assumptions
     are questionable there)."""
-    p = validate_params(params)
-    w_sing = singular_waist(p)
-    if not below_singularity and p.pump_waist <= w_sing * (1.0 + 1e-9):
+    w_sing = singular_waist(params)
+    if not below_singularity and params.pump_waist <= w_sing * (1.0 + 1e-9):
         raise SeparableState(
-            f"pump waist {p.pump_waist:.6g} m at or below the singular waist "
+            f"pump waist {params.pump_waist:.6g} m at or below the singular waist "
             f"{w_sing:.6g} m: visibility spread diverges"
         )
-    if below_singularity and abs(p.pump_waist - w_sing) <= w_sing * 1e-9:
+    if below_singularity and abs(params.pump_waist - w_sing) <= w_sing * 1e-9:
         raise SeparableState("visibility spread diverges at the singular waist")
-    lsum = p.lambda_d + p.lambda_u
-    L = p.crystal_length
+    lsum = params.lambda_d + params.lambda_u
+    L = params.crystal_length
     lead = math.sqrt(L * lsum / (4.0 * math.pi))
-    tw = 2.0 * math.pi * p.pump_waist**2 * lsum
-    value = lead * tw * math.sqrt(1.0 + p.lambda_d**2 * L / tw) / (tw - p.lambda_d * p.lambda_u * L)
+    tw = 2.0 * math.pi * params.pump_waist**2 * lsum
+    value = (
+        lead * tw * math.sqrt(1.0 + params.lambda_d**2 * L / tw)
+        / (tw - params.lambda_d * params.lambda_u * L)
+    )
     return abs(value)
 
 
@@ -206,17 +209,16 @@ def spread_g_esf_numeric(
     response, on an adaptive grid refined until the doubling change is
     below refine_tol. Independent of the setup magnifications by
     construction (evaluated at unit magnification)."""
-    p = validate_params(params)
     # magnification adjusted, hence independent of `setup`: evaluate at
     # unit magnification
-    k = g_envelope_coefficient(p)
-    c = esf_slope_coefficient(p)
+    k = g_envelope_coefficient(params)
+    c = esf_slope_coefficient(params)
     span = 8.0 / math.sqrt(k + c * c) + abs(x_tilde_o)
     n = 4097
     previous = None
     while True:
         x = np.linspace(-span, span, n)
-        deriv = g_esf_derivative(p, _UNIT_SETUP, x, x_tilde_o)
+        deriv = g_esf_derivative(params, _UNIT_SETUP, x, x_tilde_o)
         width, _ = _half_width_1e_arrays(x, deriv / np.max(deriv))
         if previous is not None and abs(width - previous) <= refine_tol * width:
             return width
@@ -262,7 +264,7 @@ def theory_sweep_rows(
     rows = []
     for L in sorted(set(float(v) for v in lengths)):
         for w in sorted(set(float(v) for v in waists)):
-            p = validate_params(base.with_crystal_length(L).with_waist(w))
+            p = base.with_crystal_length(L).with_waist(w)
             w_sing = singular_waist(p)
             row = {
                 "L_m": L,

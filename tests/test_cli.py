@@ -129,6 +129,30 @@ class TestSimulateAndAnalyze:
                     "--config", config_file, "--out", tmp_path / "ana"])
         assert code == 4
 
+    def test_frame_outside_manifest_directory_exit_code(self, tmp_path, config_file):
+        sim_out = tmp_path / "sim"
+        run(["simulate-edge", "--config", config_file, "--out", sim_out,
+             "--rows", 12, "--cols", 256, "--pitch", "2um"])
+        manifest = sim_out / "manifest.json"
+        data = json.loads(manifest.read_text())
+        data["frames"][1] = "../elsewhere/frame_001.csv"
+        manifest.write_text(json.dumps(data))
+        code = run(["analyze-stack", "--manifest", manifest,
+                    "--config", config_file, "--out", tmp_path / "ana"])
+        assert code == 2
+
+    def test_non_finite_frame_exit_code(self, tmp_path, config_file):
+        sim_out = tmp_path / "sim"
+        run(["simulate-edge", "--config", config_file, "--out", sim_out,
+             "--rows", 12, "--cols", 256, "--pitch", "2um"])
+        frame = sim_out / "frames" / "frame_001.csv"
+        values = np.loadtxt(frame, delimiter=",")
+        values[6, 100] = np.nan
+        np.savetxt(frame, values, delimiter=",")
+        code = run(["analyze-stack", "--manifest", sim_out / "manifest.json",
+                    "--config", config_file, "--out", tmp_path / "ana"])
+        assert code == 4
+
     def test_below_singularity_completes_with_failed_gate(self, tmp_path):
         cfg = tmp_path / "sub.cfg"
         cfg.write_text("crystal_length = 10mm\npump_waist = 18um\n", encoding="utf-8")
@@ -178,6 +202,17 @@ class TestMagnificationCommand:
         profile_path = tmp_path / "single.csv"
         write_profile_csv(Profile1D(grid=x, values=np.exp(-((x / 1e-4) ** 2))), profile_path)
         assert run(["magnification", "--profile", profile_path, "--out", tmp_path / "m"]) == 3
+
+    @pytest.mark.parametrize("text", [
+        "1e-4,0.5\n",
+        "0,1\n1e-6,2\n3e-6,1\n4e-6,2\n",
+        "0,1\n1e-6,two\n2e-6,1\n",
+    ], ids=["one-row", "non-uniform-grid", "non-numeric"])
+    def test_malformed_profile_exit_code(self, tmp_path, capsys, text):
+        profile_path = tmp_path / "bad.csv"
+        profile_path.write_text(text, encoding="utf-8")
+        assert run(["magnification", "--profile", profile_path, "--out", tmp_path / "m"]) == 2
+        assert str(profile_path) in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -1,3 +1,7 @@
+import dataclasses
+import re
+from types import SimpleNamespace
+
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
@@ -17,6 +21,7 @@ from qiul.errors import (
     NonPositiveParameter,
     SchemaError,
     ThinCrystalRegime,
+    ValidationError,
 )
 
 from conftest import make_params
@@ -51,8 +56,8 @@ class TestValidation:
             validate_params(make_params(crystal_length=99.9 * lsum))
 
     def test_energy_conservation_violated(self):
-        p = SourceParams(405e-9, 500e-9, 910e-9, 2e-3, 142e-6)
         with pytest.raises(EnergyConservationViolated):
+            p = SourceParams(405e-9, 500e-9, 910e-9, 2e-3, 142e-6)
             validate_params(p)
 
     @pytest.mark.parametrize("field", ["lambda_p", "lambda_d", "lambda_u", "crystal_length", "pump_waist"])
@@ -63,6 +68,49 @@ class TestValidation:
         values[field] = bad
         with pytest.raises(NonPositiveParameter):
             validate_params(SourceParams(**values))
+
+
+REFERENCE = dict(lambda_p=405e-9, lambda_d=730e-9, lambda_u=910e-9,
+                 crystal_length=2e-3, pump_waist=142e-6)
+BAD_LENGTHS = [0.0, -1e-6, float("nan"), float("inf")]
+INVALID_CHANGES = [
+    *({field: bad} for field in REFERENCE for bad in BAD_LENGTHS),
+    {"lambda_d": 500e-9},
+    {"crystal_length": 100e-9},
+]
+INVALID_IDS = [",".join(f"{k}={v:g}" for k, v in change.items()) for change in INVALID_CHANGES]
+
+
+def assert_rejected_like_validate_params(build, change):
+    """build() raises the error type and message that validate_params
+    raises for the reference tuple with `change` applied."""
+    with pytest.raises(ValidationError) as expected:
+        validate_params(SimpleNamespace(**{**REFERENCE, **change}))
+    with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+        build()
+
+
+class TestConstructionValidates:
+    @pytest.mark.parametrize("change", INVALID_CHANGES, ids=INVALID_IDS)
+    def test_constructor(self, change):
+        assert_rejected_like_validate_params(lambda: SourceParams(**{**REFERENCE, **change}), change)
+
+    @pytest.mark.parametrize("change", INVALID_CHANGES, ids=INVALID_IDS)
+    def test_dataclasses_replace(self, change):
+        p = SourceParams(**REFERENCE)
+        assert_rejected_like_validate_params(lambda: dataclasses.replace(p, **change), change)
+
+    @pytest.mark.parametrize("bad", BAD_LENGTHS)
+    def test_with_waist(self, bad):
+        p = SourceParams(**REFERENCE)
+        assert_rejected_like_validate_params(lambda: p.with_waist(bad), {"pump_waist": bad})
+
+    @pytest.mark.parametrize("bad", [*BAD_LENGTHS, 100e-9])
+    def test_with_crystal_length(self, bad):
+        p = SourceParams(**REFERENCE)
+        assert_rejected_like_validate_params(
+            lambda: p.with_crystal_length(bad), {"crystal_length": bad}
+        )
 
 
 class TestSingularWaist:

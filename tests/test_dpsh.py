@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -222,6 +223,30 @@ class TestPersistence:
         (tmp_path / "frames" / "frame_001.csv").write_text("not,numbers,at,all\n")
         with pytest.raises(CorruptFrame):
             load_stack(manifest)
+
+    @pytest.mark.parametrize("absolute", [False, True], ids=["relative", "absolute"])
+    def test_frame_outside_manifest_directory_rejected(self, tmp_path, rng, absolute):
+        manifest = save_stack(synthesize_stack(random_scene(rng), FOUR_STEPS), tmp_path / "stack")
+        outside = tmp_path / "outside.csv"
+        outside.write_text("secret-token\n")
+        data = json.loads(manifest.read_text())
+        data["frames"][0] = str(outside) if absolute else "../outside.csv"
+        manifest.write_text(json.dumps(data))
+        with pytest.raises(SchemaError) as err:
+            load_stack(manifest)
+        assert "outside the manifest directory" in str(err.value)
+        assert "secret-token" not in str(err.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_frame_named(self, tmp_path, rng, bad):
+        manifest = save_stack(synthesize_stack(random_scene(rng), FOUR_STEPS), tmp_path)
+        frame = tmp_path / "frames" / "frame_002.csv"
+        values = np.loadtxt(frame, delimiter=",")
+        values[3, 4] = bad
+        np.savetxt(frame, values, delimiter=",")
+        with pytest.raises(CorruptFrame) as err:
+            load_stack(manifest)
+        assert "frame_002.csv" in str(err.value)
 
     def test_schema_validation(self, tmp_path):
         bad = tmp_path / "manifest.json"
