@@ -155,10 +155,7 @@ def _sinc_axis_amplitude(eta: np.ndarray, a: float, n_samples: int, r_max: float
 def joint_density_sinc_1d(
     params: SourceParams,
     n_grid: int = 129,
-    span_widths: float = 6.5,
     n_quad: int | None = None,
-    r_max: float | None = None,
-    convergence_tol: float = 1e-3,
 ) -> Density2D:
     """Joint density with the exact sinc phase-matching function.
 
@@ -167,10 +164,10 @@ def joint_density_sinc_1d(
     so the 2D transform reduces to an analytic Gaussian factor times a
     1D cosine transform of sinc(a R^2), a = L lambda_p / (8 pi ld lu).
 
-    The (x_d, x_u) grid spans span_widths times the Gaussian-model 1/e
-    marginal widths. Doubling the quadrature resolution must change the
-    normalized density by less than convergence_tol in integrated
-    absolute difference, else GridTooCoarse is raised.
+    The (x_d, x_u) grid spans 6.5 times the Gaussian-model 1/e marginal
+    widths. Doubling the quadrature resolution must change the
+    normalized density by less than 1e-3 in integrated absolute
+    difference, else GridTooCoarse is raised.
     """
     if n_grid < 16:
         raise ValueError("n_grid too small")
@@ -184,14 +181,13 @@ def joint_density_sinc_1d(
     # 1/e half-widths of the Gaussian-model marginals
     width_d = math.sqrt(q.a_uu / det)
     width_u = math.sqrt(q.a_dd / det)
-    half = span_widths * max(width_d, width_u)
+    half = 6.5 * max(width_d, width_u)
     grid = np.linspace(-half, half, n_grid)
 
     eta_max = 2.0 * half / lsum
-    if r_max is None:
-        # cover the sinc main-lobe decay and the outermost stationary
-        # point eta/(2a) of the oscillatory integrand
-        r_max = max(10.0 * math.sqrt(2.0 * math.pi / a), 1.5 * eta_max / (2.0 * a))
+    # cover the sinc main-lobe decay and the outermost stationary point
+    # eta/(2a) of the oscillatory integrand
+    r_max = max(10.0 * math.sqrt(2.0 * math.pi / a), 1.5 * eta_max / (2.0 * a))
     if n_quad is None:
         rate = max(2.0 * a * r_max, eta_max)  # fastest local phase rate
         n_quad = max(8193, int(r_max * rate * 8.0 / math.pi) | 1)
@@ -217,10 +213,10 @@ def joint_density_sinc_1d(
     dens = density_for(n_quad)
     dens2 = density_for(2 * n_quad + 1)
     diff = np.trapezoid(np.trapezoid(np.abs(dens - dens2), grid, axis=1), grid)
-    if diff > convergence_tol:
+    if diff > 1e-3:
         raise GridTooCoarse(
             f"sinc density not converged: doubling quadrature changes it by {diff:.3g} "
-            f"(> {convergence_tol:g}); increase n_quad/r_max"
+            f"(> 1e-3); increase n_quad"
         )
     return Density2D(grid_d=grid, grid_u=grid.copy(), values=dens2, model="sinc_numeric")
 

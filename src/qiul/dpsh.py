@@ -222,14 +222,14 @@ def read_image_csv(path) -> np.ndarray:
     return np.atleast_2d(np.loadtxt(path, delimiter=","))
 
 
-def save_stack(stack: InterferogramStack, out_dir, frame_dir: str = "frames") -> Path:
-    """Write frames as CSV matrices plus a JSON manifest; returns the
-    manifest path."""
+def save_stack(stack: InterferogramStack, out_dir) -> Path:
+    """Write frames as CSV matrices under frames/ plus a JSON manifest;
+    returns the manifest path."""
     out = Path(out_dir)
-    (out / frame_dir).mkdir(parents=True, exist_ok=True)
+    (out / "frames").mkdir(parents=True, exist_ok=True)
     names = []
     for k in range(stack.frames.shape[0]):
-        name = f"{frame_dir}/frame_{k:03d}.csv"
+        name = f"frames/frame_{k:03d}.csv"
         write_image_csv(stack.frames[k], out / name)
         names.append(name)
     manifest = {
@@ -247,7 +247,8 @@ def save_stack(stack: InterferogramStack, out_dir, frame_dir: str = "frames") ->
 
 def load_stack(manifest_path) -> InterferogramStack:
     """Load a stack from a manifest, validating the schema and naming
-    any missing or unreadable frame file."""
+    any missing or unreadable frame file; a malformed manifest raises
+    SchemaError."""
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -262,7 +263,11 @@ def load_stack(manifest_path) -> InterferogramStack:
     names = manifest["frames"]
     if not isinstance(names, list) or len(names) != len(phases):
         raise SchemaError(f"{manifest_path}: frames/phases length mismatch")
-    shape = tuple(manifest["shape"])
+    shape = manifest["shape"]
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(type(n) is int and n > 0 for n in shape)):
+        raise SchemaError(f"{manifest_path}: shape must be a list of two positive integers")
+    shape = tuple(shape)
     frames = np.empty((len(names), *shape), dtype=float)
     stack_dir = manifest_path.parent.resolve()
     for k, name in enumerate(names):
@@ -280,9 +285,12 @@ def load_stack(manifest_path) -> InterferogramStack:
         if not np.isfinite(frame).all():
             raise CorruptFrame(path, "non-finite values")
         frames[k] = frame
-    return InterferogramStack(
-        frames=frames,
-        phases=np.asarray(phases, dtype=float),
-        pixel_pitch=float(manifest["pixel_pitch_m"]),
-        noise_meta=dict(manifest["noise"]),
-    )
+    try:
+        return InterferogramStack(
+            frames=frames,
+            phases=np.asarray(phases, dtype=float),
+            pixel_pitch=float(manifest["pixel_pitch_m"]),
+            noise_meta=dict(manifest["noise"]),
+        )
+    except ValueError as exc:
+        raise SchemaError(f"{manifest_path}: {exc}") from exc

@@ -90,6 +90,10 @@ class DegeneratePhases(NumericalError):
     """Phase list yields a rank-deficient demodulation system."""
 
 
+class ImageTooSmall(ValidationError, ValueError):
+    """Requested synthetic image has too few rows or columns."""
+
+
 # -- file formats ------------------------------------------------------------
 
 class SchemaError(ValidationError):

@@ -18,15 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .core import SourceParams
+from .core import DEFAULT_M_D_C, OpticalSetup, SourceParams
 from .errors import (
     GateFailed,
     NotConverged,
     PeaksNotResolved,
+    RangeNotSpanned,
     SeparableState,
     SingularNormalEquations,
 )
-from .imaging import Profile1D, esf_slope_coefficient, g_envelope_coefficient
+from .imaging import Profile1D, g_esf, v_esf
 from .spreads import spread_g_esf_numeric, spread_v_closed
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
 ]
 
 GATE_THRESHOLD = 0.10
-DEFAULT_M_D_INIT = 2.67
 SLIT_DISTANCE_DEFAULT = 133e-6
 SLIT_DISTANCE_TOLERANCE = 23e-6
 
@@ -61,7 +61,6 @@ class FitResult:
     param_names: tuple[str, ...]
     residual_rms: float
     iterations: int
-    converged: bool
 
     def variance(self, name: str) -> float:
         i = self.param_names.index(name)
@@ -224,7 +223,6 @@ def least_squares_fit(
         param_names=names,
         residual_rms=math.sqrt(ssr / y.size),
         iterations=iterations,
-        converged=True,
     )
 
 
@@ -243,16 +241,15 @@ def _extremal_slope_position(profile: Profile1D) -> float:
 
 
 def _edge_models(params: SourceParams):
-    k = g_envelope_coefficient(params)
-    c = esf_slope_coefficient(params)
+    # with M_u = 1 the edge offset is the lumped shift M_u x_tilde_o
+    def setup(p):
+        return OpticalSetup(m_d=p["m_d"], m_d_i=1.0, m_d_c=p["m_d"])
 
     def v_model(x, p):
-        return 0.5 * (1.0 - erf(c * (x - p["m_u_x_o"]) / p["m_d"]))
+        return v_esf(params, setup(p), x, p["m_u_x_o"])
 
     def g_model(x, p):
-        raw = np.exp(-k * (x / p["m_d"]) ** 2) * (
-            1.0 - erf(c * (x - p["m_u_x_o"]) / p["m_d"])
-        )
+        raw = g_esf(params, setup(p), x, p["m_u_x_o"])
         peak = np.max(raw)
         if not peak > 0:
             return raw
@@ -265,35 +262,38 @@ def fit_edge_profiles(
     g_profile: Profile1D,
     v_profile: Profile1D,
     params: SourceParams,
-    m_d_init: float = DEFAULT_M_D_INIT,
-    gate_threshold: float = GATE_THRESHOLD,
 ) -> MagnificationEstimate:
     """Two-parameter fits {M_d, M_u x_tilde_o} of the closed-form edge
     responses to measured amplitude and visibility camera profiles from
-    the same row (the amplitude profile is compared peak-normalized).
+    the same row (the amplitude profile is compared peak-normalized),
+    both started at M_d = DEFAULT_M_D_C.
 
     The gate compares the measured camera-plane spread ratio of the two
     fitted models against the theory ratio; the averaged M_d is reported
-    only when the deviation stays below gate_threshold. Below the
+    only when the deviation stays below GATE_THRESHOLD. Below the
     separability waist the theory ratio is undefined and the gate always
-    fails (the fits are still reported)."""
+    fails (the fits are still reported). An amplitude profile without a
+    positive maximum raises RangeNotSpanned."""
+    g_peak = np.max(g_profile.values)
+    if not g_peak > 0:
+        raise RangeNotSpanned("amplitude profile has no positive maximum")
     g_model, v_model = _edge_models(params)
 
     def fit_one(model, profile):
         span = float(profile.grid[-1] - profile.grid[0])
         return least_squares_fit(
             model, profile,
-            init={"m_d": m_d_init, "m_u_x_o": _extremal_slope_position(profile)},
+            init={"m_d": DEFAULT_M_D_C, "m_u_x_o": _extremal_slope_position(profile)},
             bounds={
                 "m_d": (1e-3, 1e3),
                 "m_u_x_o": (profile.grid[0] - span, profile.grid[-1] + span),
             },
-            scales={"m_d": m_d_init, "m_u_x_o": span / 20.0},
+            scales={"m_d": DEFAULT_M_D_C, "m_u_x_o": span / 20.0},
         )
 
     g_norm = Profile1D(
         grid=g_profile.grid,
-        values=g_profile.values / np.max(g_profile.values),
+        values=g_profile.values / g_peak,
         plane=g_profile.plane,
         kind=None,
     )
@@ -309,7 +309,7 @@ def fit_edge_profiles(
         )
         measured_v = m_d_v * spread_v_closed(params)
         deviation = abs((measured_g / measured_v) / theory_ratio - 1.0)
-        passed = deviation < gate_threshold
+        passed = deviation < GATE_THRESHOLD
     except SeparableState:
         deviation = float("inf")
         passed = False

@@ -19,7 +19,6 @@ import numpy as np
 
 from .core import OpticalSetup, SourceParams, singular_waist
 from .dpsh import (
-    DemodulationResult,
     NoiseModel,
     SceneModel,
     demodulate,
@@ -29,7 +28,7 @@ from .dpsh import (
     synthesize_stack,
     write_image_csv,
 )
-from .errors import NumericalError, SeparableState
+from .errors import ImageTooSmall, NumericalError, SeparableState
 from .fitting import GATE_THRESHOLD, MagnificationEstimate, fit_edge_profiles
 from .imaging import Profile1D, g_envelope_coefficient, v_esf, write_profile_csv
 from .spreads import (
@@ -44,7 +43,7 @@ from .spreads import (
 
 __all__ = ["build_edge_scene", "simulate_edge", "analyze_stack", "ANALYSIS_SCHEMA"]
 
-ANALYSIS_SCHEMA = "qiul.analysis/1"
+ANALYSIS_SCHEMA = "qiul.analysis/2"
 BEAM_WINDOW_FLOOR = 0.02
 
 
@@ -76,20 +75,17 @@ def build_edge_scene(
     pixel_pitch: float,
     background: float,
     x_tilde_o: float = 0.0,
-    beam_sigma_y: float | None = None,
 ) -> SceneModel:
     """Scene whose demodulated amplitude row is proportional to the
     closed-form edge response and whose visibility row equals the
     visibility edge response: B = B0 Gy(y) E(x), A = B V_esf(x)."""
     if rows < 1 or cols < 8:
-        raise ValueError("image too small")
+        raise ImageTooSmall(f"image of {rows} x {cols} pixels is too small (need >= 1 x 8)")
     x = (np.arange(cols) - (cols - 1) / 2.0) * pixel_pitch
     y = (np.arange(rows) - (rows - 1) / 2.0) * pixel_pitch
-    if beam_sigma_y is None:
-        beam_sigma_y = rows * pixel_pitch / 4.0
     k = g_envelope_coefficient(params)
     envelope = np.exp(-k * (x / setup.m_d) ** 2)
-    beam_y = np.exp(-((y / beam_sigma_y) ** 2))
+    beam_y = np.exp(-((y / (rows * pixel_pitch / 4.0)) ** 2))
     b = background * np.outer(beam_y, envelope)
     vis = v_esf(params, setup, x, x_tilde_o)
     a = b * vis[None, :]
@@ -113,13 +109,10 @@ def _fit_to_dict(fit) -> dict:
         "covariance": fit.covariance,
         "residual_rms": fit.residual_rms,
         "iterations": fit.iterations,
-        "converged": fit.converged,
     }
 
 
-def _analyze(
-    stack, params: SourceParams, out: Path
-) -> tuple[dict, DemodulationResult, Profile1D, Profile1D, MagnificationEstimate]:
+def _analyze(stack, params: SourceParams, out: Path) -> tuple[dict, MagnificationEstimate]:
     demod = demodulate(stack)
     row, g_full = select_max_row(demod.g_image, stack.pixel_pitch)
     # visibility is A/B: outside the beam the background estimate carries
@@ -201,7 +194,7 @@ def _analyze(
     write_profile_csv(g_profile, out / "g_profile.csv")
     write_profile_csv(v_profile, out / "v_profile.csv")
     write_json(analysis, out / "analysis.json")
-    return analysis, demod, g_profile, v_profile, estimate
+    return analysis, estimate
 
 
 def analyze_stack(manifest_path, params: SourceParams, out_dir) -> dict:
@@ -212,7 +205,7 @@ def analyze_stack(manifest_path, params: SourceParams, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stack = load_stack(manifest_path)
-    analysis, *_ = _analyze(stack, params, out)
+    analysis, _ = _analyze(stack, params, out)
     return analysis
 
 
@@ -239,7 +232,7 @@ def simulate_edge(
     stack = synthesize_stack(scene, phases, noise=noise, seed=seed, pixel_pitch=pixel_pitch)
     manifest = save_stack(stack, out)
     stack_from_disk = load_stack(manifest)
-    analysis, _, _, _, estimate = _analyze(stack_from_disk, params, out)
+    analysis, estimate = _analyze(stack_from_disk, params, out)
 
     theory = {
         "spread_g_psf_m": spread_g_psf_closed(params),

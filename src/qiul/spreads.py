@@ -148,13 +148,14 @@ def knife_edge_width_2476(esf: Profile1D) -> SpreadResult:
 
 def lsf_from_esf(esf: Profile1D) -> Profile1D:
     """Line spread function as the central finite difference of the ESF
-    (one-sided at the ends), normalized so the extremum is +1."""
+    (one-sided at the ends), normalized so the extremum is +1. Raises
+    RangeNotSpanned for a flat profile."""
     if esf.grid.size < 5:
         raise ValueError("need at least 5 samples to differentiate")
     deriv = np.gradient(esf.values, esf.grid)
     extremum = deriv[int(np.argmax(np.abs(deriv)))]
     if extremum == 0:
-        raise ValueError("flat profile has no line spread function")
+        raise RangeNotSpanned("flat profile has no line spread function")
     return Profile1D(grid=esf.grid, values=deriv / extremum, plane=esf.plane, kind=None)
 
 
@@ -198,19 +199,13 @@ def spread_v_closed(params: SourceParams, below_singularity: bool = False) -> fl
     return abs(value)
 
 
-def spread_g_esf_numeric(
-    params: SourceParams,
-    setup: OpticalSetup | None = None,
-    refine_tol: float = 5e-4,
-    x_tilde_o: float = 0.0,
-) -> float:
+def spread_g_esf_numeric(params: SourceParams, x_tilde_o: float = 0.0) -> float:
     """Magnification-adjusted 1/e half-width (symmetric crossing
     definition) of the peak-normalized derivative of the amplitude edge
     response, on an adaptive grid refined until the doubling change is
-    below refine_tol. Independent of the setup magnifications by
-    construction (evaluated at unit magnification)."""
-    # magnification adjusted, hence independent of `setup`: evaluate at
-    # unit magnification
+    below 5e-4 relative. Evaluated at unit magnification, hence
+    independent of the setup magnifications. Raises NoCrossing when the
+    derivative has no positive finite maximum."""
     k = g_envelope_coefficient(params)
     c = esf_slope_coefficient(params)
     span = 8.0 / math.sqrt(k + c * c) + abs(x_tilde_o)
@@ -219,8 +214,11 @@ def spread_g_esf_numeric(
     while True:
         x = np.linspace(-span, span, n)
         deriv = g_esf_derivative(params, _UNIT_SETUP, x, x_tilde_o)
-        width, _ = _half_width_1e_arrays(x, deriv / np.max(deriv))
-        if previous is not None and abs(width - previous) <= refine_tol * width:
+        peak = np.max(deriv)
+        if not (peak > 0 and np.isfinite(peak)):
+            raise NoCrossing("ESF derivative has no positive finite maximum")
+        width, _ = _half_width_1e_arrays(x, deriv / peak)
+        if previous is not None and abs(width - previous) <= 5e-4 * width:
             return width
         if n > 1 << 20:
             return width
@@ -233,7 +231,7 @@ def spread_ratio(params: SourceParams, setup: OpticalSetup | None = None) -> flo
     spread; magnification independent by construction. Approaches 1 for
     large pump waists and collapses near the singular waist where the
     visibility spread diverges."""
-    return spread_g_esf_numeric(params, setup) / spread_v_closed(params)
+    return spread_g_esf_numeric(params) / spread_v_closed(params)
 
 
 def min_resolvable_distance(params: SourceParams, m_u: float = 1.0) -> float:
@@ -276,14 +274,12 @@ def theory_sweep_rows(
             # the visibility spread diverges like (1 - w_sing^2/w_p^2)^-1;
             # within 0.1% of the singularity the value is meaningless, so
             # such rows carry the marker as well
-            try:
-                if w <= w_sing * (1.0 + 1e-3):
-                    raise SeparableState("within the divergence band of the singular waist")
+            if w > w_sing * (1.0 + 1e-3):
                 sv = spread_v_closed(p)
                 row["spread_v_m"] = sv
                 row["ratio"] = row["spread_g_esf_m"] / sv
                 row["d_min_m"] = min_resolvable_distance(p, setup.m_u)
-            except SeparableState:
+            else:
                 row["spread_v_m"] = SEPARABLE_MARKER
                 row["ratio"] = SEPARABLE_MARKER
                 row["d_min_m"] = SEPARABLE_MARKER

@@ -153,6 +153,32 @@ class TestSimulateAndAnalyze:
                     "--config", config_file, "--out", tmp_path / "ana"])
         assert code == 4
 
+    @pytest.mark.parametrize("key, value", [
+        ("shape", 5),
+        ("phases_rad", [0.0, 0.0, math.pi, 1.5 * math.pi]),
+    ], ids=["shape-not-a-list", "equal-phases"])
+    def test_malformed_manifest_exit_code(self, tmp_path, config_file, capsys, key, value):
+        sim_out = tmp_path / "sim"
+        run(["simulate-edge", "--config", config_file, "--out", sim_out,
+             "--rows", 12, "--cols", 256, "--pitch", "2um"])
+        manifest = sim_out / "manifest.json"
+        data = json.loads(manifest.read_text())
+        data[key] = value
+        manifest.write_text(json.dumps(data))
+        code = run(["analyze-stack", "--manifest", manifest,
+                    "--config", config_file, "--out", tmp_path / "ana"])
+        assert code == 2
+        assert str(manifest) in capsys.readouterr().err
+
+    def test_empty_image_exit_code(self, tmp_path):
+        assert run(["simulate-edge", "--out", tmp_path / "sim", "--rows", 0]) == 2
+
+    def test_flat_profile_exit_code(self, tmp_path):
+        # at a 1 m pitch the amplitude envelope underflows to zero on every pixel
+        code = run(["simulate-edge", "--out", tmp_path / "sim", "--pitch", "1m",
+                    "--rows", 8, "--cols", 64])
+        assert code == 3
+
     def test_below_singularity_completes_with_failed_gate(self, tmp_path):
         cfg = tmp_path / "sub.cfg"
         cfg.write_text("crystal_length = 10mm\npump_waist = 18um\n", encoding="utf-8")

@@ -37,7 +37,6 @@ class TestLeastSquaresEngine:
         x = np.linspace(0.0, 5.0, 32)
         data = Profile1D(grid=x, values=2.0 * x)
         fit = least_squares_fit(lambda xv, p: p["a"] * xv, data, init={"a": 0.7})
-        assert fit.converged
         assert fit.parameters["a"] == pytest.approx(2.0, abs=1e-12)
 
     def test_exact_gaussian(self):
@@ -156,7 +155,6 @@ class TestEdgeProfileFits:
         est = fit_edge_profiles(g_profile, v_profile, p)
         assert not est.gate_passed
         assert est.m_d_avg is None
-        assert est.g_fit.converged and est.v_fit.converged
 
 
 class TestDoubleSlit:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -236,11 +237,32 @@ class TestEsfDerivativeSpread:
         envelope = math.sqrt(p.lambda_d * p.crystal_length / (4.0 * math.pi))
         assert spread_g_esf_numeric(p) == pytest.approx(factor * envelope, rel=1e-3)
 
-    def test_refinement_stability(self):
+    def test_matches_root_finding_reference(self):
+        # Root-finding oracle: the peak where the complex-step slope of
+        # the derivative vanishes, then its two 1/e crossings, bracketed
+        # on a coarse grid.
         p = make_params(10e-3, 50e-6)
-        coarse = spread_g_esf_numeric(p, refine_tol=5e-4)
-        fine = spread_g_esf_numeric(p, refine_tol=1e-6)
-        assert coarse == pytest.approx(fine, rel=2e-3)
+        unit = OpticalSetup(m_d=1.0, m_u=1.0, m_d_i=1.0, m_u_i=1.0, m_d_c=1.0)
+        f = lambda x: g_esf_derivative(p, unit, x)
+        x = np.linspace(-2e-4, 2e-4, 2001)
+        d = f(x)
+        i = int(np.argmax(d))
+        h = 1e-20 * x[-1]
+        x_peak = brentq(lambda t: f(complex(t, h)).imag / h, x[i - 1], x[i + 1], xtol=1e-19)
+        level = f(x_peak) / math.e
+        j = int(np.nonzero(d[: i + 1] < level)[0][-1])
+        m = i + int(np.nonzero(d[i:] < level)[0][0])
+        x_left = brentq(lambda t: f(t) - level, x[j], x[j + 1], xtol=1e-19)
+        x_right = brentq(lambda t: f(t) - level, x[m - 1], x[m], xtol=1e-19)
+        assert spread_g_esf_numeric(p) == pytest.approx(0.5 * (x_right - x_left), rel=1e-5)
+
+    def test_no_positive_maximum_raises_before_dividing(self):
+        # the derivative underflows to zero everywhere on the window
+        p = make_params(1e-3, 142e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoCrossing):
+                spread_g_esf_numeric(p, x_tilde_o=3e-3)
 
 
 class TestSpreadRatio:
