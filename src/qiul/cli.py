@@ -198,11 +198,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # float64 overflow or an invalid operation (inf - inf) means the
+        # input lies outside what the model can represent: exit 3, not a
+        # warning followed by meaningless numbers
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (OSError, ToolkitError) as exc:

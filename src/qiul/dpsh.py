@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,13 +32,12 @@ __all__ = [
     "select_max_row",
     "save_stack",
     "load_stack",
-    "write_image_csv",
-    "read_image_csv",
 ]
 
 DEFAULT_PIXEL_PITCH = 6.5e-6  # sCMOS camera pixel size
 SATURATION_COUNTS = 65535.0  # 16-bit camera
-MANIFEST_SCHEMA = "qiul.stack/1"
+MANIFEST_SCHEMA = "qiul.stack/2"
+CSV_MANIFEST_SCHEMA = "qiul.stack/1"
 
 
 @dataclass(frozen=True)
@@ -214,23 +214,18 @@ def select_max_row(image: np.ndarray, pixel_pitch: float = DEFAULT_PIXEL_PITCH) 
 # -- stack persistence --------------------------------------------------------
 
 
-def write_image_csv(image: np.ndarray, path) -> None:
-    np.savetxt(path, np.asarray(image, dtype=float), delimiter=",", fmt="%.17g")
-
-
-def read_image_csv(path) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=","))
-
-
 def save_stack(stack: InterferogramStack, out_dir) -> Path:
-    """Write frames as CSV matrices under frames/ plus a JSON manifest;
-    returns the manifest path."""
+    """Write a `qiul.stack/2` stack: one `frames/frame_kkk.npy` per phase
+    step (`np.save`, float64) plus `manifest.json`, whose keys are
+    `schema`, `phases_rad`, `pixel_pitch_m`, `noise`, `shape` (rows,
+    cols) and `frames` (the frame paths relative to the manifest, in
+    phase order). Returns the manifest path."""
     out = Path(out_dir)
     (out / "frames").mkdir(parents=True, exist_ok=True)
     names = []
     for k in range(stack.frames.shape[0]):
-        name = f"frames/frame_{k:03d}.csv"
-        write_image_csv(stack.frames[k], out / name)
+        name = f"frames/frame_{k:03d}.npy"
+        np.save(out / name, stack.frames[k])
         names.append(name)
     manifest = {
         "schema": MANIFEST_SCHEMA,
@@ -245,46 +240,89 @@ def save_stack(stack: InterferogramStack, out_dir) -> Path:
     return path
 
 
+def _finite_number(value) -> bool:
+    """A JSON number, not a boolean, that is a finite float64; the
+    comparison is exact for integers beyond the float range too."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _read_frame(path: Path) -> np.ndarray:
+    """One frame as a read-only memory map of a `.npy` file. Mapping
+    instead of reading means a header that claims more data than the
+    file holds is an error, not an allocation of that size."""
+    with open(path, "rb") as fh:
+        magic = np.lib.format.MAGIC_PREFIX
+        if fh.read(len(magic)) != magic:  # an .npz archive, a pickle or anything else
+            raise CorruptFrame(path, "not a .npy file")
+    try:
+        frame = np.load(path, mmap_mode="r", allow_pickle=False)
+    except Exception as exc:
+        # the header is a Python literal parsed with ast and tokenize: a
+        # damaged one raises ValueError, TypeError, IndexError, EOFError or
+        # tokenize.TokenError, among others
+        raise CorruptFrame(path, f"{type(exc).__name__}: {exc}") from exc
+    if frame.dtype.kind not in "iuf":
+        raise CorruptFrame(path, f"dtype {frame.dtype} is not a real number type")
+    return frame
+
+
 def load_stack(manifest_path) -> InterferogramStack:
-    """Load a stack from a manifest, validating the schema and naming
-    any missing or unreadable frame file; a malformed manifest raises
-    SchemaError."""
+    """Load a `qiul.stack/2` stack (see `save_stack`). A malformed
+    manifest, a frame path outside the manifest directory and a
+    `qiul.stack/1` manifest (CSV frames, no longer read) raise
+    SchemaError; a frame that is missing, not a `.npy` array of a real
+    dtype, of the wrong shape or non-finite raises CorruptFrame naming
+    the file."""
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict) or manifest.get("schema") != MANIFEST_SCHEMA:
+    schema = manifest.get("schema") if isinstance(manifest, dict) else None
+    if schema == CSV_MANIFEST_SCHEMA:
+        raise SchemaError(f"{manifest_path}: {CSV_MANIFEST_SCHEMA} stacks (CSV frames) are no "
+                          f"longer read; save each frame with np.save and list the .npy files "
+                          f"in a {MANIFEST_SCHEMA} manifest")
+    if schema != MANIFEST_SCHEMA:
         raise SchemaError(f"{manifest_path}: not a {MANIFEST_SCHEMA} manifest")
     for key in ("phases_rad", "pixel_pitch_m", "noise", "shape", "frames"):
         if key not in manifest:
             raise SchemaError(f"{manifest_path}: missing key {key!r}")
     phases = manifest["phases_rad"]
+    if not (isinstance(phases, list) and all(_finite_number(p) for p in phases)):
+        raise SchemaError(f"{manifest_path}: phases_rad must be a list of finite numbers")
+    if not _finite_number(manifest["pixel_pitch_m"]):
+        raise SchemaError(f"{manifest_path}: pixel_pitch_m must be a finite number")
+    if not isinstance(manifest["noise"], dict):
+        raise SchemaError(f"{manifest_path}: noise must be a JSON object")
     names = manifest["frames"]
-    if not isinstance(names, list) or len(names) != len(phases):
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise SchemaError(f"{manifest_path}: frames must be a list of file paths")
+    if len(names) != len(phases):
         raise SchemaError(f"{manifest_path}: frames/phases length mismatch")
     shape = manifest["shape"]
     if not (isinstance(shape, list) and len(shape) == 2
             and all(type(n) is int and n > 0 for n in shape)):
         raise SchemaError(f"{manifest_path}: shape must be a list of two positive integers")
     shape = tuple(shape)
-    frames = np.empty((len(names), *shape), dtype=float)
+    frames = []
     stack_dir = manifest_path.parent.resolve()
-    for k, name in enumerate(names):
+    for name in names:
         path = manifest_path.parent / name
-        if not path.resolve().is_relative_to(stack_dir):
+        try:
+            inside = path.resolve().is_relative_to(stack_dir)
+        except ValueError:  # an embedded NUL byte
+            inside = False
+        if not inside:
             raise SchemaError(f"{manifest_path}: frame {name!r} lies outside the manifest directory")
         if not path.is_file():
             raise CorruptFrame(path, "file not found")
-        try:
-            frame = read_image_csv(path)
-        except ValueError as exc:
-            raise CorruptFrame(path, str(exc)) from exc
+        frame = _read_frame(path)
         if frame.shape != shape:
             raise CorruptFrame(path, f"shape {frame.shape} != manifest shape {shape}")
         if not np.isfinite(frame).all():
             raise CorruptFrame(path, "non-finite values")
-        frames[k] = frame
+        frames.append(frame)
     try:
         return InterferogramStack(
             frames=frames,

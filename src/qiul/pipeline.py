@@ -26,7 +26,6 @@ from .dpsh import (
     save_stack,
     select_max_row,
     synthesize_stack,
-    write_image_csv,
 )
 from .errors import ImageTooSmall, NumericalError, SeparableState
 from .fitting import GATE_THRESHOLD, MagnificationEstimate, fit_edge_profiles
@@ -188,9 +187,9 @@ def _analyze(stack, params: SourceParams, out: Path) -> tuple[dict, Magnificatio
         "spreads_adjusted": adjusted,
     }
 
-    write_image_csv(demod.g_image, out / "g_image.csv")
-    write_image_csv(demod.v_image, out / "v_image.csv")
-    write_image_csv(demod.phase_image, out / "phase_image.csv")
+    np.save(out / "g_image.npy", demod.g_image)
+    np.save(out / "v_image.npy", demod.v_image)
+    np.save(out / "phase_image.npy", demod.phase_image)
     write_profile_csv(g_profile, out / "g_profile.csv")
     write_profile_csv(v_profile, out / "v_profile.csv")
     write_json(analysis, out / "analysis.json")

@@ -1,8 +1,14 @@
 import json
 import math
+import shutil
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qiul.cli import main, parse_length_list, parse_noise
 from qiul.errors import SchemaError
@@ -93,7 +99,7 @@ class TestSimulateAndAnalyze:
         ])
         assert code == 0
         for name in ("manifest.json", "analysis.json", "comparison.json",
-                     "g_image.csv", "v_image.csv", "phase_image.csv",
+                     "g_image.npy", "v_image.npy", "phase_image.npy",
                      "g_profile.csv", "v_profile.csv"):
             assert (sim_out / name).exists(), name
 
@@ -124,7 +130,7 @@ class TestSimulateAndAnalyze:
         sim_out = tmp_path / "sim"
         run(["simulate-edge", "--config", config_file, "--out", sim_out,
              "--rows", 12, "--cols", 256, "--pitch", "2um"])
-        (sim_out / "frames" / "frame_001.csv").unlink()
+        (sim_out / "frames" / "frame_001.npy").unlink()
         code = run(["analyze-stack", "--manifest", sim_out / "manifest.json",
                     "--config", config_file, "--out", tmp_path / "ana"])
         assert code == 4
@@ -145,10 +151,10 @@ class TestSimulateAndAnalyze:
         sim_out = tmp_path / "sim"
         run(["simulate-edge", "--config", config_file, "--out", sim_out,
              "--rows", 12, "--cols", 256, "--pitch", "2um"])
-        frame = sim_out / "frames" / "frame_001.csv"
-        values = np.loadtxt(frame, delimiter=",")
+        frame = sim_out / "frames" / "frame_001.npy"
+        values = np.load(frame, allow_pickle=False)
         values[6, 100] = np.nan
-        np.savetxt(frame, values, delimiter=",")
+        np.save(frame, values)
         code = run(["analyze-stack", "--manifest", sim_out / "manifest.json",
                     "--config", config_file, "--out", tmp_path / "ana"])
         assert code == 4
@@ -156,7 +162,12 @@ class TestSimulateAndAnalyze:
     @pytest.mark.parametrize("key, value", [
         ("shape", 5),
         ("phases_rad", [0.0, 0.0, math.pi, 1.5 * math.pi]),
-    ], ids=["shape-not-a-list", "equal-phases"])
+        ("phases_rad", 5),
+        ("noise", 3),
+        ("pixel_pitch_m", [1]),
+        ("pixel_pitch_m", 10**400),
+    ], ids=["shape-not-a-list", "equal-phases", "phases-not-a-list", "noise-not-an-object",
+            "pitch-not-a-number", "pitch-beyond-float-range"])
     def test_malformed_manifest_exit_code(self, tmp_path, config_file, capsys, key, value):
         sim_out = tmp_path / "sim"
         run(["simulate-edge", "--config", config_file, "--out", sim_out,
@@ -250,5 +261,94 @@ class TestDeterminism:
         assert run(args + ["--out", out_a]) == 0
         assert run(args + ["--out", out_b]) == 0
         for name in ("manifest.json", "analysis.json", "comparison.json",
-                     "frames/frame_000.csv", "v_image.csv"):
+                     "frames/frame_000.npy", "v_image.npy"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=8,
+)
+FRAME_NAMES = [f"frames/frame_{k:03d}.npy" for k in range(4)]
+FRAME_HEADER_BYTES, FRAME_PIXELS = 128, 12 * 256  # .npy header and pixels of a 12 x 256 frame
+OFFSETS = st.integers(0, FRAME_HEADER_BYTES + 32) | st.integers(0, FRAME_HEADER_BYTES + 8 * FRAME_PIXELS)
+# per manifest key: values near the valid ones, so that mutations reach the
+# frame reader and the analysis, besides arbitrary JSON
+MANIFEST_VALUES = {
+    "schema": st.sampled_from(["qiul.stack/1", "qiul.stack/2", ""]),
+    "phases_rad": st.lists(st.floats() | st.integers(), max_size=6),
+    "pixel_pitch_m": st.floats() | st.integers(),
+    "noise": st.dictionaries(st.text(max_size=5), JSON_VALUES, max_size=3),
+    "shape": st.lists(st.integers(-2, 300), max_size=3),
+    "frames": st.lists(st.sampled_from(
+        FRAME_NAMES + ["", "frames", "manifest.json", "frames/missing.npy", "../sim/manifest.json"]
+    ) | st.text(max_size=12), max_size=6),
+}
+
+
+@pytest.fixture(scope="module")
+def simulated_stack(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz")
+    cfg = base / "run.cfg"
+    cfg.write_text("crystal_length = 5mm\npump_waist = 214um\n", encoding="utf-8")
+    sim = base / "sim"
+    assert run(["simulate-edge", "--config", cfg, "--out", sim, "--phases", 4,
+                "--rows", 12, "--cols", 256, "--pitch", "2um"]) == 0
+    return sim, cfg
+
+
+@st.composite
+def manifest_edits(draw):
+    """(key, value) pairs; a value of None deletes the key."""
+    keys = draw(st.lists(st.sampled_from(sorted(MANIFEST_VALUES)), max_size=3, unique=True))
+    return [(key, draw(st.none() | MANIFEST_VALUES[key] | JSON_VALUES)) for key in keys]
+
+
+@st.composite
+def frame_edits(draw):
+    """(frame index, edit) pairs; an edit takes and returns file bytes."""
+    edits = []
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(FRAME_NAMES) - 1))
+        kind = draw(st.sampled_from(["truncate", "overwrite", "value", "replace"]))
+        if kind == "truncate":
+            cut = draw(OFFSETS)
+            edits.append((k, lambda data, cut=cut: data[:cut]))
+        elif kind == "overwrite":
+            at = draw(OFFSETS)
+            new = draw(st.binary(min_size=1, max_size=8))
+            edits.append((k, lambda data, at=at, new=new: data[:at] + new + data[at + len(new):]))
+        elif kind == "value":  # one pixel set to any float64, NaN and huge ones included
+            at = FRAME_HEADER_BYTES + 8 * draw(st.integers(0, FRAME_PIXELS - 1))
+            new = struct.pack("<d", draw(st.floats()))
+            edits.append((k, lambda data, at=at, new=new: data[:at] + new + data[at + 8:]))
+        else:
+            new = draw(st.binary(max_size=200))
+            edits.append((k, lambda data, new=new: new))
+    return edits
+
+
+class TestExitCodeContract:
+    @settings(max_examples=60, deadline=5000)
+    @given(manifest=manifest_edits(), frames=frame_edits())
+    def test_analyze_stack_mutated_input(self, simulated_stack, manifest, frames):
+        sim, cfg = simulated_stack
+        with tempfile.TemporaryDirectory() as tmp:
+            stack = Path(tmp) / "sim"
+            shutil.copytree(sim, stack)
+            path = stack / "manifest.json"
+            data = json.loads(path.read_text())
+            for key, value in manifest:
+                if value is None:
+                    data.pop(key, None)
+                else:
+                    data[key] = value
+            path.write_text(json.dumps(data))
+            for k, edit in frames:
+                frame = stack / FRAME_NAMES[k]
+                frame.write_bytes(edit(frame.read_bytes()))
+            code = run(["analyze-stack", "--manifest", path, "--config", cfg,
+                        "--out", Path(tmp) / "ana"])
+        assert code in (0, 2, 3, 4)

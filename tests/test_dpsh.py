@@ -197,6 +197,36 @@ class TestSelectMaxRow:
         assert row == 0
 
 
+# frame faults: each rewrites a saved frame file from its values
+
+
+def write_pickled_object_array(path, values):
+    with open(path, "wb") as fh:
+        np.lib.format.write_array(fh, np.array([{"frame": 1}], dtype=object), allow_pickle=True)
+
+
+def write_npz(path, values):
+    with open(path, "wb") as fh:
+        np.savez(fh, frame=values)
+
+
+def truncate(path, values):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) - 8])
+
+
+def write_complex(path, values):
+    np.save(path, values.astype(complex))
+
+
+def write_oversized_header(path, values):
+    header = np.lib.format.header_data_from_array_1_0(values)
+    header["shape"] = (10**6, 10**6)  # 8 TB claimed, 64 bytes held
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        fh.write(bytes(64))
+
+
 class TestPersistence:
     def test_round_trip_bitwise(self, tmp_path, rng):
         scene = random_scene(rng, shape=(5, 6))
@@ -211,16 +241,16 @@ class TestPersistence:
     def test_missing_frame_named(self, tmp_path, rng):
         stack = synthesize_stack(random_scene(rng), FOUR_STEPS)
         manifest = save_stack(stack, tmp_path)
-        victim = tmp_path / "frames" / "frame_002.csv"
+        victim = tmp_path / "frames" / "frame_002.npy"
         victim.unlink()
         with pytest.raises(CorruptFrame) as err:
             load_stack(manifest)
-        assert "frame_002.csv" in str(err.value)
+        assert "frame_002.npy" in str(err.value)
 
     def test_corrupt_frame_contents(self, tmp_path, rng):
         stack = synthesize_stack(random_scene(rng), FOUR_STEPS)
         manifest = save_stack(stack, tmp_path)
-        (tmp_path / "frames" / "frame_001.csv").write_text("not,numbers,at,all\n")
+        (tmp_path / "frames" / "frame_001.npy").write_text("not,numbers,at,all\n")
         with pytest.raises(CorruptFrame):
             load_stack(manifest)
 
@@ -240,13 +270,47 @@ class TestPersistence:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_frame_named(self, tmp_path, rng, bad):
         manifest = save_stack(synthesize_stack(random_scene(rng), FOUR_STEPS), tmp_path)
-        frame = tmp_path / "frames" / "frame_002.csv"
-        values = np.loadtxt(frame, delimiter=",")
+        frame = tmp_path / "frames" / "frame_002.npy"
+        values = np.load(frame, allow_pickle=False)
         values[3, 4] = bad
-        np.savetxt(frame, values, delimiter=",")
+        np.save(frame, values)
         with pytest.raises(CorruptFrame) as err:
             load_stack(manifest)
-        assert "frame_002.csv" in str(err.value)
+        assert "frame_002.npy" in str(err.value)
+
+    @pytest.mark.parametrize("write", [
+        write_pickled_object_array, write_npz, truncate, write_complex, write_oversized_header,
+    ], ids=["pickled-object-array", "npz-archive", "truncated", "complex-dtype",
+            "oversized-header"])
+    def test_unreadable_frame_named(self, tmp_path, rng, write):
+        manifest = save_stack(synthesize_stack(random_scene(rng), FOUR_STEPS), tmp_path)
+        frame = tmp_path / "frames" / "frame_001.npy"
+        write(frame, np.load(frame, allow_pickle=False))
+        with pytest.raises(CorruptFrame) as err:
+            load_stack(manifest)
+        assert "frame_001.npy" in str(err.value)
+
+    def test_integer_frames_read_as_float(self, tmp_path, rng):
+        manifest = save_stack(synthesize_stack(random_scene(rng), FOUR_STEPS), tmp_path)
+        counts = []
+        for k in range(FOUR_STEPS.size):
+            frame = tmp_path / "frames" / f"frame_{k:03d}.npy"
+            counts.append(np.round(np.load(frame, allow_pickle=False)).astype(np.uint16))
+            np.save(frame, counts[-1])
+        back = load_stack(manifest)
+        assert back.frames.dtype == np.float64
+        np.testing.assert_array_equal(back.frames, np.stack(counts))
+
+    def test_csv_stack_manifest_rejected(self, tmp_path, rng):
+        manifest = save_stack(synthesize_stack(random_scene(rng), FOUR_STEPS), tmp_path)
+        data = json.loads(manifest.read_text())
+        data["schema"] = "qiul.stack/1"
+        data["frames"] = [name.replace(".npy", ".csv") for name in data["frames"]]
+        manifest.write_text(json.dumps(data))
+        with pytest.raises(SchemaError) as err:
+            load_stack(manifest)
+        assert str(manifest) in str(err.value)
+        assert "no longer read" in str(err.value)
 
     def test_schema_validation(self, tmp_path):
         bad = tmp_path / "manifest.json"
