@@ -27,8 +27,8 @@ from .errors import (
     SeparableState,
     SingularNormalEquations,
 )
-from .imaging import Profile1D, g_esf, v_esf
-from .spreads import spread_g_esf_numeric, spread_v_closed
+from .imaging import Profile1D, esf_slope_coefficient, g_envelope_coefficient, g_esf, v_esf
+from .spreads import _g_esf_widths, spread_v_closed
 
 __all__ = [
     "FitResult",
@@ -303,16 +303,22 @@ def fit_edge_profiles(
     m_d_v = v_fit.parameters["m_d"]
 
     try:
-        theory_ratio = spread_g_esf_numeric(params) / spread_v_closed(params)
-        measured_g = m_d_g * spread_g_esf_numeric(
-            params, x_tilde_o=g_fit.parameters["m_u_x_o"] / m_d_g
-        )
-        measured_v = m_d_v * spread_v_closed(params)
-        deviation = abs((measured_g / measured_v) / theory_ratio - 1.0)
-        passed = deviation < GATE_THRESHOLD
+        spread_v = spread_v_closed(params)
     except SeparableState:
         deviation = float("inf")
         passed = False
+    else:
+        # the theory spread at x_tilde_o = 0 and the one at the fitted
+        # edge offset, from one two-row solve
+        spread_g, spread_g_fitted = _g_esf_widths(
+            g_envelope_coefficient(params), esf_slope_coefficient(params),
+            [0.0, g_fit.parameters["m_u_x_o"] / m_d_g],
+        ).tolist()
+        theory_ratio = spread_g / spread_v
+        measured_g = m_d_g * spread_g_fitted
+        measured_v = m_d_v * spread_v
+        deviation = abs((measured_g / measured_v) / theory_ratio - 1.0)
+        passed = deviation < GATE_THRESHOLD
 
     return MagnificationEstimate(
         m_d_from_g=m_d_g,

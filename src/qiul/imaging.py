@@ -281,18 +281,24 @@ def v_esf(params: SourceParams, setup: OpticalSetup, x_c, x_tilde_o: float = 0.0
 def g_esf_derivative(params: SourceParams, setup: OpticalSetup, x_c, x_tilde_o: float = 0.0):
     """Analytic d/dx_c of g_esf (signed; not a classical LSF because the
     system is not isoplanatic in the amplitude image)."""
-    k = g_envelope_coefficient(params)
-    c = esf_slope_coefficient(params)
-    x = _as_array(x_c)
     m_d = setup.m_d
-    u = (x - setup.m_u * x_tilde_o) / m_d
-    env = np.exp(-k * (x / m_d) ** 2)
-    erf_term = 1.0 - erf(c * u)
-    gauss = np.exp(-(c * u) ** 2)
-    out = env * (
-        -2.0 * k * x / m_d**2 * erf_term - (2.0 * c / (math.sqrt(math.pi) * m_d)) * gauss
-    )
+    x = _as_array(x_c)
+    out = _unit_g_esf_derivative(
+        g_envelope_coefficient(params), esf_slope_coefficient(params),
+        x / m_d, setup.m_u * x_tilde_o / m_d,
+    ) / m_d
     return out if out.ndim else out.item()
+
+
+def _unit_g_esf_derivative(k, c, x, x_tilde_o):
+    """g_esf_derivative at unit magnification in terms of the coefficients
+    k = g_envelope_coefficient and c = esf_slope_coefficient; every
+    argument broadcasts, so one call can evaluate many (k, c, x_tilde_o)
+    rows."""
+    cu = c * (x - x_tilde_o)
+    return np.exp(-k * x**2) * (
+        -2.0 * k * x * (1.0 - erf(cu)) - (2.0 / math.sqrt(math.pi)) * c * np.exp(-(cu**2))
+    )
 
 
 # -- numeric quadrature over the joint density --------------------------------

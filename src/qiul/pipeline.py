@@ -196,11 +196,19 @@ def _analyze(stack, params: SourceParams, out: Path) -> tuple[dict, Magnificatio
     return analysis, estimate
 
 
+# float64 overflow or an invalid operation (inf - inf) means the input
+# lies outside what the model can represent: raise FloatingPointError at
+# the first one instead of a warning followed by meaningless numbers
+_RAISE_ON_OVERFLOW = np.errstate(over="raise", invalid="raise")
+
+
+@_RAISE_ON_OVERFLOW
 def analyze_stack(manifest_path, params: SourceParams, out_dir) -> dict:
     """Demodulate a stack from disk and run row selection, spread
     extraction, and the magnification fits. Needs only the source
     parameters (wavelengths, crystal length, pump waist); magnifications
-    are estimated, never assumed."""
+    are estimated, never assumed. Float64 overflow or an invalid
+    operation raises FloatingPointError."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stack = load_stack(manifest_path)
@@ -208,6 +216,7 @@ def analyze_stack(manifest_path, params: SourceParams, out_dir) -> dict:
     return analysis
 
 
+@_RAISE_ON_OVERFLOW
 def simulate_edge(
     params: SourceParams,
     setup: OpticalSetup,
@@ -223,7 +232,8 @@ def simulate_edge(
 ) -> dict:
     """Synthesize an edge measurement, save the stack, analyze it from
     the saved files, and emit a measured-vs-theory comparison. Returns
-    {"analysis": ..., "comparison": ...}."""
+    {"analysis": ..., "comparison": ...}. Float64 overflow or an invalid
+    operation raises FloatingPointError."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     scene = build_edge_scene(params, setup, rows, cols, pixel_pitch, background, x_tilde_o)

@@ -16,10 +16,16 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import erf
 
 from .core import OpticalSetup, SourceParams, singular_waist
-from .errors import MultiPeak, NoCrossing, RangeNotSpanned, SeparableState
-from .imaging import Profile1D, esf_slope_coefficient, g_envelope_coefficient, g_esf_derivative
+from .errors import MultiPeak, NoCrossing, NotConverged, RangeNotSpanned, SeparableState
+from .imaging import (
+    Profile1D,
+    _unit_g_esf_derivative,
+    esf_slope_coefficient,
+    g_envelope_coefficient,
+)
 
 __all__ = [
     "SpreadResult",
@@ -36,9 +42,6 @@ __all__ = [
     "SWEEP_COLUMNS",
     "SEPARABLE_MARKER",
 ]
-
-_UNIT_SETUP = OpticalSetup(m_d=1.0, m_u=1.0, m_d_i=1.0, m_u_i=1.0, m_d_c=1.0)
-
 
 @dataclass(frozen=True)
 class SpreadResult:
@@ -202,28 +205,147 @@ def spread_v_closed(params: SourceParams, below_singularity: bool = False) -> fl
 def spread_g_esf_numeric(params: SourceParams, x_tilde_o: float = 0.0) -> float:
     """Magnification-adjusted 1/e half-width (symmetric crossing
     definition) of the peak-normalized derivative of the amplitude edge
-    response, on an adaptive grid refined until the doubling change is
-    below 5e-4 relative. Evaluated at unit magnification, hence
-    independent of the setup magnifications. Raises NoCrossing when the
-    derivative has no positive finite maximum."""
+    response, solved to roundoff on the analytic derivative (see
+    _g_esf_widths). Evaluated at unit magnification, hence independent
+    of the setup magnifications. Raises NoCrossing when the derivative
+    has no positive finite maximum or does not fall to 1/e of it on
+    both sides, and MultiPeak when it has more than one local maximum
+    above half maximum."""
     k = g_envelope_coefficient(params)
     c = esf_slope_coefficient(params)
-    span = 8.0 / math.sqrt(k + c * c) + abs(x_tilde_o)
-    n = 4097
-    previous = None
-    while True:
-        x = np.linspace(-span, span, n)
-        deriv = g_esf_derivative(params, _UNIT_SETUP, x, x_tilde_o)
-        peak = np.max(deriv)
-        if not (peak > 0 and np.isfinite(peak)):
+    return float(_g_esf_widths(k, c, x_tilde_o)[0])
+
+
+_COARSE_GRID = np.linspace(-1.0, 1.0, 65)  # in units of the span
+_ZOOM_GRID = np.linspace(0.0, 1.0, 129)  # in units of the zoom window
+_ZOOM_COLUMNS = np.arange(_ZOOM_GRID.size)
+_XTOL = 1e-14  # of the bracketing span
+_MAX_ITERATIONS = 100
+_BLOCK_ROWS = 128
+
+
+def _g_esf_slope(k, c, x, x_tilde_o):
+    """d/dx of imaging._unit_g_esf_derivative; zero at its peak."""
+    cu = c * (x - x_tilde_o)
+    return np.exp(-k * x**2) * (
+        2.0 * k * (2.0 * k * x**2 - 1.0) * (1.0 - erf(cu))
+        + (4.0 / math.sqrt(math.pi)) * c * (2.0 * k * x + c * cu) * np.exp(-(cu**2))
+    )
+
+
+def _illinois(fn, a, b, fa, fb, xtol):
+    """Root of fn(rows, x) in each bracket [a, b] (fa, fb of opposite
+    sign, or one of them zero) by Illinois regula falsi. A row stops
+    when its step is at most its xtol or it hits the root exactly."""
+    root = b.copy()
+    rows = np.arange(b.size)
+    for _ in range(_MAX_ITERATIONS):
+        if rows.size == 0:
+            return root
+        x = b - fb * (b - a) / (fb - fa)
+        fx = fn(rows, x)
+        flip = (fx > 0) != (fb > 0)
+        a = np.where(flip, b, a)
+        fa = np.where(flip, fb, 0.5 * fa)
+        done = (np.abs(x - b) <= xtol) | (fx == 0)
+        b, fb = x, fx
+        if done.any():
+            root[rows[done]] = x[done]
+            keep = ~done
+            rows, a, b, fa, fb, xtol = (v[keep] for v in (rows, a, b, fa, fb, xtol))
+    raise NotConverged(f"Illinois solve took more than {_MAX_ITERATIONS} steps")
+
+
+def _g_esf_widths(k, c, x_tilde_o) -> np.ndarray:
+    """1/e half-widths of the unit-magnification amplitude ESF derivative
+    f = imaging._unit_g_esf_derivative, one per row of the broadcast
+    (k, c, x_tilde_o) arrays.
+
+    A coarse grid over +-(8 / sqrt(k + c^2) + |x_tilde_o|) finds the
+    window where f exceeds a quarter of its peak; a zoom grid over that
+    window carries the checks of half_width_1e and brackets the peak and
+    both crossings. Illinois regula falsi then solves f' = 0 for the
+    peak and f = peak/e for the two crossings nearest it, to 1e-14 of
+    the span. Rows are solved together, in blocks that keep the grids
+    small. The first failing row raises NoCrossing (no positive finite
+    maximum, or no 1/e crossing on one side) or MultiPeak (more than one
+    local maximum above half maximum)."""
+    k, c, x_tilde_o = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
+                                            for v in (k, c, x_tilde_o)))
+    widths = np.empty(k.size)
+    for start in range(0, k.size, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        widths[block] = _g_esf_block_widths(k[block], c[block], x_tilde_o[block])
+    return widths
+
+
+def _g_esf_block_widths(k, c, x_tilde_o) -> np.ndarray:
+    """_g_esf_widths for one block of rows (1-d arrays of equal length)."""
+    n_rows = k.size
+    on_row = np.arange(n_rows)
+    kc, cc, xc = k[:, None], c[:, None], x_tilde_o[:, None]
+    span = 8.0 / np.sqrt(k + c * c) + np.abs(x_tilde_o)
+    xtol = _XTOL * span
+
+    x = span[:, None] * _COARSE_GRID
+    f = _unit_g_esf_derivative(kc, cc, x, xc)
+    coarse_peak = np.max(f, axis=1)
+    no_peak = ~((coarse_peak > 0) & np.isfinite(coarse_peak))
+    # zoom window: one coarse step beyond the outermost samples above a
+    # quarter of the peak, so both of its ends lie below 1/e of the peak
+    high = f >= 0.25 * coarse_peak[:, None]
+    last = _COARSE_GRID.size - 1
+    first = np.maximum(np.argmax(high, axis=1) - 1, 0)
+    final = np.minimum(last - np.argmax(high[:, ::-1], axis=1) + 1, last)
+    lo = x[on_row, first]
+    x = lo[:, None] + (x[on_row, final] - lo)[:, None] * _ZOOM_GRID
+    f = _unit_g_esf_derivative(kc, cc, x, xc)
+
+    i = np.argmax(f, axis=1)
+    grid_peak = f[on_row, i]
+    interior = f[:, 1:-1]
+    n_max = np.count_nonzero(
+        (interior > f[:, :-2]) & (interior > f[:, 2:]) & (interior > 0.5 * grid_peak[:, None]),
+        axis=1,
+    )
+    below = f < grid_peak[:, None] / math.e
+    no_left = ~np.any(below & (_ZOOM_COLUMNS <= i[:, None]), axis=1)
+    no_right = ~np.any(below & (_ZOOM_COLUMNS >= i[:, None]), axis=1)
+    bad = no_peak | (n_max > 1) | no_left | no_right
+    if bad.any():
+        r = int(np.argmax(bad))
+        if no_peak[r]:
             raise NoCrossing("ESF derivative has no positive finite maximum")
-        width, _ = _half_width_1e_arrays(x, deriv / peak)
-        if previous is not None and abs(width - previous) <= 5e-4 * width:
-            return width
-        if n > 1 << 20:
-            return width
-        previous = width
-        n = 2 * n - 1
+        if n_max[r] > 1:
+            raise MultiPeak(f"{n_max[r]} local maxima above half maximum")
+        side = "left" if no_left[r] else "right"
+        raise NoCrossing(f"ESF derivative never decays to 1/e of its maximum on the {side}")
+
+    lo, hi = x[on_row, i - 1], x[on_row, i + 1]
+    s_lo = _g_esf_slope(k, c, lo, x_tilde_o)
+    s_hi = _g_esf_slope(k, c, hi, x_tilde_o)
+    if not np.all((s_lo > 0) & (s_hi < 0)):
+        raise MultiPeak("ESF derivative maximum is not isolated between two grid points")
+    x_peak = _illinois(lambda q, t: _g_esf_slope(k[q], c[q], t, x_tilde_o[q]),
+                       lo, hi, s_lo, s_hi, xtol)
+    peak = np.maximum(_unit_g_esf_derivative(k, c, x_peak, x_tilde_o), grid_peak)
+    level = peak / math.e
+
+    # the crossings nearest the peak: right of the last grid point below
+    # the level on its left, left of the first one on its right
+    below = f < level[:, None]
+    j = _ZOOM_GRID.size - 1 - np.argmax((below & (_ZOOM_COLUMNS <= i[:, None]))[:, ::-1], axis=1)
+    m = np.argmax(below & (_ZOOM_COLUMNS >= i[:, None]), axis=1)
+    row = np.concatenate([on_row, on_row])
+    below_col = np.concatenate([j, m])
+    above_col = np.concatenate([j + 1, m - 1])
+    crossings = _illinois(
+        lambda q, t: _unit_g_esf_derivative(k[row[q]], c[row[q]], t, x_tilde_o[row[q]])
+        - level[row[q]],
+        x[row, below_col], x[row, above_col],
+        f[row, below_col] - level[row], f[row, above_col] - level[row], xtol[row],
+    )
+    return 0.5 * (crossings[n_rows:] - crossings[:n_rows])
 
 
 def spread_ratio(params: SourceParams, setup: OpticalSetup | None = None) -> float:
@@ -260,6 +382,7 @@ def theory_sweep_rows(
     the singular waist carry the SeparableState marker in the columns
     that diverge there."""
     rows = []
+    ks, cs = [], []
     for L in sorted(set(float(v) for v in lengths)):
         for w in sorted(set(float(v) for v in waists)):
             p = base.with_crystal_length(L).with_waist(w)
@@ -268,22 +391,25 @@ def theory_sweep_rows(
                 "L_m": L,
                 "w_p_m": w,
                 "spread_g_psf_m": spread_g_psf_closed(p),
-                "spread_g_esf_m": spread_g_esf_numeric(p),
                 "w_sing_m": w_sing,
             }
+            ks.append(g_envelope_coefficient(p))
+            cs.append(esf_slope_coefficient(p))
             # the visibility spread diverges like (1 - w_sing^2/w_p^2)^-1;
             # within 0.1% of the singularity the value is meaningless, so
             # such rows carry the marker as well
             if w > w_sing * (1.0 + 1e-3):
-                sv = spread_v_closed(p)
-                row["spread_v_m"] = sv
-                row["ratio"] = row["spread_g_esf_m"] / sv
+                row["spread_v_m"] = spread_v_closed(p)
                 row["d_min_m"] = min_resolvable_distance(p, setup.m_u)
             else:
                 row["spread_v_m"] = SEPARABLE_MARKER
                 row["ratio"] = SEPARABLE_MARKER
                 row["d_min_m"] = SEPARABLE_MARKER
             rows.append(row)
+    for row, width in zip(rows, _g_esf_widths(ks, cs, 0.0).tolist()):
+        row["spread_g_esf_m"] = width
+        if "ratio" not in row:
+            row["ratio"] = width / row["spread_v_m"]
     return rows
 
 

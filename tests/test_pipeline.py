@@ -1,0 +1,36 @@
+import warnings
+
+import numpy as np
+import pytest
+
+from qiul.core import OpticalSetup
+from qiul.pipeline import analyze_stack, simulate_edge
+
+from conftest import make_params
+
+
+class TestFloatingPointErrors:
+    """The library entry points fail on float64 overflow the way the CLI
+    does (FloatingPointError), whatever the caller's numpy error state."""
+
+    def test_overflowing_frame_pixel_raises(self, tmp_path):
+        params = make_params(5e-3, 214e-6)
+        simulate_edge(params, OpticalSetup(), tmp_path / "sim", rows=12, cols=256,
+                      pixel_pitch=2e-6)
+        frame = tmp_path / "sim" / "frames" / "frame_001.npy"
+        values = np.load(frame, allow_pickle=False)
+        values[6, 100] = 1e300
+        np.save(frame, values)
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            with pytest.raises(FloatingPointError):
+                analyze_stack(tmp_path / "sim" / "manifest.json", params, tmp_path / "ana")
+            # the caller's error state is restored afterwards
+            assert np.geterr()["over"] == "ignore"
+
+    def test_overflowing_scene_raises(self, tmp_path):
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            with pytest.raises(FloatingPointError):
+                simulate_edge(make_params(5e-3, 214e-6), OpticalSetup(), tmp_path, rows=12,
+                              cols=256, pixel_pitch=2e-6, background=1e300)

@@ -9,9 +9,20 @@ from scipy.special import erf
 
 from qiul.core import OpticalSetup, singular_waist
 from qiul.errors import MultiPeak, NoCrossing, RangeNotSpanned, SeparableState
-from qiul.imaging import Profile1D, g_esf_derivative, g_psf, v_esf, v_psf
+from qiul.imaging import (
+    Profile1D,
+    _unit_g_esf_derivative,
+    esf_slope_coefficient,
+    g_envelope_coefficient,
+    g_esf_derivative,
+    g_psf,
+    v_esf,
+    v_psf,
+)
 from qiul.spreads import (
     SEPARABLE_MARKER,
+    _g_esf_slope,
+    _g_esf_widths,
     half_width_1e,
     knife_edge_width_2476,
     lsf_from_esf,
@@ -41,6 +52,30 @@ def oracle_spread_v(L, w) -> float:
     lead = mp.sqrt(L * (LD + LU) / (4 * mp.pi))
     t = 2 * mp.pi * w**2 * (LD + LU)
     return float(lead * t * mp.sqrt(1 + LD**2 * L / t) / (t - LD * LU * L))
+
+
+def oracle_spread_g_esf(k, c, x_tilde_o) -> float:
+    """1/e half-width of the unit-magnification amplitude ESF derivative
+    at 50 digits for the given coefficients: the peak where the
+    derivative's slope vanishes, then its two 1/e crossings, each
+    bracketed on a 401-point grid."""
+    k, c, x_tilde_o = mp.mpf(k), mp.mpf(c), mp.mpf(x_tilde_o)
+
+    def f(x):
+        u = c * (x - x_tilde_o)
+        return mp.exp(-k * x**2) * (-2 * k * x * mp.erfc(u) - 2 * c / mp.sqrt(mp.pi) * mp.exp(-u**2))
+
+    span = 8 / mp.sqrt(k + c * c) + abs(x_tilde_o)
+    xs = [span * (t - 200) / 200 for t in range(401)]
+    fs = [f(x) for x in xs]
+    i = max(range(len(fs)), key=fs.__getitem__)
+    x_peak = mp.findroot(lambda x: mp.diff(f, x), (xs[i - 1], xs[i + 1]), solver="anderson")
+    level = f(x_peak) / mp.e
+    j = max(t for t in range(i + 1) if fs[t] < level)
+    m = min(t for t in range(i, len(fs)) if fs[t] < level)
+    left = mp.findroot(lambda x: f(x) - level, (xs[j], xs[j + 1]), solver="anderson")
+    right = mp.findroot(lambda x: f(x) - level, (xs[m - 1], xs[m]), solver="anderson")
+    return float((right - left) / 2)
 
 
 def gaussian_profile(width=1.0, n=1024, span=4.0):
@@ -263,6 +298,69 @@ class TestEsfDerivativeSpread:
             warnings.simplefilter("error")
             with pytest.raises(NoCrossing):
                 spread_g_esf_numeric(p, x_tilde_o=3e-3)
+
+
+class TestEsfDerivativeSolver:
+    @pytest.mark.parametrize("length", [2e-3, 10e-3])
+    @pytest.mark.parametrize("waist_ratio", [0.5, 1.001, 100.0])
+    @pytest.mark.parametrize("offset", [0.0, 0.3, -0.7])
+    def test_matches_high_precision_reference(self, length, waist_ratio, offset):
+        # waists below, just above and far above the singular waist;
+        # offsets in units of the envelope width 1/sqrt(k)
+        p = make_params(length, 100e-6)
+        p = p.with_waist(waist_ratio * singular_waist(p))
+        k, c = g_envelope_coefficient(p), esf_slope_coefficient(p)
+        x_tilde_o = offset / math.sqrt(k)
+        expected = oracle_spread_g_esf(k, c, x_tilde_o)
+        assert spread_g_esf_numeric(p, x_tilde_o) == pytest.approx(expected, rel=1e-12)
+
+    def test_sweep_rows_match_single_row_calls(self, setup):
+        # batched solves for the sweep (150 rows, more than one block),
+        # one solve per call: a shared stopping rule must not shift any row
+        base = make_params()
+        lengths = [2e-3, 5e-3, 10e-3]
+        waists = list(np.geomspace(20e-6, 2e-3, 50))
+        rows = theory_sweep_rows(base, lengths, waists, setup)
+        for row in rows:
+            p = base.with_crystal_length(row["L_m"]).with_waist(row["w_p_m"])
+            assert row["spread_g_esf_m"] == pytest.approx(spread_g_esf_numeric(p), rel=1e-13)
+
+    def test_slope_matches_complex_step(self):
+        p = make_params(5e-3, 142e-6)
+        k, c = g_envelope_coefficient(p), esf_slope_coefficient(p)
+        x = np.linspace(-3e-4, 3e-4, 257)
+        h = 1e-20
+        numeric = np.imag(_unit_g_esf_derivative(k, c, x + 1j * h, 11e-6)) / h
+        analytic = _g_esf_slope(k, c, x, 11e-6)
+        np.testing.assert_allclose(analytic, numeric, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(analytic)))
+
+    def test_second_maximum_above_half_raises(self):
+        # an edge left of the envelope lobe adds a second maximum above
+        # half the peak
+        p = make_params(10e-3, 308e-6)
+        with pytest.raises(MultiPeak):
+            spread_g_esf_numeric(p, x_tilde_o=-1.5 / math.sqrt(g_envelope_coefficient(p)))
+
+    def test_no_positive_maximum_raises_before_dividing_in_a_batch(self):
+        # the derivative underflows to zero everywhere for the middle row
+        p = make_params(1e-3, 142e-6)
+        k, c = g_envelope_coefficient(p), esf_slope_coefficient(p)
+        with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(NoCrossing):
+                spread_g_esf_numeric(p, x_tilde_o=3e-3)
+            with pytest.raises(NoCrossing):
+                _g_esf_widths(k, c, [0.0, 3e-3, 1e-5])
+
+    def test_batch_raises_for_its_first_failing_row(self):
+        p = make_params(10e-3, 308e-6)
+        k, c = g_envelope_coefficient(p), esf_slope_coefficient(p)
+        multi_peak = -1.5 / math.sqrt(k)
+        with pytest.raises(MultiPeak):
+            _g_esf_widths(k, c, [0.0, multi_peak, 3e-2])
+        with pytest.raises(NoCrossing):
+            _g_esf_widths(k, c, [0.0, 3e-2, multi_peak])
 
 
 class TestSpreadRatio:
