@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import OpticalSetup, default_params, load_config, parse_length
+from .core import OpticalSetup, default_params, load_config, parse_dimensionless, parse_length
 from .dpsh import NoiseModel
 from .errors import NumericalError, SchemaError, ToolkitError, ValidationError
 from .fitting import fit_double_slit
@@ -35,11 +35,11 @@ def parse_length_list(text: str) -> list[float]:
     'start:stop:logN' ('50um:400um:log50')."""
     text = text.strip()
     if ":" in text:
-        start_s, stop_s, count_s = text.split(":")
-        if not count_s.startswith("log"):
+        parts = text.split(":")
+        if len(parts) != 3 or not parts[2].startswith("log") or not parts[2][3:].isdecimal():
             raise SchemaError(f"range syntax is start:stop:logN, got {text!r}")
-        start, stop = parse_length(start_s), parse_length(stop_s)
-        n = int(count_s[3:])
+        start, stop = parse_length(parts[0]), parse_length(parts[1])
+        n = int(parts[2][3:])
         if n < 2 or start <= 0 or stop <= start:
             raise SchemaError(f"bad range {text!r}")
         return [float(v) for v in np.geomspace(start, stop, n)]
@@ -56,7 +56,7 @@ def parse_noise(text: str | None, background: float) -> NoiseModel:
     for part in text.split(","):
         key, _, value = part.strip().partition(":")
         if key == "read":
-            read_rel = float(value)
+            read_rel = parse_dimensionless(value)
             if read_rel < 0:
                 raise SchemaError("read noise fraction must be >= 0")
         elif key == "shot":
@@ -200,13 +200,14 @@ def main(argv=None) -> int:
     try:
         # float64 overflow or an invalid operation (inf - inf) means the
         # input lies outside what the model can represent: exit 3, not a
-        # warning followed by meaningless numbers
+        # warning followed by meaningless numbers; Python float arithmetic
+        # reports the same as OverflowError or ZeroDivisionError
         with np.errstate(over="raise", invalid="raise"):
             return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, FloatingPointError) as exc:
+    except (NumericalError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (OSError, ToolkitError) as exc:

@@ -71,8 +71,9 @@ class OpticalSetup:
 
     def __post_init__(self):
         for name in ("m_d", "m_u", "m_d_i", "m_u_i", "m_d_c"):
-            if not (getattr(self, name) > 0):
-                raise NonPositiveParameter(f"{name} must be > 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise NonPositiveParameter(f"{name} must be finite and > 0, got {value}")
         prod = self.m_d_i * self.m_d_c
         if abs(self.m_d - prod) > 1e-12 * abs(prod):
             raise SchemaError(
@@ -160,17 +161,20 @@ DEFAULT_CONFIG = {
 }
 
 
+def _number_and_unit(text: str) -> tuple[float, str]:
+    m = _VALUE_RE.match(text)
+    if not m:
+        raise SchemaError(f"cannot parse value {text!r}")
+    try:
+        return float(m.group(1)), m.group(2)
+    except ValueError as exc:
+        raise SchemaError(f"cannot parse number in {text!r}") from exc
+
+
 def parse_length(text: str) -> float:
     """Parse a length with an optional unit suffix ('142um', '2mm',
     '1.5e-3m', plain numbers are meters)."""
-    m = _VALUE_RE.match(text)
-    if not m:
-        raise SchemaError(f"cannot parse length value {text!r}")
-    value, unit = m.group(1), m.group(2)
-    try:
-        number = float(value)
-    except ValueError as exc:
-        raise SchemaError(f"cannot parse number in {text!r}") from exc
+    number, unit = _number_and_unit(text)
     if unit == "":
         return number
     if unit not in _LENGTH_UNITS:
@@ -179,10 +183,10 @@ def parse_length(text: str) -> float:
 
 
 def parse_dimensionless(text: str) -> float:
-    m = _VALUE_RE.match(text)
-    if not m or m.group(2) != "":
+    number, unit = _number_and_unit(text)
+    if unit != "":
         raise SchemaError(f"expected a plain number, got {text!r}")
-    return float(m.group(1))
+    return number
 
 
 def load_config(path) -> tuple[SourceParams, OpticalSetup]:

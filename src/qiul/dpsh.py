@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptFrame, DegeneratePhases, SchemaError, TooFewPhases
+from .errors import CorruptFrame, DegeneratePhases, NonPositiveParameter, SchemaError, TooFewPhases
 from .imaging import Profile1D
 
 __all__ = [
@@ -36,6 +36,9 @@ __all__ = [
 
 DEFAULT_PIXEL_PITCH = 6.5e-6  # sCMOS camera pixel size
 SATURATION_COUNTS = 65535.0  # 16-bit camera
+# largest shot-noise mean drawn as given: below numpy's Poisson limit
+# (~9.2e18), and far above saturation, so clipping to it changes no frame
+_POISSON_MEAN_MAX = 1e18
 MANIFEST_SCHEMA = "qiul.stack/2"
 CSV_MANIFEST_SCHEMA = "qiul.stack/1"
 
@@ -80,8 +83,10 @@ class NoiseModel:
     shot: bool = False
 
     def __post_init__(self):
-        if self.read_sigma < 0:
-            raise ValueError("read_sigma must be >= 0")
+        if not (math.isfinite(self.read_sigma) and self.read_sigma >= 0):
+            raise NonPositiveParameter(
+                f"read noise sigma must be finite and >= 0 counts, got {self.read_sigma!r}"
+            )
 
     @property
     def enabled(self) -> bool:
@@ -158,7 +163,7 @@ def synthesize_stack(
         for k, rng in enumerate(streams):
             frame = frames[k]
             if noise.shot:
-                frame = rng.poisson(np.maximum(frame, 0.0)).astype(float)
+                frame = rng.poisson(np.clip(frame, 0.0, _POISSON_MEAN_MAX)).astype(float)
             if noise.read_sigma > 0:
                 frame = frame + rng.normal(0.0, noise.read_sigma, size=frame.shape)
             noisy[k] = frame

@@ -206,9 +206,11 @@ def esf_slope_coefficient(params: SourceParams) -> float:
     c = sqrt(2) (ld lu L - 2 pi w_p^2 (ld+lu))
         / (sqrt((ld^2 L + 2 pi w_p^2 (ld+lu)) L) w_p (ld+lu))
 
-    Negative above the singular waist, zero at it. c^2 equals the
-    exponent coefficient of v_psf, which is the derivative identity
-    d/dx_c V_ESF (normalized) = V_PSF."""
+    Negative above the singular waist, zero at it. v_psf is
+    exp{-c^2 rho_c^2 / M_d^2} by construction, so d/dx_c V_ESF
+    (normalized) = V_PSF holds exactly. With k = g_envelope_coefficient,
+    (k, c) is the whole closed-form image model: a_dd = k + c^2, the
+    amplitude spread is 1/sqrt(k + c^2) and the visibility spread 1/|c|."""
     lsum = params.lambda_d + params.lambda_u
     tw = 2.0 * math.pi * params.pump_waist**2 * lsum
     num = math.sqrt(2.0) * (params.lambda_d * params.lambda_u * params.crystal_length - tw)
@@ -220,12 +222,19 @@ def esf_slope_coefficient(params: SourceParams) -> float:
     return num / den
 
 
-def g_psf(params: SourceParams, setup: OpticalSetup, rho_c):
-    """Amplitude-image point spread function (peak 1 at rho_c = 0)."""
-    q = gaussian_quadratic_form(params)
+def _gaussian_psf(coeff: float, setup: OpticalSetup, rho_c):
+    """exp{-coeff rho_c^2 / M_d^2}, peak 1 at rho_c = 0."""
     rho = _as_array(rho_c)
-    out = np.exp(-q.a_dd * rho**2 / setup.m_d**2)
+    out = np.exp(-coeff * rho**2 / setup.m_d**2)
     return out if out.ndim else out.item()
+
+
+def g_psf(params: SourceParams, setup: OpticalSetup, rho_c):
+    """Amplitude-image point spread function exp{-(k + c^2) rho_c^2 / M_d^2}
+    (peak 1 at rho_c = 0); k + c^2 is the detected-position coefficient
+    a_dd of biphoton.gaussian_quadratic_form."""
+    return _gaussian_psf(g_envelope_coefficient(params) + esf_slope_coefficient(params) ** 2,
+                         setup, rho_c)
 
 
 def _require_not_separable(params: SourceParams) -> None:
@@ -238,21 +247,13 @@ def _require_not_separable(params: SourceParams) -> None:
 
 
 def v_psf(params: SourceParams, setup: OpticalSetup, rho_c):
-    """Visibility point spread function (peak 1 at rho_c = 0).
+    """Visibility point spread function exp{-c^2 rho_c^2 / M_d^2} (peak 1
+    at rho_c = 0), the normalized derivative of v_esf by construction.
 
     Raises SeparableState at the singular waist where the visibility
     becomes constant and the spread is undefined."""
     _require_not_separable(params)
-    lsum = params.lambda_d + params.lambda_u
-    L = params.crystal_length
-    w2 = params.pump_waist**2
-    tw = 2.0 * math.pi * w2 * lsum
-    coeff = 2.0 * (tw - params.lambda_d * params.lambda_u * L) ** 2 / (
-        2.0 * math.pi * w2**2 * lsum**3 * L + w2 * params.lambda_d**2 * lsum**2 * L**2
-    )
-    rho = _as_array(rho_c)
-    out = np.exp(-coeff * rho**2 / setup.m_d**2)
-    return out if out.ndim else out.item()
+    return _gaussian_psf(esf_slope_coefficient(params) ** 2, setup, rho_c)
 
 
 def g_esf(params: SourceParams, setup: OpticalSetup, x_c, x_tilde_o: float = 0.0):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import OpticalSetup, SourceParams, singular_waist
+from .core import OpticalSetup, SourceParams
 from .dpsh import (
     NoiseModel,
     SceneModel,
@@ -27,18 +27,10 @@ from .dpsh import (
     select_max_row,
     synthesize_stack,
 )
-from .errors import ImageTooSmall, NumericalError, SeparableState
+from .errors import ImageTooSmall, NonPositiveParameter, NumericalError
 from .fitting import GATE_THRESHOLD, MagnificationEstimate, fit_edge_profiles
 from .imaging import Profile1D, g_envelope_coefficient, v_esf, write_profile_csv
-from .spreads import (
-    half_width_1e,
-    knife_edge_width_2476,
-    lsf_from_esf,
-    min_resolvable_distance,
-    spread_g_esf_numeric,
-    spread_g_psf_closed,
-    spread_v_closed,
-)
+from .spreads import half_width_1e, knife_edge_width_2476, lsf_from_esf, theory_sweep_rows
 
 __all__ = ["build_edge_scene", "simulate_edge", "analyze_stack", "ANALYSIS_SCHEMA"]
 
@@ -80,6 +72,8 @@ def build_edge_scene(
     visibility edge response: B = B0 Gy(y) E(x), A = B V_esf(x)."""
     if rows < 1 or cols < 8:
         raise ImageTooSmall(f"image of {rows} x {cols} pixels is too small (need >= 1 x 8)")
+    if not (math.isfinite(background) and background > 0):
+        raise NonPositiveParameter(f"background must be a positive finite count, got {background!r}")
     x = (np.arange(cols) - (cols - 1) / 2.0) * pixel_pitch
     y = (np.arange(rows) - (rows - 1) / 2.0) * pixel_pitch
     k = g_envelope_coefficient(params)
@@ -243,17 +237,9 @@ def simulate_edge(
     stack_from_disk = load_stack(manifest)
     analysis, estimate = _analyze(stack_from_disk, params, out)
 
-    theory = {
-        "spread_g_psf_m": spread_g_psf_closed(params),
-        "spread_g_esf_m": spread_g_esf_numeric(params),
-        "w_sing_m": singular_waist(params),
-    }
-    try:
-        theory["spread_v_m"] = spread_v_closed(params)
-        theory["d_min_m"] = min_resolvable_distance(params, setup.m_u)
-    except SeparableState:
-        theory["spread_v_m"] = "SeparableState"
-        theory["d_min_m"] = "SeparableState"
+    row = theory_sweep_rows(params, [params.crystal_length], [params.pump_waist], setup)[0]
+    theory = {key: row[key] for key in
+              ("spread_g_psf_m", "spread_g_esf_m", "w_sing_m", "spread_v_m", "d_min_m")}
 
     measured_v = analysis["spreads_camera"]["v_lsf_one_over_e"].get("width_m")
     comparison = {

@@ -167,22 +167,19 @@ def lsf_from_esf(esf: Profile1D) -> Profile1D:
 
 def spread_g_psf_closed(params: SourceParams) -> float:
     """1/e half-width of the amplitude PSF, magnification adjusted:
-    sqrt(L(ld+lu)/(4 pi)) / sqrt(1 + lu^2 L / (2 pi w_p^2 (ld+lu)))."""
-    lsum = params.lambda_d + params.lambda_u
-    lead = math.sqrt(params.crystal_length * lsum / (4.0 * math.pi))
-    corr = 1.0 + params.lambda_u**2 * params.crystal_length / (
-        2.0 * math.pi * params.pump_waist**2 * lsum
-    )
-    return lead / math.sqrt(corr)
+    1/sqrt(k + c^2) for k = g_envelope_coefficient and
+    c = esf_slope_coefficient (g_psf's exponent coefficient)."""
+    return 1.0 / math.sqrt(g_envelope_coefficient(params) + esf_slope_coefficient(params) ** 2)
 
 
 def spread_v_closed(params: SourceParams, below_singularity: bool = False) -> float:
-    """1/e half-width of the visibility PSF, magnification adjusted.
+    """1/e half-width of the visibility PSF, magnification adjusted:
+    1/|c| for c = esf_slope_coefficient (v_psf's exponent is c^2).
 
-    Diverges at the singular waist; restricted to w_p > w_sing unless
-    below_singularity is set, in which case the branch below the
-    singularity is returned with positive sign (paraxial assumptions
-    are questionable there)."""
+    Diverges at the singular waist, where c = 0; restricted to
+    w_p > w_sing unless below_singularity is set, in which case the
+    branch below the singularity is returned with positive sign
+    (paraxial assumptions are questionable there)."""
     w_sing = singular_waist(params)
     if not below_singularity and params.pump_waist <= w_sing * (1.0 + 1e-9):
         raise SeparableState(
@@ -191,15 +188,7 @@ def spread_v_closed(params: SourceParams, below_singularity: bool = False) -> fl
         )
     if below_singularity and abs(params.pump_waist - w_sing) <= w_sing * 1e-9:
         raise SeparableState("visibility spread diverges at the singular waist")
-    lsum = params.lambda_d + params.lambda_u
-    L = params.crystal_length
-    lead = math.sqrt(L * lsum / (4.0 * math.pi))
-    tw = 2.0 * math.pi * params.pump_waist**2 * lsum
-    value = (
-        lead * tw * math.sqrt(1.0 + params.lambda_d**2 * L / tw)
-        / (tw - params.lambda_d * params.lambda_u * L)
-    )
-    return abs(value)
+    return 1.0 / abs(esf_slope_coefficient(params))
 
 
 def spread_g_esf_numeric(params: SourceParams, x_tilde_o: float = 0.0) -> float:
@@ -360,7 +349,11 @@ def min_resolvable_distance(params: SourceParams, m_u: float = 1.0) -> float:
     """Minimum resolvable object distance 0.7 sqrt(2 pi) M_u Delta_V."""
     if not m_u > 0:
         raise ValueError("m_u must be > 0")
-    return 0.7 * math.sqrt(2.0 * math.pi) * m_u * spread_v_closed(params)
+    return _d_min(spread_v_closed(params), m_u)
+
+
+def _d_min(spread_v: float, m_u: float) -> float:
+    return 0.7 * math.sqrt(2.0 * math.pi) * m_u * spread_v
 
 
 # -- parameter sweeps ---------------------------------------------------------
@@ -380,12 +373,14 @@ def theory_sweep_rows(
 ) -> list[dict]:
     """One row per (L, w_p) pair, sorted by the pair. Waists at or below
     the singular waist carry the SeparableState marker in the columns
-    that diverge there."""
+    that diverge there. Every value equals its one-row library call
+    (spread_g_psf_closed, spread_v_closed, spread_g_esf_numeric,
+    singular_waist, min_resolvable_distance at setup.m_u)."""
     rows = []
     ks, cs = [], []
     for L in sorted(set(float(v) for v in lengths)):
         for w in sorted(set(float(v) for v in waists)):
-            p = base.with_crystal_length(L).with_waist(w)
+            p = replace(base, crystal_length=L, pump_waist=w)
             w_sing = singular_waist(p)
             row = {
                 "L_m": L,
@@ -400,7 +395,7 @@ def theory_sweep_rows(
             # such rows carry the marker as well
             if w > w_sing * (1.0 + 1e-3):
                 row["spread_v_m"] = spread_v_closed(p)
-                row["d_min_m"] = min_resolvable_distance(p, setup.m_u)
+                row["d_min_m"] = _d_min(row["spread_v_m"], setup.m_u)
             else:
                 row["spread_v_m"] = SEPARABLE_MARKER
                 row["ratio"] = SEPARABLE_MARKER

@@ -50,6 +50,16 @@ class TestParsers:
         with pytest.raises(SchemaError):
             parse_noise("dark:0.1", background=1e4)
 
+    @pytest.mark.parametrize("text", ["1mm:2mm", "1mm:2mm:logx", "1mm:2mm:3mm:log5"])
+    def test_malformed_range(self, text):
+        with pytest.raises(SchemaError):
+            parse_length_list(text)
+
+    @pytest.mark.parametrize("text", ["read:abc", "read:", "read:1.2.3"])
+    def test_malformed_noise_number(self, text):
+        with pytest.raises(SchemaError):
+            parse_noise(text, background=1e4)
+
 
 class TestTheorySweep:
     def test_default_grid(self, tmp_path):
@@ -88,6 +98,28 @@ class TestTheorySweep:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("pump_waist = -3um\n", encoding="utf-8")
         assert run(["theory-sweep", "--out", tmp_path / "x", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("waists", ["1mm:2mm", "1mm:2mm:logx"])
+    def test_malformed_waists_exit_code(self, tmp_path, waists):
+        assert run(["theory-sweep", "--out", tmp_path, f"--waists={waists}"]) == 2
+
+    @pytest.mark.parametrize("grid", [
+        ["--waists=1e200m"],
+        ["--waists=1e-200m"],
+        ["--lengths=2.6e104m", "--waists=2.6e104m"],
+    ], ids=["waist-squared-overflows", "slope-squared-overflows", "slope-underflows-to-zero"])
+    def test_float_range_exceeded_exit_code(self, tmp_path, grid):
+        # Python float arithmetic in the closed forms raises OverflowError
+        # or ZeroDivisionError here, like float64 overflow in numpy
+        assert run(["theory-sweep", "--out", tmp_path, *grid]) == 3
+
+    @pytest.mark.parametrize("line", ["m_d_c = 1.2.3", "m_u = 1e309"])
+    def test_malformed_config_number_exit_code(self, tmp_path, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        assert run(["theory-sweep", "--out", tmp_path / "x", "--config", cfg]) == 2
+        assert run(["simulate-edge", "--out", tmp_path / "y", "--config", cfg,
+                    "--rows", 2, "--cols", 64]) == 2
 
 
 class TestSimulateAndAnalyze:
@@ -183,6 +215,18 @@ class TestSimulateAndAnalyze:
 
     def test_empty_image_exit_code(self, tmp_path):
         assert run(["simulate-edge", "--out", tmp_path / "sim", "--rows", 0]) == 2
+
+    def test_malformed_noise_exit_code(self, tmp_path):
+        assert run(["simulate-edge", "--out", tmp_path, "--noise=read:abc"]) == 2
+
+    @pytest.mark.parametrize("background", ["-1", "0", "nan", "inf"])
+    def test_bad_background_exit_code(self, tmp_path, capsys, background):
+        args = ["simulate-edge", "--out", tmp_path, f"--background={background}",
+                "--rows", 2, "--cols", 64]
+        assert run(args) == 2
+        assert "background" in capsys.readouterr().err
+        # read noise is a fraction of the background
+        assert run(args + ["--noise", "read:0.01"]) == 2
 
     def test_flat_profile_exit_code(self, tmp_path):
         # at a 1 m pitch the amplitude envelope underflows to zero on every pixel
@@ -288,6 +332,49 @@ MANIFEST_VALUES = {
 }
 
 
+# argument and config strings: near-valid numbers and lengths, malformed
+# ones, and arbitrary text; logN stays <= 64 to keep every run small
+NUMBERS = (st.floats().map(repr) | st.integers(-10**6, 10**6).map(str)
+           | st.sampled_from(["", ".", "-", "e", "1e", "1.2.3", "0x10", "nan", "inf", "1_0",
+                             "1e309", "-1e309", "1e-400"]))
+LENGTHS = (st.sampled_from(["2mm", "5mm", "10mm", "11.35um", "50um", "142um", "2e-3"])
+           | st.builds(str.__add__, NUMBERS,
+                       st.sampled_from(["", "nm", "um", "µm", "mm", "cm", "m", "km"])))
+POINT_COUNTS = (st.integers(-2, 64).map("log{}".format)
+                | st.sampled_from(["log", "logx", "log1.5", "lin8", ""]))
+LENGTH_LISTS = (st.lists(LENGTHS, max_size=3).map(",".join)
+                | st.builds("{}:{}:{}".format, LENGTHS, LENGTHS, POINT_COUNTS)
+                | st.lists(LENGTHS | POINT_COUNTS, min_size=1, max_size=4).map(":".join)
+                | st.text(max_size=12))
+NOISE_PARTS = (st.builds("read:{}".format, NUMBERS)
+               | st.sampled_from(["shot:on", "shot:off", "shot:", "shot:yes", "dark:1", "read", ""])
+               | st.text(max_size=8))
+NOISE_SPECS = st.sampled_from(["none", ""]) | st.lists(NOISE_PARTS, min_size=1, max_size=3).map(",".join)
+BACKGROUNDS = NUMBERS | st.sampled_from(["1e4", "-1", "0", "-inf", "1e300", "5e-324"]) | st.text(max_size=6)
+# per config key, values that keep the other keys valid
+VALID_CONFIG_VALUES = {
+    "lambda_p": ["405nm"], "lambda_d": ["730nm"], "lambda_u": ["910nm"],
+    "crystal_length": ["2mm", "10mm"], "pump_waist": ["142um", "11.35um"],
+    "m_d": ["2.67"], "m_u": ["1", "3"], "m_d_i": ["1"], "m_u_i": ["1", "3"], "m_d_c": ["2.67"],
+}
+
+
+@st.composite
+def config_values(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(VALID_CONFIG_VALUES)), max_size=4, unique=True))
+    return {key: draw(st.sampled_from(VALID_CONFIG_VALUES[key]) | LENGTHS | NUMBERS
+                      | st.text(max_size=8)) for key in keys}
+
+
+def exit_code(args) -> int:
+    """main's exit code, including argparse's exit 2 for a value its
+    type conversion rejects."""
+    try:
+        return run(args)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.fixture(scope="module")
 def simulated_stack(tmp_path_factory):
     base = tmp_path_factory.mktemp("fuzz")
@@ -352,3 +439,34 @@ class TestExitCodeContract:
             code = run(["analyze-stack", "--manifest", path, "--config", cfg,
                         "--out", Path(tmp) / "ana"])
         assert code in (0, 2, 3, 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lengths=LENGTH_LISTS, waists=LENGTH_LISTS)
+    def test_theory_sweep_grid_strings(self, lengths, waists):
+        with tempfile.TemporaryDirectory() as tmp:
+            code = exit_code(["theory-sweep", "--out", tmp,
+                              f"--lengths={lengths}", f"--waists={waists}"])
+        assert code in (0, 2, 3, 4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(noise=NOISE_SPECS, background=BACKGROUNDS)
+    def test_simulate_edge_noise_and_background_strings(self, noise, background):
+        with tempfile.TemporaryDirectory() as tmp:
+            code = exit_code(["simulate-edge", "--out", tmp, "--rows", 2, "--cols", 64,
+                              "--phases", 3, f"--noise={noise}", f"--background={background}"])
+        assert code in (0, 2, 3, 4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(values=config_values())
+    def test_config_file_values(self, values):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()),
+                           encoding="utf-8")
+            codes = {
+                exit_code(["theory-sweep", "--config", cfg, "--out", Path(tmp) / "sweep",
+                           "--lengths", "2mm,10mm", "--waists", "20um:2mm:log8"]),
+                exit_code(["simulate-edge", "--config", cfg, "--out", Path(tmp) / "sim",
+                           "--rows", 2, "--cols", 64, "--phases", 3]),
+            }
+        assert codes <= {0, 2, 3, 4}

@@ -179,6 +179,11 @@ class TestOpticalSetup:
         with pytest.raises(NonPositiveParameter):
             OpticalSetup(m_d=-1.0, m_d_i=-1.0, m_d_c=1.0)
 
+    @pytest.mark.parametrize("name", ["m_d", "m_u", "m_d_i", "m_u_i", "m_d_c"])
+    def test_finite_magnifications(self, name):
+        with pytest.raises(NonPositiveParameter):
+            dataclasses.replace(OpticalSetup(), **{name: float("inf")})
+
 
 class TestConfigFile:
     def test_parse_length_units(self):
@@ -217,4 +222,11 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("crystal_length = 10nm\n", encoding="utf-8")
         with pytest.raises(ThinCrystalRegime):
+            load_config(cfg)
+
+    @pytest.mark.parametrize("line", ["m_d_c = 1.2.3", "m_u = --1", "pump_waist = 1.2.3um"])
+    def test_load_config_malformed_number(self, tmp_path, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError):
             load_config(cfg)

@@ -16,7 +16,13 @@ from qiul.dpsh import (
     select_max_row,
     synthesize_stack,
 )
-from qiul.errors import CorruptFrame, DegeneratePhases, SchemaError, TooFewPhases
+from qiul.errors import (
+    CorruptFrame,
+    DegeneratePhases,
+    SchemaError,
+    TooFewPhases,
+    ValidationError,
+)
 from qiul.imaging import v_esf
 from qiul.pipeline import build_edge_scene
 
@@ -75,6 +81,17 @@ class TestSynthesize:
         scene = uniform_scene(6e4, 2e4, 0.0, shape=(8, 8))
         stack = synthesize_stack(scene, FOUR_STEPS, NoiseModel(read_sigma=1.0), seed=1)
         assert stack.frames.max() <= 65535.0
+
+    def test_shot_noise_beyond_poisson_range_saturates(self):
+        # numpy's Poisson sampler rejects means above ~9.2e18
+        scene = uniform_scene(1e300, 1e299, 0.0, shape=(4, 4))
+        stack = synthesize_stack(scene, FOUR_STEPS, NoiseModel(shot=True), seed=1)
+        np.testing.assert_array_equal(stack.frames, 65535.0)
+
+    @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
+    def test_read_sigma_must_be_non_negative_and_finite(self, sigma):
+        with pytest.raises(ValidationError, match="read noise sigma"):
+            NoiseModel(read_sigma=sigma)
 
     def test_too_few_phases(self):
         with pytest.raises(TooFewPhases):

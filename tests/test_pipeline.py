@@ -1,10 +1,12 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from qiul.core import OpticalSetup
-from qiul.pipeline import analyze_stack, simulate_edge
+from qiul.errors import ValidationError
+from qiul.pipeline import analyze_stack, build_edge_scene, simulate_edge
 
 from conftest import make_params
 
@@ -34,3 +36,10 @@ class TestFloatingPointErrors:
             with pytest.raises(FloatingPointError):
                 simulate_edge(make_params(5e-3, 214e-6), OpticalSetup(), tmp_path, rows=12,
                               cols=256, pixel_pitch=2e-6, background=1e300)
+
+
+class TestEdgeScene:
+    @pytest.mark.parametrize("background", [-1.0, 0.0, math.nan, math.inf])
+    def test_background_must_be_positive_and_finite(self, background):
+        with pytest.raises(ValidationError, match="background"):
+            build_edge_scene(make_params(), OpticalSetup(), 4, 64, 6.5e-6, background)

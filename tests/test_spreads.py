@@ -1,5 +1,7 @@
+import json
 import math
 import warnings
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -19,6 +21,7 @@ from qiul.imaging import (
     v_esf,
     v_psf,
 )
+from qiul.pipeline import simulate_edge
 from qiul.spreads import (
     SEPARABLE_MARKER,
     _g_esf_slope,
@@ -229,6 +232,18 @@ class TestClosedFormSpreads:
         with pytest.raises(SeparableState):
             spread_v_closed(p.with_waist(w_sing), below_singularity=True)
 
+    @pytest.mark.parametrize("length", [2e-3, 5e-3, 10e-3])
+    @pytest.mark.parametrize("waist_ratio", [0.3, 0.5, 1.01, 1.5, 3.0, 100.0])
+    def test_coefficient_forms_match_high_precision_reference(self, length, waist_ratio):
+        # 1/sqrt(k + c^2) and 1/|c| against the 50-digit expanded formulas,
+        # above the singular waist and, with below_singularity, under it
+        p = make_params(length, 100e-6)
+        p = p.with_waist(waist_ratio * singular_waist(p))
+        L, w = mp.mpf(p.crystal_length), mp.mpf(p.pump_waist)
+        assert spread_g_psf_closed(p) == pytest.approx(oracle_spread_g_psf(L, w), rel=1e-13)
+        got = spread_v_closed(p, below_singularity=waist_ratio < 1.0)
+        assert got == pytest.approx(abs(oracle_spread_v(L, w)), rel=1e-13)
+
     def test_v_spread_at_least_g_spread(self):
         p = make_params(5e-3, 100e-6)
         w_sing = singular_waist(p)
@@ -432,3 +447,34 @@ class TestSweep:
         write_sweep_csv(a, pa)
         write_sweep_csv(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+    def test_rows_equal_one_row_library_calls(self):
+        setup = OpticalSetup(m_d=2 * 2.67, m_u=3.0, m_d_i=2.0, m_u_i=3.0, m_d_c=2.67)
+        base = make_params()
+        w_sing = singular_waist(base.with_crystal_length(10e-3))
+        # the last waist lies in the marker band at 10 mm
+        rows = theory_sweep_rows(base, [2e-3, 10e-3], [50e-6, 142e-6, 1.0005 * w_sing], setup)
+        assert sum(row["spread_v_m"] == SEPARABLE_MARKER for row in rows) == 1
+        for row in rows:
+            p = replace(base, crystal_length=row["L_m"], pump_waist=row["w_p_m"])
+            assert row["spread_g_psf_m"] == spread_g_psf_closed(p)
+            assert row["w_sing_m"] == singular_waist(p)
+            assert row["spread_g_esf_m"] == spread_g_esf_numeric(p)
+            if row["spread_v_m"] != SEPARABLE_MARKER:
+                assert row["spread_v_m"] == spread_v_closed(p)
+                assert row["d_min_m"] == min_resolvable_distance(p, setup.m_u)
+
+    @pytest.mark.parametrize("waist_ratio", [1.0005, 12.0])
+    def test_simulate_edge_reports_the_sweep_row(self, tmp_path, waist_ratio):
+        # 1.0005 w_sing lies in the marker band: the comparison carries the
+        # SeparableState marker there, as sweep.csv does
+        setup = OpticalSetup(m_d=2.67, m_u=1.5, m_d_i=1.0, m_u_i=1.5, m_d_c=2.67)
+        base = make_params(5e-3, 100e-6)
+        w = waist_ratio * singular_waist(base)
+        simulate_edge(base.with_waist(w), setup, tmp_path, rows=4, cols=256, pixel_pitch=2e-6)
+        theory = json.loads((tmp_path / "comparison.json").read_text())["theory_adjusted"]
+        rows = theory_sweep_rows(base, [2e-3, 5e-3], [50e-6, w, 308e-6], setup)
+        (row,) = [r for r in rows if r["L_m"] == 5e-3 and r["w_p_m"] == w]
+        assert theory == {key: row[key] for key in
+                          ("spread_g_psf_m", "spread_g_esf_m", "w_sing_m", "spread_v_m", "d_min_m")}
+        assert (theory["spread_v_m"] == SEPARABLE_MARKER) == (waist_ratio < 1.001)
