@@ -277,7 +277,9 @@ def load_stack(manifest_path) -> InterferogramStack:
     `qiul.stack/1` manifest (CSV frames, no longer read) raise
     SchemaError; a frame that is missing, not a `.npy` array of a real
     dtype, of the wrong shape or non-finite raises CorruptFrame naming
-    the file."""
+    the file. Each frame is copied into one float64 array right after
+    its checks, so at most two memory maps (each holding a file
+    descriptor) are open at a time however long the stack."""
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -310,9 +312,9 @@ def load_stack(manifest_path) -> InterferogramStack:
             and all(type(n) is int and n > 0 for n in shape)):
         raise SchemaError(f"{manifest_path}: shape must be a list of two positive integers")
     shape = tuple(shape)
-    frames = []
+    frames = None
     stack_dir = manifest_path.parent.resolve()
-    for name in names:
+    for k, name in enumerate(names):
         path = manifest_path.parent / name
         try:
             inside = path.resolve().is_relative_to(stack_dir)
@@ -327,7 +329,9 @@ def load_stack(manifest_path) -> InterferogramStack:
             raise CorruptFrame(path, f"shape {frame.shape} != manifest shape {shape}")
         if not np.isfinite(frame).all():
             raise CorruptFrame(path, "non-finite values")
-        frames.append(frame)
+        if frames is None:  # allocated once a frame on disk has the manifest shape
+            frames = np.empty((len(names), *shape))
+        frames[k] = frame
     try:
         return InterferogramStack(
             frames=frames,

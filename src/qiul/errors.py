@@ -76,7 +76,7 @@ class PeaksNotResolved(NumericalError):
 
 
 class GateFailed(NumericalError):
-    """Measured spread ratio too far from the theory prediction; the
+    """The two fitted edge magnifications disagree beyond the gate; the
     averaged magnification estimate is withheld."""
 
 

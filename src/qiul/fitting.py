@@ -5,9 +5,10 @@ The edge fits treat the source parameters (wavelengths, crystal length,
 pump waist) as known and fit only the detected-arm magnification M_d and
 the lumped edge offset M_u * x_tilde_o, separately on the amplitude and
 the visibility profile. The two magnifications are averaged only when
-the magnification-independent spread ratio of the fitted models stays
-within 10% of the theory prediction (the quality gate); otherwise the
-averaged estimate is withheld while both fits remain reported.
+they agree to within 10% once the amplitude fit's edge offset is taken
+into account (the quality gate, the paper's spread-ratio test with the
+visibility spread cancelled); otherwise the averaged estimate is
+withheld while both fits remain reported.
 """
 
 from __future__ import annotations
@@ -58,12 +59,11 @@ class FitResult:
 
     parameters: dict[str, float]
     covariance: np.ndarray
-    param_names: tuple[str, ...]
     residual_rms: float
     iterations: int
 
     def variance(self, name: str) -> float:
-        i = self.param_names.index(name)
+        i = list(self.parameters).index(name)
         return float(self.covariance[i, i])
 
 
@@ -83,7 +83,7 @@ class MagnificationEstimate:
     def require_m_d_avg(self) -> float:
         if not self.gate_passed or self.m_d_avg is None:
             raise GateFailed(
-                f"spread ratio deviates from theory by {self.gate_ratio_deviation:.3g} "
+                f"fitted magnifications disagree by {self.gate_ratio_deviation:.3g} "
                 f"(> {GATE_THRESHOLD}); averaged magnification withheld"
             )
         return self.m_d_avg
@@ -137,14 +137,13 @@ def least_squares_fit(
     y = data.values
     if y.size < n_par + 2:
         raise ValueError(f"need >= {n_par + 2} data points for {n_par} parameters")
-    lo = np.array([bounds[k][0] if bounds and k in bounds else -np.inf for k in names])
-    hi = np.array([bounds[k][1] if bounds and k in bounds else np.inf for k in names])
+    bounds, scales = bounds or {}, scales or {}
+    lo = np.array([bounds.get(k, (-np.inf, np.inf))[0] for k in names])
+    hi = np.array([bounds.get(k, (-np.inf, np.inf))[1] for k in names])
     theta = np.array([float(init[k]) for k in names])
     if np.any(theta < lo) or np.any(theta > hi):
         raise ValueError("initial parameters outside bounds")
-    scale = np.array(
-        [max(abs(float(init[k])), scales.get(k, 0.0) if scales else 0.0, 1e-9) for k in names]
-    )
+    scale = np.array([max(abs(float(init[k])), scales.get(k, 0.0), 1e-9) for k in names])
 
     def residual(t: np.ndarray) -> np.ndarray:
         return model(x, dict(zip(names, t))) - y
@@ -162,39 +161,28 @@ def least_squares_fit(
     r = residual(theta)
     ssr = float(r @ r)
     lam = 1e-3
-    converged = False
-    iterations = 0
-    jac = jacobian(theta)
     for iterations in range(1, MAX_ITERATIONS + 1):
+        jac = jacobian(theta)
         jtj = jac.T @ jac
         jtr = jac.T @ r
-        solved = False
+        damping = np.diag(np.maximum(np.diag(jtj), 1e-300))
         for _ in range(40):
-            damped = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-300))
             try:
-                step = np.linalg.solve(damped, -jtr)
+                step = np.linalg.solve(jtj + lam * damping, -jtr)
             except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            if not np.all(np.isfinite(step)):
-                lam *= 10.0
-                continue
-            candidate = np.clip(theta + step, lo, hi)
-            r_new = residual(candidate)
-            ssr_new = float(r_new @ r_new)
-            if np.isfinite(ssr_new) and ssr_new <= ssr:
-                solved = True
-                break
+                step = np.full(n_par, np.nan)  # singular: damp harder, as for a non-finite step
+            if np.all(np.isfinite(step)):
+                candidate = np.clip(theta + step, lo, hi)
+                r_new = residual(candidate)
+                ssr_new = float(r_new @ r_new)
+                if np.isfinite(ssr_new) and ssr_new <= ssr:
+                    break
             lam *= 10.0
-        if not solved:
+        else:
             if lam > 1e30:
                 raise SingularNormalEquations("damping exhausted without a solvable step")
-            # no improving step found: treat as converged-in-place if the
-            # attempted steps are tiny, else give up below
-            step = np.zeros(n_par)
-            candidate = theta
-            ssr_new = ssr
-            r_new = r
+            # no improving step found: stay in place, which converges below
+            candidate, r_new, ssr_new = theta, r, ssr
 
         step_norm = float(np.linalg.norm(candidate - theta))
         theta_norm = float(np.linalg.norm(theta)) + 1e-300
@@ -202,11 +190,8 @@ def least_squares_fit(
         theta, r, ssr = candidate, r_new, ssr_new
         lam = max(lam / 10.0, 1e-12)
         if step_norm <= STEP_TOL * theta_norm or rel_change <= RESIDUAL_TOL:
-            converged = True
             break
-        jac = jacobian(theta)
-
-    if not converged:
+    else:
         raise NotConverged(f"no convergence within {MAX_ITERATIONS} iterations (SSR {ssr:.3g})")
 
     jac = jacobian(theta)
@@ -220,7 +205,6 @@ def least_squares_fit(
     return FitResult(
         parameters=dict(zip(names, map(float, theta))),
         covariance=cov,
-        param_names=names,
         residual_rms=math.sqrt(ssr / y.size),
         iterations=iterations,
     )
@@ -268,12 +252,16 @@ def fit_edge_profiles(
     the same row (the amplitude profile is compared peak-normalized),
     both started at M_d = DEFAULT_M_D_C.
 
-    The gate compares the measured camera-plane spread ratio of the two
-    fitted models against the theory ratio; the averaged M_d is reported
-    only when the deviation stays below GATE_THRESHOLD. Below the
-    separability waist the theory ratio is undefined and the gate always
-    fails (the fits are still reported). An amplitude profile without a
-    positive maximum raises RangeNotSpanned."""
+    The gate compares the measured camera-plane spread ratio
+    M_g s_g(x_g / M_g) / (M_v s_v) with the theory ratio s_g(0) / s_v,
+    where s_g(x) is the amplitude-ESF spread at edge offset x and x_g the
+    fitted amplitude edge offset. s_v cancels: the deviation
+    |M_g s_g(x_g / M_g) / (M_v s_g(0)) - 1| is how far the two fitted
+    magnifications disagree once the amplitude fit's edge offset is taken
+    into account, and the averaged M_d is reported only when it stays
+    below GATE_THRESHOLD. At or below the singular waist the gate fails
+    with deviation inf (the fits are still reported). An amplitude
+    profile without a positive maximum raises RangeNotSpanned."""
     g_peak = np.max(g_profile.values)
     if not g_peak > 0:
         raise RangeNotSpanned("amplitude profile has no positive maximum")
@@ -291,34 +279,23 @@ def fit_edge_profiles(
             scales={"m_d": DEFAULT_M_D_C, "m_u_x_o": span / 20.0},
         )
 
-    g_norm = Profile1D(
-        grid=g_profile.grid,
-        values=g_profile.values / g_peak,
-        plane=g_profile.plane,
-        kind=None,
-    )
-    g_fit = fit_one(g_model, g_norm)
+    g_fit = fit_one(g_model, Profile1D(g_profile.grid, g_profile.values / g_peak, g_profile.plane))
     v_fit = fit_one(v_model, v_profile)
     m_d_g = g_fit.parameters["m_d"]
     m_d_v = v_fit.parameters["m_d"]
 
     try:
-        spread_v = spread_v_closed(params)
+        spread_v_closed(params)  # the separability test
     except SeparableState:
         deviation = float("inf")
-        passed = False
     else:
-        # the theory spread at x_tilde_o = 0 and the one at the fitted
-        # edge offset, from one two-row solve
+        # s_g at x_tilde_o = 0 and at the fitted edge offset, from one two-row solve
         spread_g, spread_g_fitted = _g_esf_widths(
             g_envelope_coefficient(params), esf_slope_coefficient(params),
             [0.0, g_fit.parameters["m_u_x_o"] / m_d_g],
         ).tolist()
-        theory_ratio = spread_g / spread_v
-        measured_g = m_d_g * spread_g_fitted
-        measured_v = m_d_v * spread_v
-        deviation = abs((measured_g / measured_v) / theory_ratio - 1.0)
-        passed = deviation < GATE_THRESHOLD
+        deviation = abs(m_d_g * spread_g_fitted / (m_d_v * spread_g) - 1.0)
+    passed = deviation < GATE_THRESHOLD
 
     return MagnificationEstimate(
         m_d_from_g=m_d_g,
@@ -404,8 +381,8 @@ def fit_double_slit(
     distance = abs(mu2 - mu1)
     if distance < profile.step:
         raise PeaksNotResolved("fitted peaks collapse onto each other")
-    i1 = fit.param_names.index("mu1")
-    i2 = fit.param_names.index("mu2")
+    names = list(fit.parameters)
+    i1, i2 = names.index("mu1"), names.index("mu2")
     var_d = fit.covariance[i1, i1] + fit.covariance[i2, i2] - 2.0 * fit.covariance[i1, i2]
     var_d = max(float(var_d), 0.0)
     magnification = distance / slit_distance_object

@@ -22,6 +22,7 @@ is a convention (see image_function_numeric for the numeric one).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -151,18 +152,10 @@ class TransmissionProfile:
 
     @staticmethod
     def sampled(grid, samples) -> "TransmissionProfile":
-        grid = np.asarray(grid, dtype=float)
-        samples = np.asarray(samples, dtype=float)
-        if grid.ndim != 1 or grid.shape != samples.shape or grid.size < 2:
-            raise ValueError("sampled transmission needs matching 1D grid/values")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("sampled grid must be strictly increasing")
-        steps = np.diff(grid)
-        if np.max(steps) - np.min(steps) > 1e-9 * np.max(steps):
-            raise ValueError("sampled grid must be uniform")
-        if samples.min() < 0 or samples.max() > 1:
+        profile = Profile1D(grid, samples)  # 1D, matching, increasing, uniform
+        if profile.values.min() < 0 or profile.values.max() > 1:
             raise ValueError("transmission values must lie in [0, 1]")
-        return TransmissionProfile(kind="sampled", grid=grid, samples=samples)
+        return TransmissionProfile(kind="sampled", grid=profile.grid, samples=profile.values)
 
     def __call__(self, x_o: np.ndarray) -> np.ndarray:
         x_o = np.asarray(x_o, dtype=float)
@@ -304,13 +297,7 @@ def _unit_g_esf_derivative(k, c, x, x_tilde_o):
 
 # -- numeric quadrature over the joint density --------------------------------
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+_gauss_legendre = functools.cache(np.polynomial.legendre.leggauss)
 
 
 def _integrate_t_weighted(
@@ -366,12 +353,6 @@ def _integrate_t_weighted(
     return total
 
 
-def _open_aperture_peak(params: SourceParams, setup: OpticalSetup, n_nodes: int) -> float:
-    return float(
-        _integrate_t_weighted(params, setup, None, np.zeros(1), n_nodes)[0]
-    )
-
-
 def _converged_pair(f_lo: np.ndarray, f_hi: np.ndarray, scale: float) -> None:
     err = np.max(np.abs(f_hi - f_lo))
     if err > 1e-8 * scale:
@@ -394,7 +375,7 @@ def image_function_numeric(
     Gauss-Legendre with n_nodes over +-8 conditional widths,
     convergence-checked by node doubling to 1e-8 of the peak."""
     x = np.asarray(grid, dtype=float)
-    peak = _open_aperture_peak(params, setup, n_nodes)
+    peak = float(_integrate_t_weighted(params, setup, None, np.zeros(1), n_nodes)[0])
     if t.kind == "point":
         vals2 = _point_image(params, setup, t.x0, x)
     else:

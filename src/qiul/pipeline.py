@@ -74,6 +74,8 @@ def build_edge_scene(
         raise ImageTooSmall(f"image of {rows} x {cols} pixels is too small (need >= 1 x 8)")
     if not (math.isfinite(background) and background > 0):
         raise NonPositiveParameter(f"background must be a positive finite count, got {background!r}")
+    if not (math.isfinite(pixel_pitch) and pixel_pitch > 0):
+        raise NonPositiveParameter(f"pixel pitch must be a positive finite length, got {pixel_pitch!r}")
     x = (np.arange(cols) - (cols - 1) / 2.0) * pixel_pitch
     y = (np.arange(rows) - (rows - 1) / 2.0) * pixel_pitch
     k = g_envelope_coefficient(params)

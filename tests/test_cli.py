@@ -228,6 +228,12 @@ class TestSimulateAndAnalyze:
         # read noise is a fraction of the background
         assert run(args + ["--noise", "read:0.01"]) == 2
 
+    @pytest.mark.parametrize("pitch", ["-1um", "0", "1e309"])
+    def test_bad_pitch_exit_code(self, tmp_path, capsys, pitch):
+        args = ["simulate-edge", "--out", tmp_path, f"--pitch={pitch}", "--rows", 2, "--cols", 64]
+        assert run(args) == 2
+        assert "pitch" in capsys.readouterr().err
+
     def test_flat_profile_exit_code(self, tmp_path):
         # at a 1 m pitch the amplitude envelope underflows to zero on every pixel
         code = run(["simulate-edge", "--out", tmp_path / "sim", "--pitch", "1m",

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qiul
 from qiul.dpsh import (
     InterferogramStack,
     NoiseModel,
@@ -317,6 +322,28 @@ class TestPersistence:
         back = load_stack(manifest)
         assert back.frames.dtype == np.float64
         np.testing.assert_array_equal(back.frames, np.stack(counts))
+
+    def test_long_stack_under_low_descriptor_limit(self, tmp_path, rng):
+        # 200 frames against a soft limit of 64 open files
+        phases = np.linspace(0.0, 2.0 * math.pi, 200, endpoint=False)
+        stack = synthesize_stack(random_scene(rng, shape=(2, 4)), phases)
+        manifest = save_stack(stack, tmp_path)
+        np.save(tmp_path / "expected.npy", stack.frames)
+        script = (
+            "import resource, sys\n"
+            "import numpy as np\n"
+            "from qiul.dpsh import load_stack\n"
+            "_, hard = resource.getrlimit(resource.RLIMIT_NOFILE)\n"
+            "resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))\n"
+            "frames = load_stack(sys.argv[1]).frames\n"
+            "assert np.array_equal(frames, np.load(sys.argv[2])), 'frames differ'\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(manifest), str(tmp_path / "expected.npy")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(qiul.__file__).parents[1])},
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_csv_stack_manifest_rejected(self, tmp_path, rng):
         manifest = save_stack(synthesize_stack(random_scene(rng), FOUR_STEPS), tmp_path)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qiul import fitting
 from qiul.core import OpticalSetup, singular_waist
 from qiul.errors import GateFailed, NotConverged, PeaksNotResolved
 from qiul.fitting import (
@@ -12,6 +13,7 @@ from qiul.fitting import (
     least_squares_fit,
 )
 from qiul.imaging import Profile1D, g_esf, v_esf
+from qiul.spreads import spread_g_esf_numeric
 from scipy.special import erf
 
 from conftest import make_params
@@ -30,6 +32,28 @@ def make_edge_profiles(params, m_d, x_tilde_o=0.0, n=1024, span=None, noise=0.0,
     g_profile = Profile1D(grid=x, values=np.maximum(g, 0.0), plane="camera", kind="g")
     v_profile = Profile1D(grid=x, values=v, plane="camera", kind="v")
     return g_profile, v_profile
+
+
+@pytest.fixture
+def fit_counts(monkeypatch):
+    """(model evaluations, iterations) of every least_squares_fit call
+    that the fitting module makes, in call order."""
+    counts = []
+
+    def counting_fit(model, *args, **kwargs):
+        calls = 0
+
+        def counted(x, p):
+            nonlocal calls
+            calls += 1
+            return model(x, p)
+
+        fit = least_squares_fit(counted, *args, **kwargs)
+        counts.append((calls, fit.iterations))
+        return fit
+
+    monkeypatch.setattr(fitting, "least_squares_fit", counting_fit)
+    return counts
 
 
 class TestLeastSquaresEngine:
@@ -148,6 +172,38 @@ class TestEdgeProfileFits:
             deviations.append(est.gate_ratio_deviation)
         assert all(a < b for a, b in zip(deviations, deviations[1:]))
 
+    def test_model_evaluations_pinned(self, fit_counts):
+        # one Jacobian (2 x 2 evaluations) per iteration plus the one for
+        # the covariance, one trial step per iteration, the initial residual
+        params = make_params(5e-3, 214e-6)
+        g_profile, v_profile = make_edge_profiles(params, m_d=2.67, x_tilde_o=40e-6)
+        fit_edge_profiles(g_profile, v_profile, params)
+        assert fit_counts == [(25, 4), (25, 4)]
+
+    @pytest.mark.parametrize("stretch", [1.05, 1.2])
+    def test_gate_is_magnification_agreement(self, stretch):
+        # with the edge at the origin the spreads cancel: the deviation is
+        # how far the two fitted magnifications disagree
+        params = make_params(5e-3, 214e-6)
+        span = 6.0 * 2.67 * 1e-4
+        g_profile, _ = make_edge_profiles(params, m_d=2.67, span=span)
+        _, v_profile = make_edge_profiles(params, m_d=2.67 * stretch, span=span)
+        est = fit_edge_profiles(g_profile, v_profile, params)
+        assert est.gate_ratio_deviation == pytest.approx(1.0 - 1.0 / stretch, abs=1e-6)
+        assert est.gate_passed == (stretch < 1.1)
+
+    def test_gate_takes_edge_offset_into_account(self):
+        params = make_params(5e-3, 214e-6)
+        g_profile, v_profile = make_edge_profiles(params, m_d=2.67, x_tilde_o=40e-6)
+        est = fit_edge_profiles(g_profile, v_profile, params)
+        m_g = est.g_fit.parameters["m_d"]
+        x_g = est.g_fit.parameters["m_u_x_o"]
+        expected = abs(
+            m_g * spread_g_esf_numeric(params, x_g / m_g)
+            / (est.v_fit.parameters["m_d"] * spread_g_esf_numeric(params)) - 1.0
+        )
+        assert est.gate_ratio_deviation == pytest.approx(expected, abs=1e-14)
+
     def test_below_singularity_gate_fails_but_fits_report(self):
         p = make_params(10e-3, 50e-6)
         p = p.with_waist(0.7 * singular_waist(p))
@@ -190,6 +246,12 @@ class TestDoubleSlit:
         profile = Profile1D(grid=x, values=np.exp(-((x / 1e-4) ** 2)))
         with pytest.raises(PeaksNotResolved):
             fit_double_slit(profile)
+
+    def test_model_evaluations_pinned(self, fit_counts):
+        # 14 evaluations per central-difference Jacobian of 7 parameters
+        profile = self.two_gauss_profile(noise=0.02, rng=np.random.default_rng(17))
+        fit_double_slit(profile, slit_distance_object=133e-6)
+        assert fit_counts == [(105, 6)]
 
     def test_noise_bias_below_one_percent(self):
         rng = np.random.default_rng(17)
