@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .core import DEFAULT_M_D_C, OpticalSetup, SourceParams
 from .errors import (
@@ -28,7 +27,7 @@ from .errors import (
     SeparableState,
     SingularNormalEquations,
 )
-from .imaging import Profile1D, esf_slope_coefficient, g_envelope_coefficient, g_esf, v_esf
+from .imaging import Profile1D, erf, esf_slope_coefficient, g_envelope_coefficient, g_esf, v_esf
 from .spreads import _g_esf_widths, spread_v_closed
 
 __all__ = [

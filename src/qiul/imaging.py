@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .biphoton import gaussian_quadratic_form
 from .core import OpticalSetup, SourceParams, singular_waist
@@ -100,6 +99,11 @@ def write_profile_csv(profile: Profile1D, path) -> None:
 
 
 def read_profile_csv(path, kind: str | None = None) -> Profile1D:
+    """Read a profile written by write_profile_csv. A file without two
+    numeric columns, or whose grid or values hold NaN or +-inf, raises
+    SchemaError naming the file; the finiteness check lives here and not
+    in Profile1D, whose demodulated profiles may carry invalid (NaN)
+    pixels."""
     plane = "camera"
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -109,7 +113,10 @@ def read_profile_csv(path, kind: str | None = None) -> Profile1D:
                 break
     try:
         data = np.loadtxt(path, delimiter=",", ndmin=2)
-        return Profile1D(grid=data[:, 0], values=data[:, 1], plane=plane, kind=kind)
+        grid, values = data[:, 0], data[:, 1]
+        if not (np.isfinite(grid).all() and np.isfinite(values).all()):
+            raise ValueError("grid and values must be finite")
+        return Profile1D(grid=grid, values=values, plane=plane, kind=kind)
     except (ValueError, IndexError) as exc:
         raise SchemaError(f"{path}: not a profile CSV ({exc})") from exc
 
@@ -174,6 +181,15 @@ class TransmissionProfile:
 
 
 # -- closed forms -------------------------------------------------------------
+
+def erf(x):
+    """scipy.special.erf, imported on the first call so that importing
+    qiul, and the commands that evaluate no edge response, do not load
+    scipy; later calls find the module in sys.modules."""
+    from scipy.special import erf
+
+    return erf(x)
+
 
 def _as_array(x):
     """Preserve complex dtype (complex-step differentiation support)."""

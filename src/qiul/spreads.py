@@ -16,13 +16,13 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import erf
 
 from .core import OpticalSetup, SourceParams, singular_waist
 from .errors import MultiPeak, NoCrossing, NotConverged, RangeNotSpanned, SeparableState
 from .imaging import (
     Profile1D,
     _unit_g_esf_derivative,
+    erf,
     esf_slope_coefficient,
     g_envelope_coefficient,
 )

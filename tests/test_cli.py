@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qiul
 from qiul.cli import main, parse_length_list, parse_noise
 from qiul.errors import SchemaError
 from qiul.imaging import Profile1D, write_profile_csv
@@ -294,12 +298,53 @@ class TestMagnificationCommand:
         "1e-4,0.5\n",
         "0,1\n1e-6,2\n3e-6,1\n4e-6,2\n",
         "0,1\n1e-6,two\n2e-6,1\n",
-    ], ids=["one-row", "non-uniform-grid", "non-numeric"])
+        "0,1\n1e-6,nan\n2e-6,1\n",
+        "0,1\n1e-6,inf\n2e-6,1\n",
+        "0,1\n1e-6,-inf\n2e-6,1\n",
+        "0,1\nnan,2\n2e-6,1\n",
+        "0,1\n1e-6,2\ninf,1\n",  # a non-finite end point passes Profile1D's
+        "-inf,1\n1e-6,2\n2e-6,1\n",  # increasing-and-uniform grid checks
+    ], ids=["one-row", "non-uniform-grid", "non-numeric", "nan-value", "inf-value",
+            "minus-inf-value", "nan-grid", "inf-grid", "minus-inf-grid"])
     def test_malformed_profile_exit_code(self, tmp_path, capsys, text):
         profile_path = tmp_path / "bad.csv"
         profile_path.write_text(text, encoding="utf-8")
         assert run(["magnification", "--profile", profile_path, "--out", tmp_path / "m"]) == 2
         assert str(profile_path) in capsys.readouterr().err
+
+
+def fresh_python(*args):
+    """Run a new interpreter on the package under test: the suite itself
+    has imported scipy, so only a fresh process shows what a CLI start
+    loads."""
+    src = Path(qiul.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+class TestFreshProcess:
+    def test_magnification_never_imports_scipy(self, tmp_path):
+        profile_path = tmp_path / "slits.csv"
+        TestMagnificationCommand.write_two_slit_profile(profile_path)
+        code = (
+            "import sys; import qiul; import qiul.cli\n"
+            "rc = qiul.cli.main(['magnification', '--profile', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        proc = fresh_python("-c", code, str(profile_path), str(tmp_path / "mag"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"  # exit code, scipy modules loaded
+
+    def test_first_erf_call_under_errstate(self, tmp_path):
+        # the fresh process imports scipy on its first edge-response
+        # evaluation, inside cli.main's np.errstate(over/invalid="raise")
+        args = ["theory-sweep", "--waists", "20um:2mm:log20", "--out"]
+        proc = fresh_python("-m", "qiul.cli", *args, str(tmp_path / "fresh"))
+        assert proc.returncode == 0, proc.stderr
+        assert run([*args, tmp_path / "in_process"]) == 0
+        fresh = (tmp_path / "fresh" / "sweep.csv").read_bytes()
+        assert fresh == (tmp_path / "in_process" / "sweep.csv").read_bytes()
 
 
 class TestDeterminism:
