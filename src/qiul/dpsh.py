@@ -11,8 +11,10 @@ g = 2A (max minus min of the fringe) and the visibility is v = A / B.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -140,6 +142,14 @@ class DemodulationResult:
     n_invalid: int
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def synthesize_stack(
     scene: SceneModel,
     phases,
@@ -151,23 +161,40 @@ def synthesize_stack(
 
     With noise enabled, each frame gets an independent RNG stream spawned
     from the seed (deterministic and order-independent), and counts are
-    clipped to the 16-bit range. Noiseless frames are exact floats."""
+    clipped to the 16-bit range. Noiseless frames are exact floats.
+
+    Each frame is rendered and noised as one task on a thread pool with
+    one worker per usable CPU (at most one per frame): numpy's ufuncs
+    and samplers release the GIL, and as every frame draws only from its
+    own stream the frames are byte-identical to rendering them one after
+    another. The tasks run in copies of the caller's context, so its
+    `np.errstate` holds in the workers too."""
+    # imported here, not at module level, to keep it out of CLI start-up
+    from concurrent.futures import ThreadPoolExecutor
+
     phases = np.asarray(phases, dtype=float)
     if phases.ndim != 1 or phases.size < 3:
         raise TooFewPhases(f"need >= 3 phase steps, got {phases.size}")
     b, a, p0 = scene.background, scene.modulation, scene.phase_map
-    frames = b[None, :, :] + a[None, :, :] * np.cos(phases[:, None, None] + p0[None, :, :])
-    if noise.enabled:
-        streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(phases.size)]
-        noisy = np.empty_like(frames)
-        for k, rng in enumerate(streams):
-            frame = frames[k]
+    frames = np.empty((phases.size, *scene.shape))
+    seeds = np.random.SeedSequence(seed).spawn(phases.size) if noise.enabled else None
+
+    def render(k: int) -> None:
+        frame = b + a * np.cos(phases[k] + p0)
+        if noise.enabled:
+            rng = np.random.default_rng(seeds[k])
             if noise.shot:
                 frame = rng.poisson(np.clip(frame, 0.0, _POISSON_MEAN_MAX)).astype(float)
             if noise.read_sigma > 0:
                 frame = frame + rng.normal(0.0, noise.read_sigma, size=frame.shape)
-            noisy[k] = frame
-        frames = np.clip(noisy, 0.0, SATURATION_COUNTS)
+            np.clip(frame, 0.0, SATURATION_COUNTS, out=frames[k])
+        else:
+            frames[k] = frame
+
+    with ThreadPoolExecutor(max_workers=min(phases.size, _usable_cpus())) as pool:
+        tasks = [pool.submit(contextvars.copy_context().run, render, k) for k in range(phases.size)]
+        for task in tasks:
+            task.result()  # re-raises a worker's exception, such as FloatingPointError
     meta = {"model": noise.tag(), "read_sigma": noise.read_sigma, "shot": noise.shot, "seed": int(seed)}
     return InterferogramStack(frames=frames, phases=phases, pixel_pitch=pixel_pitch, noise_meta=meta)
 
@@ -175,14 +202,24 @@ def synthesize_stack(
 def demodulate(stack: InterferogramStack) -> DemodulationResult:
     """Per-pixel least-squares sinusoid fit; exact inversion for
     noiseless data. Raises DegeneratePhases if the design matrix is
-    numerically rank deficient."""
+    numerically rank deficient.
+
+    Both contractions over the phase axis (the fit and the fitted
+    frames) run in blocks of 65536 // n_phases pixels (at least one), so
+    that no matrix product exceeds 3 * 65536 multiply-adds. Above 4 * 65536 OpenBLAS
+    hands a product to its worker threads, which then spin for about
+    0.1 s and take a CPU from the caller's next work, such as the
+    synthesis pool. Blocks split only the pixel axis, so every value is
+    bitwise equal to one product over the whole stack."""
     phases = stack.phases
     design = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
     if np.linalg.matrix_rank(design, tol=1e-9) < 3 or np.linalg.cond(design) > 1e12:
         raise DegeneratePhases("phase list yields a rank-deficient design matrix")
     pinv = np.linalg.solve(design.T @ design, design.T)  # (3, n_phases)
-    coeffs = np.tensordot(pinv, stack.frames, axes=1)  # (3, rows, cols)
-    b, c, s = coeffs
+    n_phases, *shape = stack.frames.shape
+    block = max(1, 65536 // n_phases)
+    coeffs = _matmul_by_columns(pinv, stack.frames.reshape(n_phases, -1), block)  # (3, pixels)
+    b, c, s = coeffs.reshape(3, *shape)
     amp = np.hypot(c, s)
     phase = np.arctan2(-s, c)
     phase = np.where(phase <= -math.pi, phase + 2.0 * math.pi, phase)
@@ -191,8 +228,10 @@ def demodulate(stack: InterferogramStack) -> DemodulationResult:
     with np.errstate(divide="ignore", invalid="ignore"):
         vis = np.where(invalid, np.nan, np.clip(amp / np.where(invalid, 1.0, b), 0.0, 1.0))
 
-    fitted = np.tensordot(design, coeffs, axes=1)
-    residual_rms = float(np.sqrt(np.mean((stack.frames - fitted) ** 2)))
+    # the residual overwrites the fitted frames: one stack-sized array, not three
+    residual = _matmul_by_columns(design, coeffs, block).reshape(stack.frames.shape)
+    np.subtract(stack.frames, residual, out=residual)
+    residual_rms = float(np.sqrt(np.mean(np.square(residual, out=residual))))
     return DemodulationResult(
         g_image=2.0 * amp,
         v_image=vis,
@@ -201,6 +240,15 @@ def demodulate(stack: InterferogramStack) -> DemodulationResult:
         b_image=b,
         n_invalid=int(np.count_nonzero(invalid)),
     )
+
+
+def _matmul_by_columns(left: np.ndarray, right: np.ndarray, block: int) -> np.ndarray:
+    """left @ right for 2D arrays, computed `block` columns of right at a
+    time into one preallocated result."""
+    out = np.empty((left.shape[0], right.shape[1]))
+    for j in range(0, right.shape[1], block):
+        np.matmul(left, right[:, j:j + block], out=out[:, j:j + block])
+    return out
 
 
 def select_max_row(image: np.ndarray, pixel_pitch: float = DEFAULT_PIXEL_PITCH) -> tuple[int, Profile1D]:

@@ -71,6 +71,8 @@ class Profile1D:
         object.__setattr__(self, "values", values)
         if grid.ndim != 1 or grid.size < 2 or grid.shape != values.shape:
             raise ValueError("grid and values must be matching 1D arrays (>= 2 samples)")
+        if not np.isfinite(grid).all():  # values may be NaN (demodulated pixels), the grid not
+            raise ValueError("grid must be finite")
         steps = np.diff(grid)
         if np.any(steps <= 0):
             raise ValueError("grid must be strictly increasing")
@@ -101,9 +103,9 @@ def write_profile_csv(profile: Profile1D, path) -> None:
 def read_profile_csv(path, kind: str | None = None) -> Profile1D:
     """Read a profile written by write_profile_csv. A file without two
     numeric columns, or whose grid or values hold NaN or +-inf, raises
-    SchemaError naming the file; the finiteness check lives here and not
-    in Profile1D, whose demodulated profiles may carry invalid (NaN)
-    pixels."""
+    SchemaError naming the file; the finiteness check on the values lives
+    here and not in Profile1D, whose demodulated profiles may carry
+    invalid (NaN) pixels."""
     plane = "camera"
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -114,8 +116,8 @@ def read_profile_csv(path, kind: str | None = None) -> Profile1D:
     try:
         data = np.loadtxt(path, delimiter=",", ndmin=2)
         grid, values = data[:, 0], data[:, 1]
-        if not (np.isfinite(grid).all() and np.isfinite(values).all()):
-            raise ValueError("grid and values must be finite")
+        if not np.isfinite(values).all():
+            raise ValueError("values must be finite")
         return Profile1D(grid=grid, values=values, plane=plane, kind=kind)
     except (ValueError, IndexError) as exc:
         raise SchemaError(f"{path}: not a profile CSV ({exc})") from exc

@@ -302,8 +302,8 @@ class TestMagnificationCommand:
         "0,1\n1e-6,inf\n2e-6,1\n",
         "0,1\n1e-6,-inf\n2e-6,1\n",
         "0,1\nnan,2\n2e-6,1\n",
-        "0,1\n1e-6,2\ninf,1\n",  # a non-finite end point passes Profile1D's
-        "-inf,1\n1e-6,2\n2e-6,1\n",  # increasing-and-uniform grid checks
+        "0,1\n1e-6,2\ninf,1\n",
+        "-inf,1\n1e-6,2\n2e-6,1\n",
     ], ids=["one-row", "non-uniform-grid", "non-numeric", "nan-value", "inf-value",
             "minus-inf-value", "nan-grid", "inf-grid", "minus-inf-grid"])
     def test_malformed_profile_exit_code(self, tmp_path, capsys, text):
@@ -335,6 +335,15 @@ class TestFreshProcess:
         proc = fresh_python("-c", code, str(profile_path), str(tmp_path / "mag"))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 []"  # exit code, scipy modules loaded
+
+    def test_cli_import_loads_no_thread_pool_and_no_scipy(self):
+        # both are imported where first used: on every CLI start they would
+        # cost import time that most commands never need
+        code = ("import sys; import qiul.cli\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'scipy')))")
+        proc = fresh_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_first_erf_call_under_errstate(self, tmp_path):
         # the fresh process imports scipy on its first edge-response

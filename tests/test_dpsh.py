@@ -82,6 +82,39 @@ class TestSynthesize:
         c = synthesize_stack(scene, FOUR_STEPS, noise, seed=124)
         assert not np.array_equal(a.frames, c.frames)
 
+    @pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(shot=True), NoiseModel(read_sigma=30.0),
+                                       NoiseModel(read_sigma=30.0, shot=True)],
+                             ids=["none", "shot", "read", "shot+read"])
+    def test_frames_equal_serial_reference(self, noise, rng):
+        # 16 frames: more tasks than workers on any host with fewer CPUs.
+        # The reference renders the stack in one broadcast and noises it
+        # frame by frame in one thread.
+        scene = random_scene(rng, shape=(7, 300))
+        phases = 2.0 * math.pi * np.arange(16) / 16
+        b, a, p0 = scene.background, scene.modulation, scene.phase_map
+        expected = b[None, :, :] + a[None, :, :] * np.cos(phases[:, None, None] + p0[None, :, :])
+        if noise.enabled:
+            streams = [np.random.default_rng(s) for s in np.random.SeedSequence(42).spawn(16)]
+            noisy = np.empty_like(expected)
+            for k, stream in enumerate(streams):
+                frame = expected[k]
+                if noise.shot:
+                    frame = stream.poisson(np.clip(frame, 0.0, 1e18)).astype(float)
+                if noise.read_sigma > 0:
+                    frame = frame + stream.normal(0.0, noise.read_sigma, size=frame.shape)
+                noisy[k] = frame
+            expected = np.clip(noisy, 0.0, 65535.0)
+        stack = synthesize_stack(scene, phases, noise, seed=42)
+        np.testing.assert_array_equal(stack.frames, expected)
+
+    def test_error_state_reaches_workers(self):
+        scene = uniform_scene(1.7e308, 1.7e308, 0.0, shape=(4, 4))  # b + a overflows
+        with np.errstate(over="raise", invalid="raise"):
+            caller_state = np.geterr()
+            with pytest.raises(FloatingPointError):
+                synthesize_stack(scene, FOUR_STEPS)
+            assert np.geterr() == caller_state
+
     def test_saturation_clip(self):
         scene = uniform_scene(6e4, 2e4, 0.0, shape=(8, 8))
         stack = synthesize_stack(scene, FOUR_STEPS, NoiseModel(read_sigma=1.0), seed=1)
@@ -180,6 +213,39 @@ class TestDemodulate:
             errors.append(result.v_image - 0.5)
         rms = float(np.sqrt(np.mean(np.square(errors))))
         assert rms < 0.01
+
+    @pytest.mark.parametrize("n_phases", [3, 16, 64])
+    def test_blocked_contractions_equal_one_product(self, n_phases, rng):
+        # 25,000 pixels: blocks of 65536 // n_phases pixels leave a partial
+        # last block for every n_phases here
+        phases = np.sort(rng.uniform(0.0, 2.0 * math.pi, n_phases))
+        frames = rng.uniform(-100.0, 1000.0, size=(n_phases, 5, 5000))
+        frames[:, :, ::97] -= 1000.0  # pixels with a negative fitted background
+        result = demodulate(InterferogramStack(frames=frames, phases=phases))
+        design = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
+        pinv = np.linalg.solve(design.T @ design, design.T)
+        coeffs = np.tensordot(pinv, frames, axes=1)
+        b, c, s = coeffs
+        amp = np.hypot(c, s)
+        phase = np.arctan2(-s, c)
+        invalid = ~(b > 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vis = np.where(invalid, np.nan, np.clip(amp / np.where(invalid, 1.0, b), 0.0, 1.0))
+        fitted = np.tensordot(design, coeffs, axes=1)
+        np.testing.assert_array_equal(result.g_image, 2.0 * amp)
+        np.testing.assert_array_equal(result.v_image, vis)
+        phase = np.where(phase <= -math.pi, phase + 2.0 * math.pi, phase)
+        np.testing.assert_array_equal(result.phase_image, phase)
+        np.testing.assert_array_equal(result.b_image, b)
+        assert result.residual_rms == float(np.sqrt(np.mean((frames - fitted) ** 2)))
+        assert result.n_invalid == np.count_nonzero(invalid) > 0
+
+    def test_more_phases_than_one_block_holds(self):
+        # 65536 // n_phases is 0 here: the blocks still hold one pixel
+        phases = 2.0 * math.pi * np.arange(65537) / 65537
+        stack = InterferogramStack(frames=5.0 + 2.0 * np.cos(phases)[:, None, None] * np.ones((1, 1, 2)),
+                                   phases=phases)
+        np.testing.assert_allclose(demodulate(stack).g_image, 4.0, rtol=1e-9)
 
     def test_degenerate_phases(self):
         frames = np.zeros((3, 2, 2))

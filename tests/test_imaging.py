@@ -216,6 +216,14 @@ class TestProfile1D:
         with pytest.raises(ValueError):
             Profile1D(grid=np.array([0.0, 1.0, 3.0]), values=np.zeros(3))
 
+    @pytest.mark.parametrize("grid", [[0.0, np.nan, 2e-6], [0.0, 1e-6, np.inf], [-np.inf, 1e-6, 2e-6]],
+                             ids=["nan", "inf-last", "-inf-first"])
+    def test_non_finite_grid_rejected(self, grid):
+        # inf - inf is NaN and inf > inf is false, so neither the increasing
+        # nor the uniformity check sees these grids
+        with pytest.raises(ValueError, match="grid must be finite"):
+            Profile1D(grid=np.array(grid), values=np.zeros(3))
+
     def test_visibility_bounds_enforced(self):
         with pytest.raises(ValueError):
             Profile1D(grid=np.linspace(0, 1, 4), values=np.array([0.0, 0.5, 1.2, 1.0]), kind="v")
