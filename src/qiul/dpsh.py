@@ -175,6 +175,8 @@ def synthesize_stack(
     phases = np.asarray(phases, dtype=float)
     if phases.ndim != 1 or phases.size < 3:
         raise TooFewPhases(f"need >= 3 phase steps, got {phases.size}")
+    if seed < 0:  # SeedSequence rejects it too, but only once noise is on
+        raise NonPositiveParameter(f"seed must be a non-negative integer, got {seed!r}")
     b, a, p0 = scene.background, scene.modulation, scene.phase_map
     frames = np.empty((phases.size, *scene.shape))
     seeds = np.random.SeedSequence(seed).spawn(phases.size) if noise.enabled else None

@@ -21,13 +21,14 @@ import numpy as np
 from .core import DEFAULT_M_D_C, OpticalSetup, SourceParams
 from .errors import (
     GateFailed,
+    NonPositiveParameter,
     NotConverged,
     PeaksNotResolved,
     RangeNotSpanned,
     SeparableState,
     SingularNormalEquations,
 )
-from .imaging import Profile1D, erf, esf_slope_coefficient, g_envelope_coefficient, g_esf, v_esf
+from .imaging import Profile1D, _coefficients, erf, g_esf, v_esf
 from .spreads import _g_esf_widths, spread_v_closed
 
 __all__ = [
@@ -290,8 +291,7 @@ def fit_edge_profiles(
     else:
         # s_g at x_tilde_o = 0 and at the fitted edge offset, from one two-row solve
         spread_g, spread_g_fitted = _g_esf_widths(
-            g_envelope_coefficient(params), esf_slope_coefficient(params),
-            [0.0, g_fit.parameters["m_u_x_o"] / m_d_g],
+            *_coefficients(params), [0.0, g_fit.parameters["m_u_x_o"] / m_d_g]
         ).tolist()
         deviation = abs(m_d_g * spread_g_fitted / (m_d_v * spread_g) - 1.0)
     passed = deviation < GATE_THRESHOLD
@@ -342,8 +342,12 @@ def fit_double_slit(
     magnification is the fitted peak distance over the object-plane slit
     distance, its uncertainty the quadrature sum of the fit covariance
     and the object tolerance contributions."""
-    if not slit_distance_object > 0:
-        raise ValueError("slit_distance_object must be > 0")
+    if not 0 < slit_distance_object < math.inf:
+        raise NonPositiveParameter(f"slit distance must be a positive finite length, "
+                                   f"got {slit_distance_object!r}")
+    if not 0 <= object_tolerance < math.inf:
+        raise NonPositiveParameter(f"slit tolerance must be a finite length >= 0, "
+                                   f"got {object_tolerance!r}")
     x = profile.grid
     y = profile.values
     i, j = _two_peak_candidates(y)

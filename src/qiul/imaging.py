@@ -201,14 +201,33 @@ def _as_array(x):
     return arr
 
 
+def _edge_coefficients(lambda_d, lambda_u, crystal_length, pump_waist):
+    """(k, c) of g_envelope_coefficient and esf_slope_coefficient. L and
+    w_p may be arrays, which broadcast to one (k, c) per element; squares
+    are products, which round alike for one element and for many."""
+    lsum = lambda_d + lambda_u
+    tw = 2.0 * math.pi * (pump_waist * pump_waist) * lsum
+    den = lambda_d * lambda_d * crystal_length + tw
+    sqrt = np.sqrt if isinstance(den, np.ndarray) else math.sqrt  # one row stays a float
+    c = math.sqrt(2.0) * (lambda_d * lambda_u * crystal_length - tw) / (
+        sqrt(den * crystal_length) * pump_waist * lsum)
+    return 4.0 * math.pi * lsum / den, c
+
+
+def _coefficients(params: SourceParams) -> tuple[float, float]:
+    """(k, c) of one parameter set. Float products overflow without an
+    error, so a w_p^2 or c^2 outside the float range raises here."""
+    k, c = _edge_coefficients(params.lambda_d, params.lambda_u, params.crystal_length,
+                              params.pump_waist)
+    if not math.isfinite(c * c):
+        raise OverflowError(f"edge coefficients of {params} leave the float range")
+    return k, c
+
 
 def g_envelope_coefficient(params: SourceParams) -> float:
     """Coefficient k of the ESF Gaussian envelope exp{-k x_c^2 / M_d^2}:
-    k = 4 pi (ld+lu) / (ld^2 L + 2 pi w_p^2 (ld+lu))."""
-    lsum = params.lambda_d + params.lambda_u
-    return 4.0 * math.pi * lsum / (
-        params.lambda_d**2 * params.crystal_length + 2.0 * math.pi * params.pump_waist**2 * lsum
-    )
+    k = 4 pi (ld+lu) / (ld^2 L + 2 pi w_p^2 (ld+lu)), one formula with c."""
+    return _coefficients(params)[0]
 
 
 def esf_slope_coefficient(params: SourceParams) -> float:
@@ -220,17 +239,10 @@ def esf_slope_coefficient(params: SourceParams) -> float:
     Negative above the singular waist, zero at it. v_psf is
     exp{-c^2 rho_c^2 / M_d^2} by construction, so d/dx_c V_ESF
     (normalized) = V_PSF holds exactly. With k = g_envelope_coefficient,
-    (k, c) is the whole closed-form image model: a_dd = k + c^2, the
-    amplitude spread is 1/sqrt(k + c^2) and the visibility spread 1/|c|."""
-    lsum = params.lambda_d + params.lambda_u
-    tw = 2.0 * math.pi * params.pump_waist**2 * lsum
-    num = math.sqrt(2.0) * (params.lambda_d * params.lambda_u * params.crystal_length - tw)
-    den = (
-        math.sqrt((params.lambda_d**2 * params.crystal_length + tw) * params.crystal_length)
-        * params.pump_waist
-        * lsum
-    )
-    return num / den
+    (k, c), one formula also evaluated over the grid of a theory sweep,
+    is the whole closed-form image model: a_dd = k + c^2, the amplitude
+    spread is 1/sqrt(k + c^2) and the visibility spread 1/|c|."""
+    return _coefficients(params)[1]
 
 
 def _gaussian_psf(coeff: float, setup: OpticalSetup, rho_c):
@@ -244,17 +256,8 @@ def g_psf(params: SourceParams, setup: OpticalSetup, rho_c):
     """Amplitude-image point spread function exp{-(k + c^2) rho_c^2 / M_d^2}
     (peak 1 at rho_c = 0); k + c^2 is the detected-position coefficient
     a_dd of biphoton.gaussian_quadratic_form."""
-    return _gaussian_psf(g_envelope_coefficient(params) + esf_slope_coefficient(params) ** 2,
-                         setup, rho_c)
-
-
-def _require_not_separable(params: SourceParams) -> None:
-    w_sing = singular_waist(params)
-    if abs(params.pump_waist - w_sing) / w_sing < SEPARABLE_REL_TOL:
-        raise SeparableState(
-            f"pump waist {params.pump_waist:.6g} m at the separability point "
-            f"{w_sing:.6g} m: visibility is constant and carries no spread"
-        )
+    k, c = _coefficients(params)
+    return _gaussian_psf(k + c * c, setup, rho_c)
 
 
 def v_psf(params: SourceParams, setup: OpticalSetup, rho_c):
@@ -263,16 +266,21 @@ def v_psf(params: SourceParams, setup: OpticalSetup, rho_c):
 
     Raises SeparableState at the singular waist where the visibility
     becomes constant and the spread is undefined."""
-    _require_not_separable(params)
-    return _gaussian_psf(esf_slope_coefficient(params) ** 2, setup, rho_c)
+    w_sing = singular_waist(params)
+    if abs(params.pump_waist - w_sing) / w_sing < SEPARABLE_REL_TOL:
+        raise SeparableState(
+            f"pump waist {params.pump_waist:.6g} m at the separability point "
+            f"{w_sing:.6g} m: visibility is constant and carries no spread"
+        )
+    c = esf_slope_coefficient(params)
+    return _gaussian_psf(c * c, setup, rho_c)
 
 
 def g_esf(params: SourceParams, setup: OpticalSetup, x_c, x_tilde_o: float = 0.0):
     """Amplitude-image edge response: Gaussian envelope times
     [1 - erf{c (x_c - M_u x_o~) / M_d}]. Ranges over (0, ~2) times the
     envelope; the absolute scale is a convention."""
-    k = g_envelope_coefficient(params)
-    c = esf_slope_coefficient(params)
+    k, c = _coefficients(params)
     x = _as_array(x_c)
     u = (x - setup.m_u * x_tilde_o) / setup.m_d
     out = np.exp(-k * (x / setup.m_d) ** 2) * (1.0 - erf(c * u))
@@ -294,11 +302,8 @@ def g_esf_derivative(params: SourceParams, setup: OpticalSetup, x_c, x_tilde_o: 
     """Analytic d/dx_c of g_esf (signed; not a classical LSF because the
     system is not isoplanatic in the amplitude image)."""
     m_d = setup.m_d
-    x = _as_array(x_c)
-    out = _unit_g_esf_derivative(
-        g_envelope_coefficient(params), esf_slope_coefficient(params),
-        x / m_d, setup.m_u * x_tilde_o / m_d,
-    ) / m_d
+    out = _unit_g_esf_derivative(*_coefficients(params), _as_array(x_c) / m_d,
+                                 setup.m_u * x_tilde_o / m_d) / m_d
     return out if out.ndim else out.item()
 
 

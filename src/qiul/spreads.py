@@ -21,10 +21,11 @@ from .core import OpticalSetup, SourceParams, singular_waist
 from .errors import MultiPeak, NoCrossing, NotConverged, RangeNotSpanned, SeparableState
 from .imaging import (
     Profile1D,
+    _coefficients,
+    _edge_coefficients,
     _unit_g_esf_derivative,
     erf,
     esf_slope_coefficient,
-    g_envelope_coefficient,
 )
 
 __all__ = [
@@ -169,7 +170,8 @@ def spread_g_psf_closed(params: SourceParams) -> float:
     """1/e half-width of the amplitude PSF, magnification adjusted:
     1/sqrt(k + c^2) for k = g_envelope_coefficient and
     c = esf_slope_coefficient (g_psf's exponent coefficient)."""
-    return 1.0 / math.sqrt(g_envelope_coefficient(params) + esf_slope_coefficient(params) ** 2)
+    k, c = _coefficients(params)
+    return 1.0 / math.sqrt(k + c * c)
 
 
 def spread_v_closed(params: SourceParams, below_singularity: bool = False) -> float:
@@ -200,9 +202,7 @@ def spread_g_esf_numeric(params: SourceParams, x_tilde_o: float = 0.0) -> float:
     has no positive finite maximum or does not fall to 1/e of it on
     both sides, and MultiPeak when it has more than one local maximum
     above half maximum."""
-    k = g_envelope_coefficient(params)
-    c = esf_slope_coefficient(params)
-    return float(_g_esf_widths(k, c, x_tilde_o)[0])
+    return float(_g_esf_widths(*_coefficients(params), x_tilde_o)[0])
 
 
 _COARSE_GRID = np.linspace(-1.0, 1.0, 65)  # in units of the span
@@ -373,38 +373,34 @@ def theory_sweep_rows(
 ) -> list[dict]:
     """One row per (L, w_p) pair, sorted by the pair. Waists at or below
     the singular waist carry the SeparableState marker in the columns
-    that diverge there. Every value equals its one-row library call
-    (spread_g_psf_closed, spread_v_closed, spread_g_esf_numeric,
-    singular_waist, min_resolvable_distance at setup.m_u)."""
+    that diverge there. Each distinct L and w_p is validated once (the
+    thin-crystal check reads only L). k and c come from the one-row
+    formula evaluated once over the grid, so every value equals its
+    one-row library call by construction (spread_g_psf_closed,
+    spread_v_closed, spread_g_esf_numeric, singular_waist,
+    min_resolvable_distance at setup.m_u)."""
+    lengths = sorted(set(float(v) for v in lengths))
+    waists = sorted(set(float(v) for v in waists))
+    w_sings = [singular_waist(replace(base, crystal_length=L)) for L in lengths]
+    for w in waists:
+        replace(base, pump_waist=w)  # raises for an invalid w_p
+    grid_l, grid_w = (a.ravel() for a in np.meshgrid(lengths, waists, indexing="ij"))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):  # as one-row calls do
+        k, c = _edge_coefficients(base.lambda_d, base.lambda_u, grid_l, grid_w)
+        spread_g_psf = 1.0 / np.sqrt(k + c * c)
     rows = []
-    ks, cs = [], []
-    for L in sorted(set(float(v) for v in lengths)):
-        for w in sorted(set(float(v) for v in waists)):
-            p = replace(base, crystal_length=L, pump_waist=w)
-            w_sing = singular_waist(p)
-            row = {
-                "L_m": L,
-                "w_p_m": w,
-                "spread_g_psf_m": spread_g_psf_closed(p),
-                "w_sing_m": w_sing,
-            }
-            ks.append(g_envelope_coefficient(p))
-            cs.append(esf_slope_coefficient(p))
-            # the visibility spread diverges like (1 - w_sing^2/w_p^2)^-1;
-            # within 0.1% of the singularity the value is meaningless, so
-            # such rows carry the marker as well
-            if w > w_sing * (1.0 + 1e-3):
-                row["spread_v_m"] = spread_v_closed(p)
-                row["d_min_m"] = _d_min(row["spread_v_m"], setup.m_u)
-            else:
-                row["spread_v_m"] = SEPARABLE_MARKER
-                row["ratio"] = SEPARABLE_MARKER
-                row["d_min_m"] = SEPARABLE_MARKER
-            rows.append(row)
-    for row, width in zip(rows, _g_esf_widths(ks, cs, 0.0).tolist()):
-        row["spread_g_esf_m"] = width
-        if "ratio" not in row:
-            row["ratio"] = width / row["spread_v_m"]
+    pairs = ((L, w_sing, w) for L, w_sing in zip(lengths, w_sings) for w in waists)
+    for (L, w_sing, w), psf, c_row, width in zip(
+        pairs, spread_g_psf.tolist(), c.tolist(), _g_esf_widths(k, c, 0.0).tolist()
+    ):
+        # the visibility spread diverges like (1 - w_sing^2/w_p^2)^-1: within
+        # 0.1% of the singularity the value is meaningless, so mark it too
+        if w > w_sing * (1.0 + 1e-3):
+            spread_v = 1.0 / abs(c_row)
+            ratio, d_min = width / spread_v, _d_min(spread_v, setup.m_u)
+        else:
+            spread_v = ratio = d_min = SEPARABLE_MARKER
+        rows.append(dict(zip(SWEEP_COLUMNS, (L, w, spread_v, psf, width, ratio, w_sing, d_min))))
     return rows
 
 

@@ -238,6 +238,22 @@ class TestSimulateAndAnalyze:
         assert run(args) == 2
         assert "pitch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("noise", ["none", "shot:on"])
+    def test_negative_seed_exit_code(self, tmp_path, capsys, noise):
+        # numpy's SeedSequence rejects -1 only when a noise model draws
+        code = run(["simulate-edge", "--out", tmp_path, "--seed", -1, "--noise", noise,
+                    "--rows", 2, "--cols", 64])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_waist_outside_float_range_exit_code(self, tmp_path):
+        # w_p^2 = 1e308 fits a float, but 2 pi w_p^2 (ld + lu) does not
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("pump_waist = 1e154m\n", encoding="utf-8")
+        assert run(["simulate-edge", "--config", cfg, "--out", tmp_path / "sim",
+                    "--rows", 2, "--cols", 64]) == 3
+
     def test_flat_profile_exit_code(self, tmp_path):
         # at a 1 m pitch the amplitude envelope underflows to zero on every pixel
         code = run(["simulate-edge", "--out", tmp_path / "sim", "--pitch", "1m",
@@ -293,6 +309,28 @@ class TestMagnificationCommand:
         profile_path = tmp_path / "single.csv"
         write_profile_csv(Profile1D(grid=x, values=np.exp(-((x / 1e-4) ** 2))), profile_path)
         assert run(["magnification", "--profile", profile_path, "--out", tmp_path / "m"]) == 3
+
+    @pytest.mark.parametrize("option, value", [
+        ("--slit-distance", "0um"), ("--slit-distance", "-133um"), ("--slit-distance", "1e309m"),
+        ("--slit-tolerance", "-5um"), ("--slit-tolerance", "1e309m"),
+    ])
+    def test_bad_slit_geometry_exit_code(self, tmp_path, capsys, option, value):
+        profile_path = tmp_path / "slits.csv"
+        self.write_two_slit_profile(profile_path)
+        code = run(["magnification", "--profile", profile_path, f"{option}={value}",
+                    "--out", tmp_path / "m"])
+        assert code == 2
+        assert option[2:].replace("-", " ") in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    def test_zero_slit_tolerance_accepted(self, tmp_path):
+        profile_path = tmp_path / "slits.csv"
+        self.write_two_slit_profile(profile_path)
+        out = tmp_path / "m"
+        assert run(["magnification", "--profile", profile_path, "--slit-tolerance", "0um",
+                    "--out", out]) == 0
+        report = json.loads((out / "magnification.json").read_text())
+        assert report["relative_uncertainty"] < 23.0 / 133.0
 
     @pytest.mark.parametrize("text", [
         "1e-4,0.5\n",
@@ -411,6 +449,8 @@ NOISE_PARTS = (st.builds("read:{}".format, NUMBERS)
                | st.text(max_size=8))
 NOISE_SPECS = st.sampled_from(["none", ""]) | st.lists(NOISE_PARTS, min_size=1, max_size=3).map(",".join)
 BACKGROUNDS = NUMBERS | st.sampled_from(["1e4", "-1", "0", "-inf", "1e300", "5e-324"]) | st.text(max_size=6)
+SEEDS = (st.integers(-2**64, 2**64).map(str) | st.sampled_from(["-1", "0", "-0", "+3"])
+         | NUMBERS | st.text(max_size=6))
 # per config key, values that keep the other keys valid
 VALID_CONFIG_VALUES = {
     "lambda_p": ["405nm"], "lambda_d": ["730nm"], "lambda_u": ["910nm"],
@@ -444,6 +484,13 @@ def simulated_stack(tmp_path_factory):
     assert run(["simulate-edge", "--config", cfg, "--out", sim, "--phases", 4,
                 "--rows", 12, "--cols", 256, "--pitch", "2um"]) == 0
     return sim, cfg
+
+
+@pytest.fixture(scope="module")
+def two_slit_profile(tmp_path_factory):
+    path = tmp_path_factory.mktemp("slits") / "slits.csv"
+    TestMagnificationCommand.write_two_slit_profile(path)
+    return path
 
 
 @st.composite
@@ -514,6 +561,24 @@ class TestExitCodeContract:
         with tempfile.TemporaryDirectory() as tmp:
             code = exit_code(["simulate-edge", "--out", tmp, "--rows", 2, "--cols", 64,
                               "--phases", 3, f"--noise={noise}", f"--background={background}"])
+        assert code in (0, 2, 3, 4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, noise=st.sampled_from(["none", "shot:on", "read:0.01"]))
+    def test_simulate_edge_seed_strings(self, seed, noise):
+        with tempfile.TemporaryDirectory() as tmp:
+            code = exit_code(["simulate-edge", "--out", tmp, "--rows", 2, "--cols", 64,
+                              "--phases", 3, f"--seed={seed}", "--noise", noise])
+        assert code in (0, 2, 3, 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(distance=st.none() | LENGTHS, tolerance=st.none() | LENGTHS)
+    def test_magnification_slit_strings(self, two_slit_profile, distance, tolerance):
+        args = ["magnification", "--profile", two_slit_profile]
+        args += [] if distance is None else [f"--slit-distance={distance}"]
+        args += [] if tolerance is None else [f"--slit-tolerance={tolerance}"]
+        with tempfile.TemporaryDirectory() as tmp:
+            code = exit_code(args + ["--out", tmp])
         assert code in (0, 2, 3, 4)
 
     @settings(max_examples=40, deadline=None)

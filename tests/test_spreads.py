@@ -6,11 +6,21 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import erf
 
+from qiul import core
 from qiul.core import OpticalSetup, singular_waist
-from qiul.errors import MultiPeak, NoCrossing, RangeNotSpanned, SeparableState
+from qiul.errors import (
+    MultiPeak,
+    NoCrossing,
+    NonPositiveParameter,
+    RangeNotSpanned,
+    SeparableState,
+    ThinCrystalRegime,
+)
 from qiul.imaging import (
     Profile1D,
     _unit_g_esf_derivative,
@@ -38,7 +48,7 @@ from qiul.spreads import (
     write_sweep_csv,
 )
 
-from conftest import make_params
+from conftest import LAMBDA_D, LAMBDA_U, make_params
 
 mp.mp.dps = 50
 LD, LU = mp.mpf("730e-9"), mp.mpf("910e-9")
@@ -478,3 +488,84 @@ class TestSweep:
         assert theory == {key: row[key] for key in
                           ("spread_g_psf_m", "spread_g_esf_m", "w_sing_m", "spread_v_m", "d_min_m")}
         assert (theory["spread_v_m"] == SEPARABLE_MARKER) == (waist_ratio < 1.001)
+
+
+# waists whose float power w**2 (libm pow) and product w*w round apart: a
+# sweep that squared by one and a one-row call by the other would differ
+POW_AND_PRODUCT_DIFFER = [
+    w for w in np.random.default_rng(7).uniform(20e-6, 2e-3, 20000).tolist() if w**2 != w * w
+][:16]
+
+
+@st.composite
+def sweep_grids(draw):
+    lengths = draw(st.lists(st.floats(1e-3, 10e-3), min_size=1, max_size=3))
+    waists = draw(st.lists(st.floats(20e-6, 2e-3), max_size=5))
+    if POW_AND_PRODUCT_DIFFER:
+        waists += draw(st.lists(st.sampled_from(POW_AND_PRODUCT_DIFFER), min_size=1, max_size=3))
+    return lengths, waists
+
+
+class TestSweepIsOneRowCalls:
+    def test_grid_has_waists_where_power_and_product_differ(self):
+        # the property below is vacuous for the squares without them
+        assert len(POW_AND_PRODUCT_DIFFER) >= 8
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid=sweep_grids(), m_u=st.sampled_from([1.0, 3.0]))
+    def test_every_value_equals_its_one_row_call(self, grid, m_u):
+        lengths, waists = grid
+        setup = OpticalSetup(m_d=2.67 * m_u, m_u=m_u, m_d_i=m_u, m_u_i=m_u, m_d_c=2.67)
+        base = make_params()
+        rows = theory_sweep_rows(base, lengths, waists, setup)
+        assert [(r["L_m"], r["w_p_m"]) for r in rows] == [
+            (L, w) for L in sorted(set(lengths)) for w in sorted(set(waists))
+        ]
+        for row in rows:
+            p = replace(base, crystal_length=row["L_m"], pump_waist=row["w_p_m"])
+            assert row["spread_g_psf_m"] == spread_g_psf_closed(p)
+            assert row["w_sing_m"] == singular_waist(p)
+            assert row["spread_g_esf_m"] == spread_g_esf_numeric(p)
+            if row["spread_v_m"] == SEPARABLE_MARKER:
+                assert row["ratio"] == row["d_min_m"] == SEPARABLE_MARKER
+                assert row["w_p_m"] <= row["w_sing_m"] * (1.0 + 1e-3)
+            else:
+                assert row["spread_v_m"] == spread_v_closed(p)
+                assert row["ratio"] == row["spread_g_esf_m"] / spread_v_closed(p)
+                assert row["d_min_m"] == min_resolvable_distance(p, m_u)
+
+    def test_validates_each_length_and_waist_once(self, monkeypatch, setup):
+        calls = []
+
+        def counting(params):
+            calls.append(params)
+            return validate_params(params)
+
+        base = make_params()
+        validate_params = core.validate_params
+        monkeypatch.setattr(core, "validate_params", counting)
+        waists = list(np.geomspace(20e-6, 2e-3, 400))
+        rows = theory_sweep_rows(base, [2e-3, 5e-3, 10e-3, 5e-3], waists + waists[:7], setup)
+        assert len(rows) == 3 * 400
+        assert len(calls) == 3 + 400
+
+    @pytest.mark.parametrize("lengths, waists, error", [
+        ([2e-3, 5e-3], [142e-6, 0.0], NonPositiveParameter),
+        ([2e-3, 99.0 * (LAMBDA_D + LAMBDA_U)], [142e-6], ThinCrystalRegime),
+        ([2e-3], [142e-6, 1e200], ArithmeticError),
+        ([2e-3], [1e-200, 142e-6], ArithmeticError),
+    ], ids=["zero-waist", "thin-crystal", "waist-squared-overflows", "slope-squared-overflows"])
+    def test_library_call_raises_without_caller_error_state(self, setup, lengths, waists, error):
+        assert np.geterr()["over"] == "warn"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                theory_sweep_rows(make_params(), lengths, waists, setup)
+
+    @pytest.mark.parametrize("waist", [1e154, 1e200, 1e-200])
+    def test_one_row_coefficients_outside_float_range_raise(self, waist):
+        # 1e154 m: w_p^2 fits a float, 2 pi w_p^2 (ld + lu) does not
+        p = make_params(2e-3, waist)
+        for one_row in (g_envelope_coefficient, esf_slope_coefficient, spread_g_psf_closed):
+            with pytest.raises(OverflowError):
+                one_row(p)
