@@ -195,22 +195,26 @@ def load_config(path) -> tuple[SourceParams, OpticalSetup]:
     take the reference defaults."""
     values = dict(DEFAULT_CONFIG)
     explicit = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw_line in enumerate(fh, start=1):
-            line = raw_line.split("#", 1)[0].split(";", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise SchemaError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key in _LENGTH_KEYS:
-                explicit[key] = parse_length(value)
-            elif key in _MAG_KEYS:
-                explicit[key] = parse_dimensionless(value)
-            else:
-                raise SchemaError(f"{path}:{lineno}: unknown key {key!r}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not a UTF-8 text file ({exc})") from exc
+    for lineno, raw_line in enumerate(lines, start=1):
+        line = raw_line.split("#", 1)[0].split(";", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise SchemaError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key in _LENGTH_KEYS:
+            explicit[key] = parse_length(value)
+        elif key in _MAG_KEYS:
+            explicit[key] = parse_dimensionless(value)
+        else:
+            raise SchemaError(f"{path}:{lineno}: unknown key {key!r}")
     values.update(explicit)
     params = SourceParams(**{key: values[key] for key in _LENGTH_KEYS})
     m_d_i = values["m_d_i"]

@@ -41,6 +41,8 @@ SATURATION_COUNTS = 65535.0  # 16-bit camera
 # largest shot-noise mean drawn as given: below numpy's Poisson limit
 # (~9.2e18), and far above saturation, so clipping to it changes no frame
 _POISSON_MEAN_MAX = 1e18
+# fewest columns of a stack: spread extraction differentiates its max-intensity row
+MIN_COLUMNS = 8
 MANIFEST_SCHEMA = "qiul.stack/2"
 CSV_MANIFEST_SCHEMA = "qiul.stack/1"
 
@@ -124,8 +126,9 @@ class InterferogramStack:
         wrapped = np.mod(phases, 2.0 * math.pi)
         if np.unique(np.round(wrapped, 12)).size != phases.size:
             raise ValueError("phases must be distinct modulo 2 pi")
-        if not self.pixel_pitch > 0:
-            raise ValueError("pixel_pitch must be > 0")
+        if not self.pixel_pitch >= sys.float_info.min:  # a subnormal pitch repeats grid points
+            raise ValueError(f"pixel_pitch must be at least {sys.float_info.min!r}, "
+                             f"got {self.pixel_pitch!r}")
 
 
 @dataclass(frozen=True)
@@ -331,10 +334,10 @@ def load_stack(manifest_path) -> InterferogramStack:
     its checks, so at most two memory maps (each holding a file
     descriptor) are open at a time however long the stack."""
     manifest_path = Path(manifest_path)
-    try:
+    try:  # RecursionError: arrays or objects nested too deep for the parser
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise SchemaError(f"manifest {manifest_path} is not valid UTF-8 JSON: {exc}") from exc
     schema = manifest.get("schema") if isinstance(manifest, dict) else None
     if schema == CSV_MANIFEST_SCHEMA:
         raise SchemaError(f"{manifest_path}: {CSV_MANIFEST_SCHEMA} stacks (CSV frames) are no "
@@ -361,6 +364,9 @@ def load_stack(manifest_path) -> InterferogramStack:
     if not (isinstance(shape, list) and len(shape) == 2
             and all(type(n) is int and n > 0 for n in shape)):
         raise SchemaError(f"{manifest_path}: shape must be a list of two positive integers")
+    if shape[1] < MIN_COLUMNS:
+        raise SchemaError(f"{manifest_path}: a stack needs at least {MIN_COLUMNS} columns, "
+                          f"got {shape[1]}")
     shape = tuple(shape)
     frames = None
     stack_dir = manifest_path.parent.resolve()

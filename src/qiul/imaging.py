@@ -107,13 +107,13 @@ def read_profile_csv(path, kind: str | None = None) -> Profile1D:
     here and not in Profile1D, whose demodulated profiles may carry
     invalid (NaN) pixels."""
     plane = "camera"
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("#") and "plane=" in line:
-                plane = line.split("plane=", 1)[1].strip()
-            if not line.startswith("#"):
-                break
-    try:
+    try:  # UnicodeDecodeError, from a file that is not UTF-8 text, is a ValueError
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("#") and "plane=" in line:
+                    plane = line.split("plane=", 1)[1].strip()
+                if not line.startswith("#"):
+                    break
         data = np.loadtxt(path, delimiter=",", ndmin=2)
         grid, values = data[:, 0], data[:, 1]
         if not np.isfinite(values).all():

@@ -2,23 +2,25 @@
 
 simulate_edge builds a camera scene whose amplitude and visibility
 images follow the closed-form edge responses, renders a phase-stepped
-interferogram stack, and then runs exactly the same analysis path that
-analyze_stack applies to user-provided stacks: demodulation, max-row
-selection, spread extraction, and the two-parameter magnification fits.
-The analysis output is therefore byte-identical whether it is produced
-during simulation or by re-analyzing the saved stack.
+interferogram stack, saves it, and runs on it exactly the same analysis
+path that analyze_stack applies to a stack loaded from disk: demodulation,
+max-row selection, spread extraction, and the two-parameter magnification
+fits. The `.npy` round trip of float64 frames is lossless, so re-analyzing
+the saved stack writes byte-identical output; a test pins this.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from .core import OpticalSetup, SourceParams
 from .dpsh import (
+    MIN_COLUMNS,
     NoiseModel,
     SceneModel,
     demodulate,
@@ -70,12 +72,13 @@ def build_edge_scene(
     """Scene whose demodulated amplitude row is proportional to the
     closed-form edge response and whose visibility row equals the
     visibility edge response: B = B0 Gy(y) E(x), A = B V_esf(x)."""
-    if rows < 1 or cols < 8:
-        raise ImageTooSmall(f"image of {rows} x {cols} pixels is too small (need >= 1 x 8)")
+    if rows < 1 or cols < MIN_COLUMNS:
+        raise ImageTooSmall(f"image of {rows} x {cols} pixels is too small (need >= 1 x {MIN_COLUMNS})")
     if not (math.isfinite(background) and background > 0):
         raise NonPositiveParameter(f"background must be a positive finite count, got {background!r}")
-    if not (math.isfinite(pixel_pitch) and pixel_pitch > 0):
-        raise NonPositiveParameter(f"pixel pitch must be a positive finite length, got {pixel_pitch!r}")
+    if not (math.isfinite(pixel_pitch) and pixel_pitch >= sys.float_info.min):
+        raise NonPositiveParameter(f"pixel pitch must be a finite length of at least "
+                                   f"{sys.float_info.min!r} m, got {pixel_pitch!r}")
     x = (np.arange(cols) - (cols - 1) / 2.0) * pixel_pitch
     y = (np.arange(rows) - (rows - 1) / 2.0) * pixel_pitch
     k = g_envelope_coefficient(params)
@@ -118,10 +121,8 @@ def _analyze(stack, params: SourceParams, out: Path) -> tuple[dict, Magnificatio
     lo, hi = (int(inside[0]), int(inside[-1]) + 1) if inside.size >= 8 else (0, b_row.size)
     g_profile = Profile1D(grid=g_full.grid[lo:hi], values=g_full.values[lo:hi],
                           plane="camera", kind="g")
-    v_row = demod.v_image[row, lo:hi]
-    if not np.all(np.isfinite(v_row)):
-        v_row = np.nan_to_num(v_row, nan=0.0)
-    v_profile = Profile1D(grid=g_profile.grid, values=np.clip(v_row, 0.0, 1.0),
+    # demodulate clips v to [0, 1]; its NaN pixels (no positive background) count as 0
+    v_profile = Profile1D(grid=g_profile.grid, values=np.nan_to_num(demod.v_image[row, lo:hi]),
                           plane="camera", kind="v")
 
     spreads = {
@@ -226,8 +227,8 @@ def simulate_edge(
     background: float = 1e4,
     x_tilde_o: float = 0.0,
 ) -> dict:
-    """Synthesize an edge measurement, save the stack, analyze it from
-    the saved files, and emit a measured-vs-theory comparison. Returns
+    """Synthesize an edge measurement, save the stack, analyze the
+    synthesized stack, and emit a measured-vs-theory comparison. Returns
     {"analysis": ..., "comparison": ...}. Float64 overflow or an invalid
     operation raises FloatingPointError."""
     out = Path(out_dir)
@@ -235,9 +236,8 @@ def simulate_edge(
     scene = build_edge_scene(params, setup, rows, cols, pixel_pitch, background, x_tilde_o)
     phases = 2.0 * math.pi * np.arange(n_phases) / n_phases
     stack = synthesize_stack(scene, phases, noise=noise, seed=seed, pixel_pitch=pixel_pitch)
-    manifest = save_stack(stack, out)
-    stack_from_disk = load_stack(manifest)
-    analysis, estimate = _analyze(stack_from_disk, params, out)
+    save_stack(stack, out)
+    analysis, estimate = _analyze(stack, params, out)
 
     row = theory_sweep_rows(params, [params.crystal_length], [params.pump_waist], setup)[0]
     theory = {key: row[key] for key in

@@ -15,12 +15,17 @@ from hypothesis import strategies as st
 
 import qiul
 from qiul.cli import main, parse_length_list, parse_noise
+from qiul.dpsh import SceneModel, save_stack, synthesize_stack
 from qiul.errors import SchemaError
 from qiul.imaging import Profile1D, write_profile_csv
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+# what analyze-stack writes besides analysis.json
+ANALYSIS_OUTPUTS = ("g_image.npy", "v_image.npy", "phase_image.npy", "g_profile.csv", "v_profile.csv")
 
 
 @pytest.fixture
@@ -150,6 +155,39 @@ class TestSimulateAndAnalyze:
         ])
         assert code == 0
         assert (ana_out / "analysis.json").read_bytes() == (sim_out / "analysis.json").read_bytes()
+        for name in ANALYSIS_OUTPUTS:
+            assert (ana_out / name).read_bytes() == (sim_out / name).read_bytes(), name
+
+        # shot and read noise: simulate-edge analyses the stack in memory,
+        # analyze-stack the copy it loads, and both write the same bytes
+        noisy_sim, noisy_ana = tmp_path / "noisy_sim", tmp_path / "noisy_ana"
+        assert run(["simulate-edge", "--config", config_file, "--out", noisy_sim,
+                    "--seed", 3, "--phases", 16, "--noise", "read:0.01,shot:on",
+                    "--pitch", "2um", "--rows", 16, "--cols", 512]) == 0
+        assert run(["analyze-stack", "--manifest", noisy_sim / "manifest.json",
+                    "--config", config_file, "--out", noisy_ana]) == 0
+        for name in ("analysis.json", *ANALYSIS_OUTPUTS):
+            assert (noisy_ana / name).read_bytes() == (noisy_sim / name).read_bytes(), name
+
+    def test_frame_write_error_exit_code(self, tmp_path, monkeypatch):
+        # simulate-edge does not read the saved stack back: a failed frame
+        # write must still stop it before any analysis
+        def full_disk(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("qiul.dpsh.np.save", full_disk)
+        out = tmp_path / "sim"
+        assert run(["simulate-edge", "--out", out, "--rows", 8, "--cols", 64]) == 4
+        assert not (out / "analysis.json").exists()
+
+    @pytest.mark.parametrize("cols", [1, 2, 4, 5, 7])
+    def test_narrow_stack_exit_code(self, tmp_path, capsys, cols):
+        scene = SceneModel(background=np.full((4, cols), 1e4), modulation=np.full((4, cols), 5e3),
+                           phase_map=np.zeros((4, cols)))
+        stack = synthesize_stack(scene, 2.0 * np.pi * np.arange(4) / 4, pixel_pitch=2e-6)
+        manifest = save_stack(stack, tmp_path / "stack")
+        assert run(["analyze-stack", "--manifest", manifest, "--out", tmp_path / "ana"]) == 2
+        assert str(manifest) in capsys.readouterr().err
 
     def test_three_phase_stack_valid(self, tmp_path, config_file):
         out = tmp_path / "sim3"
@@ -202,8 +240,9 @@ class TestSimulateAndAnalyze:
         ("noise", 3),
         ("pixel_pitch_m", [1]),
         ("pixel_pitch_m", 10**400),
+        ("pixel_pitch_m", 5e-324),
     ], ids=["shape-not-a-list", "equal-phases", "phases-not-a-list", "noise-not-an-object",
-            "pitch-not-a-number", "pitch-beyond-float-range"])
+            "pitch-not-a-number", "pitch-beyond-float-range", "pitch-subnormal"])
     def test_malformed_manifest_exit_code(self, tmp_path, config_file, capsys, key, value):
         sim_out = tmp_path / "sim"
         run(["simulate-edge", "--config", config_file, "--out", sim_out,
@@ -232,7 +271,7 @@ class TestSimulateAndAnalyze:
         # read noise is a fraction of the background
         assert run(args + ["--noise", "read:0.01"]) == 2
 
-    @pytest.mark.parametrize("pitch", ["-1um", "0", "1e309"])
+    @pytest.mark.parametrize("pitch", ["-1um", "0", "1e309", "5e-324m", "1e-320m"])
     def test_bad_pitch_exit_code(self, tmp_path, capsys, pitch):
         args = ["simulate-edge", "--out", tmp_path, f"--pitch={pitch}", "--rows", 2, "--cols", 64]
         assert run(args) == 2
@@ -525,6 +564,37 @@ def frame_edits(draw):
 
 
 class TestExitCodeContract:
+    @pytest.mark.parametrize("command, option, data", [
+        ("theory-sweep", "--config", b"crystal_length = 2mm\n\xff\n"),
+        ("analyze-stack", "--manifest", b"\xff{}"),
+        ("magnification", "--profile", b"0,1\n1e-6,2\xff\n2e-6,1\n"),
+        ("analyze-stack", "--manifest", b"[" * 100_000),
+    ], ids=["config", "manifest", "profile", "manifest-nested-too-deep"])
+    def test_unreadable_file_exit_code(self, tmp_path, capsys, command, option, data):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        assert run([command, option, path, "--out", tmp_path / "out"]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.binary(max_size=64))
+    def test_file_bytes(self, simulated_stack, data):
+        # the same bytes as a config, a stack manifest and a profile CSV
+        sim, cfg = simulated_stack
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            shutil.copytree(sim, tmp / "sim")
+            for path in (tmp / "run.cfg", tmp / "sim" / "manifest.json", tmp / "profile.csv"):
+                path.write_bytes(data)
+            codes = {
+                run(["theory-sweep", "--config", tmp / "run.cfg", "--out", tmp / "sweep",
+                     "--lengths", "2mm", "--waists", "142um"]),
+                run(["analyze-stack", "--manifest", tmp / "sim" / "manifest.json",
+                     "--config", cfg, "--out", tmp / "ana"]),
+                run(["magnification", "--profile", tmp / "profile.csv", "--out", tmp / "mag"]),
+            }
+        assert codes <= {0, 2, 3, 4}
+
     @settings(max_examples=60, deadline=5000)
     @given(manifest=manifest_edits(), frames=frame_edits())
     def test_analyze_stack_mutated_input(self, simulated_stack, manifest, frames):

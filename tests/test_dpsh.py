@@ -317,7 +317,7 @@ def write_oversized_header(path, values):
 
 class TestPersistence:
     def test_round_trip_bitwise(self, tmp_path, rng):
-        scene = random_scene(rng, shape=(5, 6))
+        scene = random_scene(rng, shape=(5, 8))
         stack = synthesize_stack(scene, FOUR_STEPS, NoiseModel(read_sigma=30.0), seed=9)
         manifest = save_stack(stack, tmp_path)
         back = load_stack(manifest)
@@ -392,7 +392,7 @@ class TestPersistence:
     def test_long_stack_under_low_descriptor_limit(self, tmp_path, rng):
         # 200 frames against a soft limit of 64 open files
         phases = np.linspace(0.0, 2.0 * math.pi, 200, endpoint=False)
-        stack = synthesize_stack(random_scene(rng, shape=(2, 4)), phases)
+        stack = synthesize_stack(random_scene(rng, shape=(2, 8)), phases)
         manifest = save_stack(stack, tmp_path)
         np.save(tmp_path / "expected.npy", stack.frames)
         script = (

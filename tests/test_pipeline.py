@@ -43,3 +43,16 @@ class TestEdgeScene:
     def test_background_must_be_positive_and_finite(self, background):
         with pytest.raises(ValidationError, match="background"):
             build_edge_scene(make_params(), OpticalSetup(), 4, 64, 6.5e-6, background)
+
+
+class TestSimulateEdge:
+    def test_analyses_the_synthesized_stack(self, tmp_path, monkeypatch):
+        # the stack it saves is not read back: load_stack serves analyze_stack only
+        def no_reload(*args, **kwargs):
+            raise AssertionError("simulate_edge called load_stack")
+
+        monkeypatch.setattr("qiul.pipeline.load_stack", no_reload)
+        result = simulate_edge(make_params(5e-3, 214e-6), OpticalSetup(), tmp_path, rows=12,
+                               cols=256, pixel_pitch=2e-6)
+        assert result["analysis"]["gate"]["passed"]
+        assert (tmp_path / "manifest.json").exists()
