@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_M_D_C, OpticalSetup, SourceParams
+from .core import DEFAULT_M_D_C, SourceParams
 from .errors import (
     GateFailed,
     NonPositiveParameter,
@@ -28,7 +28,7 @@ from .errors import (
     SeparableState,
     SingularNormalEquations,
 )
-from .imaging import Profile1D, _coefficients, erf, g_esf, v_esf
+from .imaging import Profile1D, _coefficients, erf
 from .spreads import _g_esf_widths, spread_v_closed
 
 __all__ = [
@@ -122,10 +122,16 @@ def least_squares_fit(
     init: dict[str, float],
     bounds: dict[str, tuple[float, float]] | None = None,
     scales: dict[str, float] | None = None,
+    jacobian=None,
 ) -> FitResult:
     """Levenberg-damped Gauss-Newton minimization of
-    sum (model(x, params) - y)^2 with a central-difference numerical
-    Jacobian (relative step 1e-6 per parameter).
+    sum (model(x, params) - y)^2.
+
+    jacobian(x, params), when given, returns the model's analytic
+    Jacobian, an (n, n_par) array with columns in init order. Without it
+    the Jacobian is the central difference of the residual, 2 n_par model
+    evaluations with a relative step of 1e-6 of max(|param|, scale) per
+    parameter; scales only set that step.
 
     Converges when the relative step norm drops below 1e-10 or the
     relative residual change below 1e-12; raises NotConverged after 200
@@ -143,26 +149,27 @@ def least_squares_fit(
     theta = np.array([float(init[k]) for k in names])
     if np.any(theta < lo) or np.any(theta > hi):
         raise ValueError("initial parameters outside bounds")
-    scale = np.array([max(abs(float(init[k])), scales.get(k, 0.0), 1e-9) for k in names])
 
     def residual(t: np.ndarray) -> np.ndarray:
         return model(x, dict(zip(names, t))) - y
 
-    def jacobian(t: np.ndarray) -> np.ndarray:
-        cols = []
-        for i in range(n_par):
-            h = JACOBIAN_REL_STEP * max(abs(t[i]), scale[i])
-            tp, tm = t.copy(), t.copy()
-            tp[i] += h
-            tm[i] -= h
-            cols.append((residual(tp) - residual(tm)) / (2.0 * h))
-        return np.column_stack(cols)
+    if jacobian is None:
+        scale = np.array([max(abs(float(init[k])), scales.get(k, 0.0), 1e-9) for k in names])
+
+        def jacobian_at(t: np.ndarray) -> np.ndarray:
+            return _central_difference(residual, t, scale)
+    else:
+        def jacobian_at(t: np.ndarray) -> np.ndarray:
+            jac = np.asarray(jacobian(x, dict(zip(names, t))), dtype=float)
+            if jac.shape != (y.size, n_par):
+                raise ValueError(f"jacobian has shape {jac.shape}, need {(y.size, n_par)}")
+            return jac
 
     r = residual(theta)
     ssr = float(r @ r)
     lam = 1e-3
     for iterations in range(1, MAX_ITERATIONS + 1):
-        jac = jacobian(theta)
+        jac = jacobian_at(theta)
         jtj = jac.T @ jac
         jtr = jac.T @ r
         damping = np.diag(np.maximum(np.diag(jtj), 1e-300))
@@ -194,7 +201,7 @@ def least_squares_fit(
     else:
         raise NotConverged(f"no convergence within {MAX_ITERATIONS} iterations (SSR {ssr:.3g})")
 
-    jac = jacobian(theta)
+    jac = jacobian_at(theta)
     jtj = jac.T @ jac
     dof = max(y.size - n_par, 1)
     sigma2 = ssr / dof
@@ -208,6 +215,19 @@ def least_squares_fit(
         residual_rms=math.sqrt(ssr / y.size),
         iterations=iterations,
     )
+
+
+def _central_difference(residual, theta: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of residual at theta, with the step
+    JACOBIAN_REL_STEP * max(|theta_i|, scale_i) for parameter i."""
+    cols = []
+    for i in range(theta.size):
+        h = JACOBIAN_REL_STEP * max(abs(theta[i]), scale[i])
+        tp, tm = theta.copy(), theta.copy()
+        tp[i] += h
+        tm[i] -= h
+        cols.append((residual(tp) - residual(tm)) / (2.0 * h))
+    return np.column_stack(cols)
 
 
 # -- edge-profile magnification fits ------------------------------------------
@@ -224,22 +244,55 @@ def _extremal_slope_position(profile: Profile1D) -> float:
     return float(profile.grid[offset + int(np.argmax(np.abs(slope[interior])))])
 
 
-def _edge_models(params: SourceParams):
-    # with M_u = 1 the edge offset is the lumped shift M_u x_tilde_o
-    def setup(p):
-        return OpticalSetup(m_d=p["m_d"], m_d_i=1.0, m_d_c=p["m_d"])
+def _edge_models(k: float, c: float):
+    """(g_model, g_jacobian, v_model, v_jacobian) of the two edge fits.
+
+    The models are g_esf, peak-normalized, and v_esf at M_u = 1, where
+    the edge offset is the lumped shift M_u x_tilde_o, written out in the
+    coefficients (k, c) so that a fit evaluates them once. The amplitude
+    Jacobian holds the peak sample i fixed: (d raw - g d raw[i]) / raw[i]."""
+    slope = 2.0 / math.sqrt(math.pi) * c
+
+    def shifted(x, p):
+        # u = (x_c - M_u x_tilde_o) / M_d, the argument of the edge factor 1 - erf(c u)
+        return (x - p["m_u_x_o"]) / p["m_d"]
+
+    def edge_derivatives(x, p):
+        # d/dM_d and d/d(M_u x_tilde_o) of the edge factor
+        u = shifted(x, p)
+        d_shift = slope * np.exp(-((c * u) ** 2)) / p["m_d"]
+        return d_shift * u, d_shift
 
     def v_model(x, p):
-        return v_esf(params, setup(p), x, p["m_u_x_o"])
+        return 0.5 * (1.0 - erf(c * shifted(x, p)))
+
+    def v_jacobian(x, p):
+        return 0.5 * np.column_stack(edge_derivatives(x, p))
+
+    def g_raw(x, p):
+        # the Gaussian envelope exp(-k x_c^2 / M_d^2) times the edge factor
+        envelope = np.exp(-k * (x / p["m_d"]) ** 2)
+        edge_factor = 1.0 - erf(c * shifted(x, p))
+        return envelope * edge_factor, envelope, edge_factor
 
     def g_model(x, p):
-        raw = g_esf(params, setup(p), x, p["m_u_x_o"])
+        raw = g_raw(x, p)[0]
         peak = np.max(raw)
         if not peak > 0:
             return raw
         return raw / peak
 
-    return g_model, v_model
+    def g_jacobian(x, p):
+        raw, envelope, edge_factor = g_raw(x, p)
+        d_m_d, d_shift = edge_derivatives(x, p)
+        d_raw = envelope[:, None] * np.column_stack(
+            [2.0 * k * x**2 / p["m_d"] ** 3 * edge_factor + d_m_d, d_shift])
+        i = int(np.argmax(raw))
+        if not raw[i] > 0:
+            return d_raw
+        return (d_raw - np.outer(raw / raw[i], d_raw[i])) / raw[i]
+
+    return g_model, g_jacobian, v_model, v_jacobian
 
 
 def fit_edge_profiles(
@@ -265,9 +318,10 @@ def fit_edge_profiles(
     g_peak = np.max(g_profile.values)
     if not g_peak > 0:
         raise RangeNotSpanned("amplitude profile has no positive maximum")
-    g_model, v_model = _edge_models(params)
+    k, c = _coefficients(params)
+    g_model, g_jacobian, v_model, v_jacobian = _edge_models(k, c)
 
-    def fit_one(model, profile):
+    def fit_one(model, jacobian, profile):
         span = float(profile.grid[-1] - profile.grid[0])
         return least_squares_fit(
             model, profile,
@@ -276,11 +330,12 @@ def fit_edge_profiles(
                 "m_d": (1e-3, 1e3),
                 "m_u_x_o": (profile.grid[0] - span, profile.grid[-1] + span),
             },
-            scales={"m_d": DEFAULT_M_D_C, "m_u_x_o": span / 20.0},
+            jacobian=jacobian,
         )
 
-    g_fit = fit_one(g_model, Profile1D(g_profile.grid, g_profile.values / g_peak, g_profile.plane))
-    v_fit = fit_one(v_model, v_profile)
+    g_fit = fit_one(g_model, g_jacobian,
+                    Profile1D(g_profile.grid, g_profile.values / g_peak, g_profile.plane))
+    v_fit = fit_one(v_model, v_jacobian, v_profile)
     m_d_g = g_fit.parameters["m_d"]
     m_d_v = v_fit.parameters["m_d"]
 
@@ -291,7 +346,7 @@ def fit_edge_profiles(
     else:
         # s_g at x_tilde_o = 0 and at the fitted edge offset, from one two-row solve
         spread_g, spread_g_fitted = _g_esf_widths(
-            *_coefficients(params), [0.0, g_fit.parameters["m_u_x_o"] / m_d_g]
+            k, c, [0.0, g_fit.parameters["m_u_x_o"] / m_d_g]
         ).tolist()
         deviation = abs(m_d_g * spread_g_fitted / (m_d_v * spread_g) - 1.0)
     passed = deviation < GATE_THRESHOLD
@@ -333,6 +388,28 @@ def _two_peak_candidates(values: np.ndarray) -> tuple[int, int]:
     raise PeaksNotResolved("no second maximum separated by a valley below 80% of the lower peak")
 
 
+def _unit_gaussian(x, p, n: str):
+    # z = (x - mu_n) / width_n and exp(-z^2), peak n of the two-slit model
+    z = (x - p["mu" + n]) / p["width" + n]
+    return z, np.exp(-(z**2))
+
+
+def _two_gaussians(x, p):
+    """offset + amp1 exp(-((x - mu1) / width1)^2) + amp2 exp(-((x - mu2) / width2)^2)"""
+    return (p["offset"] + p["amp1"] * _unit_gaussian(x, p, "1")[1]
+            + p["amp2"] * _unit_gaussian(x, p, "2")[1])
+
+
+def _two_gaussians_jacobian(x, p):
+    """Columns d/d(offset, amp1, mu1, width1, amp2, mu2, width2) of _two_gaussians."""
+    cols = [np.ones_like(x)]
+    for n in ("1", "2"):
+        z, e = _unit_gaussian(x, p, n)
+        d_mu = 2.0 * p["amp" + n] * e * z / p["width" + n]
+        cols += [e, d_mu, d_mu * z]
+    return np.column_stack(cols)
+
+
 def fit_double_slit(
     profile: Profile1D,
     slit_distance_object: float = SLIT_DISTANCE_DEFAULT,
@@ -354,13 +431,6 @@ def fit_double_slit(
     offset0 = float(np.min(y))
     sep0 = float(x[j] - x[i])
 
-    def model(xv, p):
-        return (
-            p["offset"]
-            + p["amp1"] * np.exp(-((xv - p["mu1"]) / p["width1"]) ** 2)
-            + p["amp2"] * np.exp(-((xv - p["mu2"]) / p["width2"]) ** 2)
-        )
-
     init = {
         "offset": offset0,
         "amp1": float(y[i] - offset0),
@@ -377,8 +447,8 @@ def fit_double_slit(
         "mu1": (x[0], x[-1]),
         "mu2": (x[0], x[-1]),
     }
-    scales = {"mu1": sep0, "mu2": sep0, "offset": float(np.max(y))}
-    fit = least_squares_fit(model, profile, init=init, bounds=bounds, scales=scales)
+    fit = least_squares_fit(_two_gaussians, profile, init=init, bounds=bounds,
+                            jacobian=_two_gaussians_jacobian)
 
     mu1, mu2 = fit.parameters["mu1"], fit.parameters["mu2"]
     distance = abs(mu2 - mu1)
@@ -402,6 +472,22 @@ def fit_double_slit(
 # -- erf edge sharpness --------------------------------------------------------
 
 
+def _erf_argument(x, p):
+    return (x - p["c"]) / p["width"]
+
+
+def _erf_edge(x, p):
+    """a + b erf((x - c) / width)"""
+    return p["a"] + p["b"] * erf(_erf_argument(x, p))
+
+
+def _erf_edge_jacobian(x, p):
+    """Columns d/d(a, b, c, width) of _erf_edge."""
+    t = _erf_argument(x, p)
+    d_c = -2.0 / math.sqrt(math.pi) * p["b"] * np.exp(-(t**2)) / p["width"]
+    return np.column_stack([np.ones_like(x), erf(t), d_c, d_c * t])
+
+
 def fit_erf_edge(profile: Profile1D) -> EdgeSharpness:
     """Fit a + b erf((x - c) / width) to a monotone-trend edge profile;
     width is the 1/e half-width of the Gaussian derivative."""
@@ -419,16 +505,13 @@ def fit_erf_edge(profile: Profile1D) -> EdgeSharpness:
     max_slope = float(np.max(np.abs(slope)))
     width0 = max(2.0 * abs(b0) / (math.sqrt(math.pi) * max_slope), profile.step / 10.0)
 
-    def model(xv, p):
-        return p["a"] + p["b"] * erf((xv - p["c"]) / p["width"])
-
     span = float(x[-1] - x[0])
     fit = least_squares_fit(
-        model,
+        _erf_edge,
         profile,
         init={"a": a0, "b": b0, "c": c0, "width": width0},
         bounds={"width": (profile.step / 100.0, 10.0 * span), "c": (x[0], x[-1])},
-        scales={"a": abs(b0), "b": abs(b0), "c": span / 20.0, "width": width0},
+        jacobian=_erf_edge_jacobian,
     )
     return EdgeSharpness(
         width=float(abs(fit.parameters["width"])),

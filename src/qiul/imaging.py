@@ -101,19 +101,21 @@ def write_profile_csv(profile: Profile1D, path) -> None:
 
 
 def read_profile_csv(path, kind: str | None = None) -> Profile1D:
-    """Read a profile written by write_profile_csv. A file without two
-    numeric columns, or whose grid or values hold NaN or +-inf, raises
-    SchemaError naming the file; the finiteness check on the values lives
-    here and not in Profile1D, whose demodulated profiles may carry
-    invalid (NaN) pixels."""
+    """Read a profile written by write_profile_csv. A file without data
+    rows or without two numeric columns, or whose grid or values hold NaN
+    or +-inf, raises SchemaError naming the file; the finiteness check on
+    the values lives here and not in Profile1D, whose demodulated
+    profiles may carry invalid (NaN) pixels."""
     plane = "camera"
     try:  # UnicodeDecodeError, from a file that is not UTF-8 text, is a ValueError
         with open(path, encoding="utf-8") as fh:
             for line in fh:
                 if line.startswith("#") and "plane=" in line:
                     plane = line.split("plane=", 1)[1].strip()
-                if not line.startswith("#"):
+                if line.split("#", 1)[0].strip():  # what loadtxt reads as data
                     break
+            else:
+                raise ValueError("no data rows")
         data = np.loadtxt(path, delimiter=",", ndmin=2)
         grid, values = data[:, 0], data[:, 1]
         if not np.isfinite(values).all():

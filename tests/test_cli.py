@@ -413,6 +413,19 @@ class TestFreshProcess:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 []"  # exit code, scipy modules loaded
 
+    @pytest.mark.parametrize("text", ["", "# plane=camera\n# x_c_m, value\n"],
+                             ids=["empty", "header-only"])
+    def test_profile_without_data_rows(self, tmp_path, text):
+        # exit 2 with one error line: no numpy warning on stderr before it
+        profile_path = tmp_path / "empty.csv"
+        profile_path.write_text(text, encoding="utf-8")
+        code = ("import sys; import qiul.cli\n"
+                "sys.exit(qiul.cli.main(['magnification', '--profile', sys.argv[1], "
+                "'--out', sys.argv[2]]))")
+        proc = fresh_python("-c", code, str(profile_path), str(tmp_path / "mag"))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {profile_path}: not a profile CSV (no data rows)\n"
+
     def test_cli_import_loads_no_thread_pool_and_no_scipy(self):
         # both are imported where first used: on every CLI start they would
         # cost import time that most commands never need

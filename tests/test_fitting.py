@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qiul import fitting
-from qiul.core import OpticalSetup, singular_waist
+from qiul.core import DEFAULT_M_D_C, OpticalSetup, singular_waist
 from qiul.errors import GateFailed, NotConverged, PeaksNotResolved
 from qiul.fitting import (
     fit_double_slit,
@@ -12,11 +14,11 @@ from qiul.fitting import (
     fit_erf_edge,
     least_squares_fit,
 )
-from qiul.imaging import Profile1D, g_esf, v_esf
+from qiul.imaging import Profile1D, _coefficients, g_esf, v_esf
 from qiul.spreads import spread_g_esf_numeric
 from scipy.special import erf
 
-from conftest import make_params
+from conftest import PARAM_GRID, make_params
 
 
 def make_edge_profiles(params, m_d, x_tilde_o=0.0, n=1024, span=None, noise=0.0, rng=None):
@@ -36,24 +38,46 @@ def make_edge_profiles(params, m_d, x_tilde_o=0.0, n=1024, span=None, noise=0.0,
 
 @pytest.fixture
 def fit_counts(monkeypatch):
-    """(model evaluations, iterations) of every least_squares_fit call
-    that the fitting module makes, in call order."""
+    """(model evaluations, Jacobian evaluations, iterations) of every
+    least_squares_fit call that the fitting module makes, in call order."""
     counts = []
 
-    def counting_fit(model, *args, **kwargs):
-        calls = 0
+    def counting_fit(model, *args, jacobian=None, **kwargs):
+        calls = {"model": 0, "jacobian": 0}
 
-        def counted(x, p):
-            nonlocal calls
-            calls += 1
-            return model(x, p)
+        def counted(name, fn):
+            def wrapped(x, p):
+                calls[name] += 1
+                return fn(x, p)
+            return wrapped
 
-        fit = least_squares_fit(counted, *args, **kwargs)
-        counts.append((calls, fit.iterations))
+        if jacobian is not None:
+            jacobian = counted("jacobian", jacobian)
+        fit = least_squares_fit(counted("model", model), *args, jacobian=jacobian, **kwargs)
+        counts.append((calls["model"], calls["jacobian"], fit.iterations))
         return fit
 
     monkeypatch.setattr(fitting, "least_squares_fit", counting_fit)
     return counts
+
+
+def central_difference(model, x, params, scale):
+    """least_squares_fit's own central-difference Jacobian of model at
+    params, the step set by max(|param|, scale) per parameter."""
+    names = tuple(params)
+    theta = np.array([params[k] for k in names])
+    return fitting._central_difference(lambda t: model(x, dict(zip(names, t))), theta,
+                                       np.asarray(scale, dtype=float))
+
+
+def assert_jacobian_matches(analytic, numeric, rtol=1e-6):
+    # column by column, relative to the column's largest entry: samples
+    # where a derivative crosses zero carry no relative error of their own
+    assert analytic.shape == numeric.shape
+    scale = np.max(np.abs(numeric), axis=0)
+    assert np.all(scale > 0)
+    error = np.max(np.abs(analytic - numeric), axis=0) / scale
+    assert np.all(error <= rtol), error
 
 
 class TestLeastSquaresEngine:
@@ -94,6 +118,13 @@ class TestLeastSquaresEngine:
             least_squares_fit(
                 lambda xv, p: p["a"] * xv, data, init={"a": -2.0}, bounds={"a": (0.0, 1.0)}
             )
+
+    def test_jacobian_of_wrong_shape_rejected(self):
+        x = np.linspace(0, 1, 16)
+        data = Profile1D(grid=x, values=2.0 * x)
+        with pytest.raises(ValueError, match="shape"):
+            least_squares_fit(lambda xv, p: p["a"] * xv, data, init={"a": 1.0},
+                              jacobian=lambda xv, p: xv)
 
     def test_covariance_scales_with_noise(self):
         x = np.linspace(-4, 4, 200)
@@ -173,12 +204,12 @@ class TestEdgeProfileFits:
         assert all(a < b for a, b in zip(deviations, deviations[1:]))
 
     def test_model_evaluations_pinned(self, fit_counts):
-        # one Jacobian (2 x 2 evaluations) per iteration plus the one for
-        # the covariance, one trial step per iteration, the initial residual
+        # the initial residual and one trial step per iteration; one
+        # analytic Jacobian per iteration plus the one for the covariance
         params = make_params(5e-3, 214e-6)
         g_profile, v_profile = make_edge_profiles(params, m_d=2.67, x_tilde_o=40e-6)
         fit_edge_profiles(g_profile, v_profile, params)
-        assert fit_counts == [(25, 4), (25, 4)]
+        assert fit_counts == [(5, 5, 4), (5, 5, 4)]
 
     @pytest.mark.parametrize("stretch", [1.05, 1.2])
     def test_gate_is_magnification_agreement(self, stretch):
@@ -248,10 +279,11 @@ class TestDoubleSlit:
             fit_double_slit(profile)
 
     def test_model_evaluations_pinned(self, fit_counts):
-        # 14 evaluations per central-difference Jacobian of 7 parameters
+        # the initial residual and one trial step per iteration; one
+        # analytic Jacobian per iteration plus the one for the covariance
         profile = self.two_gauss_profile(noise=0.02, rng=np.random.default_rng(17))
         fit_double_slit(profile, slit_distance_object=133e-6)
-        assert fit_counts == [(105, 6)]
+        assert fit_counts == [(7, 7, 6)]
 
     def test_noise_bias_below_one_percent(self):
         rng = np.random.default_rng(17)
@@ -287,3 +319,92 @@ class TestErfEdge:
             noisy = clean + rng.normal(0.0, 0.01, x.size)
             sharp = fit_erf_edge(Profile1D(grid=x, values=noisy))
             assert sharp.width == pytest.approx(25e-6, rel=0.03)
+
+
+class TestAnalyticJacobians:
+    """Each model's analytic Jacobian against the engine's central
+    difference, to 1e-6 of each column's largest entry."""
+
+    SLIT_GRID = np.linspace(-6e-4, 6e-4, 601)
+    EDGE_GRID = np.linspace(-1.6e-3, 1.6e-3, 1024)
+
+    def test_engine_central_difference_without_jacobian(self, fit_counts):
+        # a library model without a Jacobian: 2 n_par evaluations per Jacobian
+        data = Profile1D(grid=self.SLIT_GRID, values=fitting._two_gaussians(self.SLIT_GRID, {
+            "offset": 0.03, "amp1": 1.0, "mu1": -1.8e-4, "width1": 5e-5,
+            "amp2": 1.0, "mu2": 1.8e-4, "width2": 5e-5}))
+        fitting.least_squares_fit(fitting._two_gaussians, data, init={
+            "offset": 0.0, "amp1": 0.9, "mu1": -1.7e-4, "width1": 6e-5,
+            "amp2": 0.9, "mu2": 1.7e-4, "width2": 6e-5})
+        ((model_evals, jacobian_evals, iterations),) = fit_counts
+        assert jacobian_evals == 0
+        assert model_evals == 1 + iterations + 14 * (iterations + 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        offset=st.floats(0.0, 0.1),
+        amps=st.tuples(st.floats(0.2, 2.0), st.floats(0.2, 2.0)),
+        mus=st.tuples(st.floats(-3e-4, -5e-5), st.floats(5e-5, 3e-4)),
+        widths=st.tuples(st.floats(2e-5, 1e-4), st.floats(2e-5, 1e-4)),
+    )
+    def test_two_slit(self, offset, amps, mus, widths):
+        p = {"offset": offset, "amp1": amps[0], "mu1": mus[0], "width1": widths[0],
+             "amp2": amps[1], "mu2": mus[1], "width2": widths[1]}
+        x = self.SLIT_GRID
+        scale = [1.0, 1.0, 3.5e-4, 5e-5, 1.0, 3.5e-4, 5e-5]
+        assert_jacobian_matches(fitting._two_gaussians_jacobian(x, p),
+                                central_difference(fitting._two_gaussians, x, p, scale))
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=st.floats(-1.0, 1.0), b=st.floats(0.05, 1.0).flatmap(
+               lambda b: st.sampled_from([b, -b])),
+           c=st.floats(-1e-4, 1e-4), width=st.floats(2e-6, 5e-5))
+    def test_erf_edge(self, a, b, c, width):
+        p = {"a": a, "b": b, "c": c, "width": width}
+        x = np.linspace(-2e-4, 2e-4, 501)
+        scale = [abs(b), abs(b), 2e-5, width]
+        assert_jacobian_matches(fitting._erf_edge_jacobian(x, p),
+                                central_difference(fitting._erf_edge, x, p, scale))
+
+    @staticmethod
+    def edge_models(length, waist):
+        return fitting._edge_models(*_coefficients(make_params(length, waist)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(source=st.sampled_from(PARAM_GRID), m_d=st.floats(1.5, 4.0),
+           shift=st.floats(-2e-4, 2e-4))
+    def test_v_edge(self, source, m_d, shift):
+        _, _, v_model, v_jacobian = self.edge_models(*source)
+        p = {"m_d": m_d, "m_u_x_o": shift}
+        x = self.EDGE_GRID
+        scale = [DEFAULT_M_D_C, 1.6e-4]
+        assert_jacobian_matches(v_jacobian(x, p), central_difference(v_model, x, p, scale))
+
+    @settings(max_examples=30, deadline=None)
+    @given(source=st.sampled_from(PARAM_GRID), m_d=st.floats(1.5, 4.0),
+           shift=st.floats(-2e-4, 2e-4), window=st.sampled_from(["all", "left", "right"]))
+    def test_g_edge(self, source, m_d, shift, window):
+        # the peak-normalized model, differentiated at its fixed peak
+        # sample; "left" and "right" end the grid at the peak, so that it
+        # is the last or the first sample
+        g_model, g_jacobian, _, _ = self.edge_models(*source)
+        p = {"m_d": m_d, "m_u_x_o": shift}
+        x = self.EDGE_GRID
+        i = int(np.argmax(g_model(x, p)))
+        x = {"all": x, "left": x[: i + 1], "right": x[i:]}[window]
+        if x.size < 3:
+            return  # the peak lies at the end of the full grid already
+        peak = int(np.argmax(g_model(x, p)))
+        assert peak == {"all": i, "left": x.size - 1, "right": 0}[window]
+        scale = [DEFAULT_M_D_C, 1.6e-4]
+        assert_jacobian_matches(g_jacobian(x, p), central_difference(g_model, x, p, scale))
+
+    def test_edge_models_are_the_closed_forms(self):
+        params = make_params(5e-3, 214e-6)
+        g_model, _, v_model, _ = fitting._edge_models(*_coefficients(params))
+        setup = OpticalSetup(m_d=2.9, m_d_i=1.0, m_d_c=2.9)
+        x = self.EDGE_GRID
+        p = {"m_d": 2.9, "m_u_x_o": 30e-6}
+        raw = g_esf(params, setup, x, 30e-6)
+        assert np.array_equal(g_model(x, p), raw / np.max(raw))
+        assert np.array_equal(v_model(x, p), v_esf(params, setup, x, 30e-6))
