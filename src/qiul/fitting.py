@@ -28,7 +28,7 @@ from .errors import (
     SeparableState,
     SingularNormalEquations,
 )
-from .imaging import Profile1D, _coefficients, erf
+from .imaging import Profile1D, _coefficients, _esf_factors, erf
 from .spreads import _g_esf_widths, spread_v_closed
 
 __all__ = [
@@ -121,17 +121,17 @@ def least_squares_fit(
     data: Profile1D,
     init: dict[str, float],
     bounds: dict[str, tuple[float, float]] | None = None,
-    scales: dict[str, float] | None = None,
     jacobian=None,
 ) -> FitResult:
     """Levenberg-damped Gauss-Newton minimization of
     sum (model(x, params) - y)^2.
 
     jacobian(x, params), when given, returns the model's analytic
-    Jacobian, an (n, n_par) array with columns in init order. Without it
-    the Jacobian is the central difference of the residual, 2 n_par model
-    evaluations with a relative step of 1e-6 of max(|param|, scale) per
-    parameter; scales only set that step.
+    Jacobian as a dict from each parameter name to its column
+    d model / d param over x; the engine stacks the columns in init
+    order. Without it the Jacobian is the central difference of the
+    residual, 2 n_par model evaluations with a relative step of 1e-6 of
+    max(|param|, |init value|) per parameter.
 
     Converges when the relative step norm drops below 1e-10 or the
     relative residual change below 1e-12; raises NotConverged after 200
@@ -143,7 +143,7 @@ def least_squares_fit(
     y = data.values
     if y.size < n_par + 2:
         raise ValueError(f"need >= {n_par + 2} data points for {n_par} parameters")
-    bounds, scales = bounds or {}, scales or {}
+    bounds = bounds or {}
     lo = np.array([bounds.get(k, (-np.inf, np.inf))[0] for k in names])
     hi = np.array([bounds.get(k, (-np.inf, np.inf))[1] for k in names])
     theta = np.array([float(init[k]) for k in names])
@@ -154,13 +154,14 @@ def least_squares_fit(
         return model(x, dict(zip(names, t))) - y
 
     if jacobian is None:
-        scale = np.array([max(abs(float(init[k])), scales.get(k, 0.0), 1e-9) for k in names])
+        scale = np.array([max(abs(float(init[k])), 1e-9) for k in names])
 
         def jacobian_at(t: np.ndarray) -> np.ndarray:
             return _central_difference(residual, t, scale)
     else:
         def jacobian_at(t: np.ndarray) -> np.ndarray:
-            jac = np.asarray(jacobian(x, dict(zip(names, t))), dtype=float)
+            columns = jacobian(x, dict(zip(names, t)))
+            jac = np.column_stack([np.asarray(columns[k], dtype=float) for k in names])
             if jac.shape != (y.size, n_par):
                 raise ValueError(f"jacobian has shape {jac.shape}, need {(y.size, n_par)}")
             return jac
@@ -248,49 +249,46 @@ def _edge_models(k: float, c: float):
     """(g_model, g_jacobian, v_model, v_jacobian) of the two edge fits.
 
     The models are g_esf, peak-normalized, and v_esf at M_u = 1, where
-    the edge offset is the lumped shift M_u x_tilde_o, written out in the
-    coefficients (k, c) so that a fit evaluates them once. The amplitude
+    the edge offset is the lumped shift M_u x_tilde_o, evaluated from the
+    coefficients (k, c) so that a fit computes them once. The amplitude
     Jacobian holds the peak sample i fixed: (d raw - g d raw[i]) / raw[i]."""
     slope = 2.0 / math.sqrt(math.pi) * c
 
-    def shifted(x, p):
-        # u = (x_c - M_u x_tilde_o) / M_d, the argument of the edge factor 1 - erf(c u)
-        return (x - p["m_u_x_o"]) / p["m_d"]
+    def factors(x, p):
+        return _esf_factors(k, c, x, p["m_u_x_o"], p["m_d"])
 
     def edge_derivatives(x, p):
-        # d/dM_d and d/d(M_u x_tilde_o) of the edge factor
-        u = shifted(x, p)
+        # d/dM_d and d/d(M_u x_tilde_o) of the edge factor 1 - erf(c u),
+        # u = (x_c - M_u x_tilde_o) / M_d
+        u = (x - p["m_u_x_o"]) / p["m_d"]
         d_shift = slope * np.exp(-((c * u) ** 2)) / p["m_d"]
         return d_shift * u, d_shift
 
     def v_model(x, p):
-        return 0.5 * (1.0 - erf(c * shifted(x, p)))
+        return 0.5 * factors(x, p)[1]
 
     def v_jacobian(x, p):
-        return 0.5 * np.column_stack(edge_derivatives(x, p))
-
-    def g_raw(x, p):
-        # the Gaussian envelope exp(-k x_c^2 / M_d^2) times the edge factor
-        envelope = np.exp(-k * (x / p["m_d"]) ** 2)
-        edge_factor = 1.0 - erf(c * shifted(x, p))
-        return envelope * edge_factor, envelope, edge_factor
+        d_m_d, d_shift = edge_derivatives(x, p)
+        return {"m_d": 0.5 * d_m_d, "m_u_x_o": 0.5 * d_shift}
 
     def g_model(x, p):
-        raw = g_raw(x, p)[0]
+        envelope, edge_factor = factors(x, p)
+        raw = envelope * edge_factor
         peak = np.max(raw)
         if not peak > 0:
             return raw
         return raw / peak
 
     def g_jacobian(x, p):
-        raw, envelope, edge_factor = g_raw(x, p)
+        envelope, edge_factor = factors(x, p)
+        raw = envelope * edge_factor
         d_m_d, d_shift = edge_derivatives(x, p)
-        d_raw = envelope[:, None] * np.column_stack(
-            [2.0 * k * x**2 / p["m_d"] ** 3 * edge_factor + d_m_d, d_shift])
+        d_raw = {"m_d": envelope * (2.0 * k * x**2 / p["m_d"] ** 3 * edge_factor + d_m_d),
+                 "m_u_x_o": envelope * d_shift}
         i = int(np.argmax(raw))
         if not raw[i] > 0:
             return d_raw
-        return (d_raw - np.outer(raw / raw[i], d_raw[i])) / raw[i]
+        return {name: (d - raw / raw[i] * d[i]) / raw[i] for name, d in d_raw.items()}
 
     return g_model, g_jacobian, v_model, v_jacobian
 
@@ -402,12 +400,12 @@ def _two_gaussians(x, p):
 
 def _two_gaussians_jacobian(x, p):
     """Columns d/d(offset, amp1, mu1, width1, amp2, mu2, width2) of _two_gaussians."""
-    cols = [np.ones_like(x)]
+    cols = {"offset": np.ones_like(x)}
     for n in ("1", "2"):
         z, e = _unit_gaussian(x, p, n)
         d_mu = 2.0 * p["amp" + n] * e * z / p["width" + n]
-        cols += [e, d_mu, d_mu * z]
-    return np.column_stack(cols)
+        cols.update({"amp" + n: e, "mu" + n: d_mu, "width" + n: d_mu * z})
+    return cols
 
 
 def fit_double_slit(
@@ -485,7 +483,7 @@ def _erf_edge_jacobian(x, p):
     """Columns d/d(a, b, c, width) of _erf_edge."""
     t = _erf_argument(x, p)
     d_c = -2.0 / math.sqrt(math.pi) * p["b"] * np.exp(-(t**2)) / p["width"]
-    return np.column_stack([np.ones_like(x), erf(t), d_c, d_c * t])
+    return {"a": np.ones_like(x), "b": erf(t), "c": d_c, "width": d_c * t}
 
 
 def fit_erf_edge(profile: Profile1D) -> EdgeSharpness:

@@ -282,10 +282,9 @@ def g_esf(params: SourceParams, setup: OpticalSetup, x_c, x_tilde_o: float = 0.0
     """Amplitude-image edge response: Gaussian envelope times
     [1 - erf{c (x_c - M_u x_o~) / M_d}]. Ranges over (0, ~2) times the
     envelope; the absolute scale is a convention."""
-    k, c = _coefficients(params)
-    x = _as_array(x_c)
-    u = (x - setup.m_u * x_tilde_o) / setup.m_d
-    out = np.exp(-k * (x / setup.m_d) ** 2) * (1.0 - erf(c * u))
+    envelope, edge_factor = _esf_factors(*_coefficients(params), _as_array(x_c),
+                                         setup.m_u * x_tilde_o, setup.m_d)
+    out = envelope * edge_factor
     return out if out.ndim else out.item()
 
 
@@ -293,10 +292,9 @@ def v_esf(params: SourceParams, setup: OpticalSetup, x_c, x_tilde_o: float = 0.0
     """Visibility edge response (1/2)[1 - erf{c (x_c - M_u x_o~) / M_d}],
     bounded to [0, 1]. At the singular waist c = 0 and the response is
     the constant 1/2."""
-    c = esf_slope_coefficient(params)
-    x = _as_array(x_c)
-    u = (x - setup.m_u * x_tilde_o) / setup.m_d
-    out = 0.5 * (1.0 - erf(c * u))
+    _, edge_factor = _esf_factors(*_coefficients(params), _as_array(x_c),
+                                  setup.m_u * x_tilde_o, setup.m_d)
+    out = 0.5 * edge_factor
     return out if out.ndim else out.item()
 
 
@@ -307,6 +305,15 @@ def g_esf_derivative(params: SourceParams, setup: OpticalSetup, x_c, x_tilde_o: 
     out = _unit_g_esf_derivative(*_coefficients(params), _as_array(x_c) / m_d,
                                  setup.m_u * x_tilde_o / m_d) / m_d
     return out if out.ndim else out.item()
+
+
+def _esf_factors(k, c, x, shift, m_d):
+    """(envelope, edge factor) of the edge responses at camera positions
+    x in terms of the coefficients k and c: exp{-k x^2 / M_d^2} and
+    1 - erf{c (x - shift) / M_d}, where shift = M_u x_o~. g_esf is their
+    product and v_esf half the edge factor."""
+    u = (x - shift) / m_d
+    return np.exp(-k * (x / m_d) ** 2), 1.0 - erf(c * u)
 
 
 def _unit_g_esf_derivative(k, c, x, x_tilde_o):
