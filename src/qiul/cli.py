@@ -28,22 +28,33 @@ from .spreads import theory_sweep_rows, write_sweep_csv
 
 DEFAULT_LENGTHS = "2mm,5mm,10mm"
 DEFAULT_WAISTS = "50um,142um,214um,308um"
+# most points of a 'start:stop:logN' range: far above any sweep the model
+# needs, and small enough that its rows fit in memory
+MAX_RANGE_POINTS = 10_000
 
 
 def parse_length_list(text: str) -> list[float]:
     """Comma list of lengths ('2mm,5mm,10mm') or a log-spaced range
-    'start:stop:logN' ('50um:400um:log50')."""
+    'start:stop:logN' ('50um:400um:log50') of 2 to MAX_RANGE_POINTS
+    points; an empty list is a SchemaError."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3 or not parts[2].startswith("log") or not parts[2][3:].isdecimal():
             raise SchemaError(f"range syntax is start:stop:logN, got {text!r}")
         start, stop = parse_length(parts[0]), parse_length(parts[1])
-        n = int(parts[2][3:])
+        count = parts[2][3:].lstrip("0") or "0"
+        # digits counted first: int() refuses a string of over 4,300 digits
+        if len(count) > len(str(MAX_RANGE_POINTS)) or int(count) > MAX_RANGE_POINTS:
+            raise SchemaError(f"a range has at most {MAX_RANGE_POINTS} points, got {text!r}")
+        n = int(count)
         if n < 2 or start <= 0 or stop <= start:
             raise SchemaError(f"bad range {text!r}")
         return [float(v) for v in np.geomspace(start, stop, n)]
-    return [parse_length(part) for part in text.split(",") if part.strip()]
+    lengths = [parse_length(part) for part in text.split(",") if part.strip()]
+    if not lengths:
+        raise SchemaError(f"no lengths in {text!r}")
+    return lengths
 
 
 def parse_noise(text: str | None, background: float) -> NoiseModel:

@@ -304,24 +304,52 @@ def _finite_number(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def _read_frame(path: Path) -> np.ndarray:
-    """One frame as a read-only memory map of a `.npy` file. Mapping
-    instead of reading means a header that claims more data than the
-    file holds is an error, not an allocation of that size."""
-    with open(path, "rb") as fh:
-        magic = np.lib.format.MAGIC_PREFIX
-        if fh.read(len(magic)) != magic:  # an .npz archive, a pickle or anything else
-            raise CorruptFrame(path, "not a .npy file")
+def _read_frame_header(fh, path: Path, shape: tuple) -> tuple[np.dtype, bool]:
+    """Check the header of the open `.npy` file `fh` against the manifest
+    shape and return its dtype and Fortran-order flag, leaving `fh` at the
+    first data byte. The file must hold every data byte the header
+    claims, so a lying header is an error, not an allocation of that
+    size."""
     try:
-        frame = np.load(path, mmap_mode="r", allow_pickle=False)
+        version = np.lib.format.read_magic(fh)
+    except ValueError as exc:  # an .npz archive, a pickle or anything else
+        raise CorruptFrame(path, "not a .npy file") from exc
+    # 3.0 differs from 2.0 only in reading the header as UTF-8, which only
+    # non-ASCII field names of a structured dtype need: not a real number type
+    read_header = {(1, 0): np.lib.format.read_array_header_1_0,
+                   (2, 0): np.lib.format.read_array_header_2_0,
+                   (3, 0): np.lib.format.read_array_header_2_0}.get(version)
+    if read_header is None:
+        raise CorruptFrame(path, f".npy format version {version} is not supported")
+    try:
+        frame_shape, fortran_order, dtype = read_header(fh)
     except Exception as exc:
         # the header is a Python literal parsed with ast and tokenize: a
         # damaged one raises ValueError, TypeError, IndexError, EOFError or
         # tokenize.TokenError, among others
         raise CorruptFrame(path, f"{type(exc).__name__}: {exc}") from exc
-    if frame.dtype.kind not in "iuf":
-        raise CorruptFrame(path, f"dtype {frame.dtype} is not a real number type")
-    return frame
+    if dtype.kind not in "iuf":
+        raise CorruptFrame(path, f"dtype {dtype} is not a real number type")
+    if frame_shape != shape:
+        raise CorruptFrame(path, f"shape {frame_shape} != manifest shape {shape}")
+    claimed = math.prod(shape) * dtype.itemsize
+    held = os.fstat(fh.fileno()).st_size - fh.tell()
+    if held < claimed:
+        raise CorruptFrame(path, f"header claims {claimed} data bytes, the file holds {held}")
+    return dtype, fortran_order
+
+
+def _read_frame(fh, path: Path, dtype: np.dtype, fortran_order: bool, out: np.ndarray) -> None:
+    """Read the data of the `.npy` file `fh`, positioned and checked by
+    `_read_frame_header`, into the float64 C-order frame `out`: straight
+    into it when the file holds that layout, else through a buffer of the
+    file's dtype and order."""
+    direct = dtype == out.dtype and not fortran_order
+    buf = out if direct else np.empty(out.shape[::-1] if fortran_order else out.shape, dtype)
+    if fh.readinto(buf) != buf.nbytes:  # the file shrank since the header check
+        raise CorruptFrame(path, "truncated data")
+    if not direct:
+        out[...] = buf.T if fortran_order else buf
 
 
 def load_stack(manifest_path) -> InterferogramStack:
@@ -329,10 +357,12 @@ def load_stack(manifest_path) -> InterferogramStack:
     manifest, a frame path outside the manifest directory and a
     `qiul.stack/1` manifest (CSV frames, no longer read) raise
     SchemaError; a frame that is missing, not a `.npy` array of a real
-    dtype, of the wrong shape or non-finite raises CorruptFrame naming
-    the file. Each frame is copied into one float64 array right after
-    its checks, so at most two memory maps (each holding a file
-    descriptor) are open at a time however long the stack."""
+    dtype, of the wrong shape, shorter than its header claims or
+    non-finite raises CorruptFrame naming the file. Each frame file is
+    opened once: its header is checked, then its data is read into one
+    float64 array, allocated once the first header has passed. So one
+    file descriptor is open at a time however long the stack, and no
+    header makes the loader allocate more than the files hold."""
     manifest_path = Path(manifest_path)
     try:  # RecursionError: arrays or objects nested too deep for the parser
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -380,14 +410,13 @@ def load_stack(manifest_path) -> InterferogramStack:
             raise SchemaError(f"{manifest_path}: frame {name!r} lies outside the manifest directory")
         if not path.is_file():
             raise CorruptFrame(path, "file not found")
-        frame = _read_frame(path)
-        if frame.shape != shape:
-            raise CorruptFrame(path, f"shape {frame.shape} != manifest shape {shape}")
-        if not np.isfinite(frame).all():
+        with open(path, "rb") as fh:
+            dtype, fortran_order = _read_frame_header(fh, path, shape)
+            if frames is None:  # allocated once a frame on disk holds the manifest shape
+                frames = np.empty((len(names), *shape))
+            _read_frame(fh, path, dtype, fortran_order, frames[k])
+        if not np.isfinite(frames[k]).all():
             raise CorruptFrame(path, "non-finite values")
-        if frames is None:  # allocated once a frame on disk has the manifest shape
-            frames = np.empty((len(names), *shape))
-        frames[k] = frame
     try:
         return InterferogramStack(
             frames=frames,

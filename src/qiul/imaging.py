@@ -91,13 +91,13 @@ class Profile1D:
 
 
 def write_profile_csv(profile: Profile1D, path) -> None:
-    np.savetxt(
-        path,
-        np.column_stack([profile.grid, profile.values]),
-        delimiter=",",
-        fmt="%.17g",
-        header=f"plane={profile.plane}\nx_c_m, value",
-    )
+    """Write `# plane=<plane>` and `# x_c_m, value` lines, then one
+    `grid,value` row per sample in `%.17g`, which round-trips every
+    float64; the file is formatted as one string and written at once."""
+    rows = np.column_stack([profile.grid, profile.values]).ravel().tolist()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# plane={profile.plane}\n# x_c_m, value\n"
+                 + ("%.17g,%.17g\n" * profile.grid.size) % tuple(rows))
 
 
 def read_profile_csv(path, kind: str | None = None) -> Profile1D:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qiul
-from qiul.cli import main, parse_length_list, parse_noise
+from qiul.cli import MAX_RANGE_POINTS, main, parse_length_list, parse_noise
 from qiul.dpsh import SceneModel, save_stack, synthesize_stack
 from qiul.errors import SchemaError
 from qiul.imaging import Profile1D, write_profile_csv
@@ -33,6 +33,16 @@ def config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("crystal_length = 5mm\npump_waist = 214um\n", encoding="utf-8")
     return path
+
+
+@pytest.fixture
+def refuse_geomspace(monkeypatch):
+    """Fail on any np.geomspace call: a range with too many points must be
+    rejected before they are computed, so that size is never run for real."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.geomspace called")
+
+    monkeypatch.setattr(np, "geomspace", refuse)
 
 
 class TestParsers:
@@ -63,6 +73,21 @@ class TestParsers:
     def test_malformed_range(self, text):
         with pytest.raises(SchemaError):
             parse_length_list(text)
+
+    @pytest.mark.parametrize("text", ["", ",,", " , "])
+    def test_empty_list(self, text):
+        with pytest.raises(SchemaError):
+            parse_length_list(text)
+
+    def test_range_point_limit(self):
+        assert len(parse_length_list(f"1mm:2mm:log{MAX_RANGE_POINTS}")) == MAX_RANGE_POINTS
+        assert len(parse_length_list("1mm:2mm:log0005")) == 5
+
+    @pytest.mark.parametrize("count", [str(MAX_RANGE_POINTS + 1), "100000000", "9" * 5000],
+                             ids=["one-above", "1e8", "5000-digits"])
+    def test_too_many_range_points(self, refuse_geomspace, count):
+        with pytest.raises(SchemaError, match=f"at most {MAX_RANGE_POINTS} points"):
+            parse_length_list(f"1mm:2mm:log{count}")
 
     @pytest.mark.parametrize("text", ["read:abc", "read:", "read:1.2.3"])
     def test_malformed_noise_number(self, text):
@@ -111,6 +136,18 @@ class TestTheorySweep:
     @pytest.mark.parametrize("waists", ["1mm:2mm", "1mm:2mm:logx"])
     def test_malformed_waists_exit_code(self, tmp_path, waists):
         assert run(["theory-sweep", "--out", tmp_path, f"--waists={waists}"]) == 2
+
+    @pytest.mark.parametrize("grid", [
+        ["--lengths=", "--waists="],
+        ["--lengths=,,"],
+        ["--waists= , "],
+    ], ids=["both-empty", "lengths-commas", "waists-blank"])
+    def test_empty_list_exit_code(self, tmp_path, grid):
+        assert run(["theory-sweep", "--out", tmp_path, *grid]) == 2
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_oversized_range_exit_code(self, tmp_path, refuse_geomspace):
+        assert run(["theory-sweep", "--out", tmp_path, "--lengths=1mm:2mm:log100000000"]) == 2
 
     @pytest.mark.parametrize("grid", [
         ["--waists=1e200m"],

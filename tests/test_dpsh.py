@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -303,6 +304,11 @@ def truncate(path, values):
     path.write_bytes(data[: len(data) - 8])
 
 
+def truncate_one_byte(path, values):
+    data = path.read_bytes()
+    path.write_bytes(data[:-1])
+
+
 def write_complex(path, values):
     np.save(path, values.astype(complex))
 
@@ -367,9 +373,10 @@ class TestPersistence:
         assert "frame_002.npy" in str(err.value)
 
     @pytest.mark.parametrize("write", [
-        write_pickled_object_array, write_npz, truncate, write_complex, write_oversized_header,
-    ], ids=["pickled-object-array", "npz-archive", "truncated", "complex-dtype",
-            "oversized-header"])
+        write_pickled_object_array, write_npz, truncate, truncate_one_byte, write_complex,
+        write_oversized_header,
+    ], ids=["pickled-object-array", "npz-archive", "truncated", "truncated-one-byte",
+            "complex-dtype", "oversized-header"])
     def test_unreadable_frame_named(self, tmp_path, rng, write):
         manifest = save_stack(synthesize_stack(random_scene(rng), FOUR_STEPS), tmp_path)
         frame = tmp_path / "frames" / "frame_001.npy"
@@ -377,6 +384,48 @@ class TestPersistence:
         with pytest.raises(CorruptFrame) as err:
             load_stack(manifest)
         assert "frame_001.npy" in str(err.value)
+
+    def test_header_and_manifest_claiming_more_than_the_file_holds(self, tmp_path, rng):
+        manifest = save_stack(synthesize_stack(random_scene(rng), FOUR_STEPS), tmp_path)
+        data = json.loads(manifest.read_text())
+        data["shape"] = [10**6, 10**6]  # the frame header claims the same 8 TB
+        manifest.write_text(json.dumps(data))
+        frame = tmp_path / "frames" / "frame_000.npy"
+        write_oversized_header(frame, np.load(frame, allow_pickle=False))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptFrame) as err:
+                load_stack(manifest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "frame_000.npy" in str(err.value)
+        assert peak < 10**6  # bytes: no frame or stack buffer was allocated
+
+    @pytest.mark.parametrize("write", [
+        lambda fh, a: np.lib.format.write_array(fh, np.asfortranarray(a)),
+        lambda fh, a: np.lib.format.write_array(fh, a.astype(">f8")),
+        lambda fh, a: np.lib.format.write_array(fh, a.astype("<f4")),
+        lambda fh, a: np.lib.format.write_array(fh, a, version=(1, 0)),
+        lambda fh, a: np.lib.format.write_array(fh, a, version=(2, 0)),
+        lambda fh, a: np.lib.format.write_array(fh, a, version=(3, 0)),
+        lambda fh, a: np.lib.format.write_array(fh, np.asfortranarray(a.astype(">i4")),
+                                                version=(2, 0)),
+    ], ids=["fortran-order", "big-endian-f8", "f4", "version-1.0", "version-2.0", "version-3.0",
+            "fortran-big-endian-i4-version-2.0"])
+    def test_frame_layouts_load_like_np_load(self, tmp_path, rng, write):
+        # uint16 frames: test_integer_frames_read_as_float
+        manifest = save_stack(synthesize_stack(random_scene(rng), FOUR_STEPS), tmp_path)
+        expected = []
+        for k in range(FOUR_STEPS.size):
+            frame = tmp_path / "frames" / f"frame_{k:03d}.npy"
+            values = np.load(frame, allow_pickle=False)
+            with open(frame, "wb") as fh:
+                write(fh, values)
+            expected.append(np.load(frame, allow_pickle=False).astype(float))
+        back = load_stack(manifest)
+        assert back.frames.dtype == np.float64 and back.frames.flags.c_contiguous
+        assert back.frames.tobytes() == np.stack(expected).tobytes()
 
     def test_integer_frames_read_as_float(self, tmp_path, rng):
         manifest = save_stack(synthesize_stack(random_scene(rng), FOUR_STEPS), tmp_path)

@@ -1,9 +1,12 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qiul.core import OpticalSetup, singular_waist
 from qiul.errors import QuadratureNotConverged, SeparableState
@@ -227,6 +230,25 @@ class TestProfile1D:
     def test_visibility_bounds_enforced(self):
         with pytest.raises(ValueError):
             Profile1D(grid=np.linspace(0, 1, 4), values=np.array([0.0, 0.5, 1.2, 1.0]), kind="v")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 4000), plane=st.sampled_from(["camera", "object"]),
+           pitch=st.floats(1e-9, 1e-2))
+    def test_csv_matches_savetxt(self, data, n, plane, pitch):
+        values = data.draw(hnp.arrays(np.float64, n, elements=st.floats(width=64) | st.sampled_from(
+            [np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.5e-310, 1e308, -1e308])))
+        profile = Profile1D(grid=(np.arange(n) - (n - 1) / 2.0) * pitch, values=values, plane=plane)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, oracle = Path(tmp) / "profile.csv", Path(tmp) / "oracle.csv"
+            write_profile_csv(profile, path)
+            np.savetxt(oracle, np.column_stack([profile.grid, profile.values]), delimiter=",",
+                       fmt="%.17g", header=f"plane={plane}\nx_c_m, value")
+            assert path.read_bytes() == oracle.read_bytes()
+            if np.isfinite(values).all():
+                back = read_profile_csv(path)
+                assert back.plane == plane
+                assert back.grid.tobytes() == profile.grid.tobytes()
+                assert back.values.tobytes() == profile.values.tobytes()
 
     def test_csv_round_trip(self, tmp_path, params, setup):
         x = np.linspace(-1e-4, 1e-4, 33)
