@@ -209,11 +209,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # float64 overflow or an invalid operation (inf - inf) means the
-        # input lies outside what the model can represent: exit 3, not a
-        # warning followed by meaningless numbers; Python float arithmetic
-        # reports the same as OverflowError or ZeroDivisionError
-        with np.errstate(over="raise", invalid="raise"):
+        # float64 overflow, division by zero or an invalid operation
+        # (inf - inf) means the input lies outside what the model can
+        # represent: exit 3, not a warning followed by meaningless numbers;
+        # Python float arithmetic raises OverflowError or ZeroDivisionError
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -75,6 +75,10 @@ class PeaksNotResolved(NumericalError):
     """Two-slit profile lacks two separated maxima."""
 
 
+class TooFewSamples(ValidationError, ValueError):
+    """Profile has fewer samples than a fit of its parameters needs."""
+
+
 class GateFailed(NumericalError):
     """The two fitted edge magnifications disagree beyond the gate; the
     averaged magnification estimate is withheld."""

@@ -27,6 +27,7 @@ from .errors import (
     RangeNotSpanned,
     SeparableState,
     SingularNormalEquations,
+    TooFewSamples,
 )
 from .imaging import Profile1D, _coefficients, _esf_factors, erf
 from .spreads import _g_esf_widths, spread_v_closed
@@ -121,28 +122,26 @@ def least_squares_fit(
     data: Profile1D,
     init: dict[str, float],
     bounds: dict[str, tuple[float, float]] | None = None,
-    jacobian=None,
+    *,
+    jacobian,
 ) -> FitResult:
     """Levenberg-damped Gauss-Newton minimization of
     sum (model(x, params) - y)^2.
 
-    jacobian(x, params), when given, returns the model's analytic
-    Jacobian as a dict from each parameter name to its column
-    d model / d param over x; the engine stacks the columns in init
-    order. Without it the Jacobian is the central difference of the
-    residual, 2 n_par model evaluations with a relative step of 1e-6 of
-    max(|param|, |init value|) per parameter.
+    jacobian(x, params) returns the model's analytic Jacobian as a dict
+    from each parameter name to its column d model / d param over x; the
+    engine stacks the columns in init order.
 
     Converges when the relative step norm drops below 1e-10 or the
-    relative residual change below 1e-12; raises NotConverged after 200
-    iterations and SingularNormalEquations if damping cannot make the
-    normal equations solvable."""
+    relative residual change below 1e-12; raises TooFewSamples below
+    n_par + 2 samples, NotConverged after 200 iterations and, if damping
+    cannot make the normal equations solvable, SingularNormalEquations."""
     names = tuple(init)
     n_par = len(names)
     x = data.grid
     y = data.values
     if y.size < n_par + 2:
-        raise ValueError(f"need >= {n_par + 2} data points for {n_par} parameters")
+        raise TooFewSamples(f"need >= {n_par + 2} data points for {n_par} parameters")
     bounds = bounds or {}
     lo = np.array([bounds.get(k, (-np.inf, np.inf))[0] for k in names])
     hi = np.array([bounds.get(k, (-np.inf, np.inf))[1] for k in names])
@@ -153,18 +152,12 @@ def least_squares_fit(
     def residual(t: np.ndarray) -> np.ndarray:
         return model(x, dict(zip(names, t))) - y
 
-    if jacobian is None:
-        scale = np.array([max(abs(float(init[k])), 1e-9) for k in names])
-
-        def jacobian_at(t: np.ndarray) -> np.ndarray:
-            return _central_difference(residual, t, scale)
-    else:
-        def jacobian_at(t: np.ndarray) -> np.ndarray:
-            columns = jacobian(x, dict(zip(names, t)))
-            jac = np.column_stack([np.asarray(columns[k], dtype=float) for k in names])
-            if jac.shape != (y.size, n_par):
-                raise ValueError(f"jacobian has shape {jac.shape}, need {(y.size, n_par)}")
-            return jac
+    def jacobian_at(t: np.ndarray) -> np.ndarray:
+        columns = jacobian(x, dict(zip(names, t)))
+        jac = np.column_stack([np.asarray(columns[k], dtype=float) for k in names])
+        if jac.shape != (y.size, n_par):
+            raise ValueError(f"jacobian has shape {jac.shape}, need {(y.size, n_par)}")
+        return jac
 
     r = residual(theta)
     ssr = float(r @ r)
@@ -220,7 +213,8 @@ def least_squares_fit(
 
 def _central_difference(residual, theta: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of residual at theta, with the step
-    JACOBIAN_REL_STEP * max(|theta_i|, scale_i) for parameter i."""
+    JACOBIAN_REL_STEP * max(|theta_i|, scale_i) for parameter i: the test
+    oracle for the analytic Jacobians, its only use."""
     cols = []
     for i in range(theta.size):
         h = JACOBIAN_REL_STEP * max(abs(theta[i]), scale[i])
@@ -416,7 +410,7 @@ def fit_double_slit(
     """Two-Gaussian-plus-offset fit of a two-slit camera profile; the
     magnification is the fitted peak distance over the object-plane slit
     distance, its uncertainty the quadrature sum of the fit covariance
-    and the object tolerance contributions."""
+    and the object tolerance terms; OverflowError if either is not finite."""
     if not 0 < slit_distance_object < math.inf:
         raise NonPositiveParameter(f"slit distance must be a positive finite length, "
                                    f"got {slit_distance_object!r}")
@@ -458,11 +452,14 @@ def fit_double_slit(
     var_d = max(float(var_d), 0.0)
     magnification = distance / slit_distance_object
     rel = math.sqrt(var_d / distance**2 + (object_tolerance / slit_distance_object) ** 2)
+    uncertainty = magnification * rel
+    if not (math.isfinite(magnification) and math.isfinite(uncertainty)):
+        raise OverflowError(f"magnification {magnification!r} +- {uncertainty!r} is not finite")
     return MagnificationMeasurement(
         peak_distance_camera=distance,
         slit_distance_object=slit_distance_object,
         magnification=magnification,
-        uncertainty=magnification * rel,
+        uncertainty=uncertainty,
         fit=fit,
     )
 

@@ -31,7 +31,7 @@ from .dpsh import (
 )
 from .errors import ImageTooSmall, NonPositiveParameter, NumericalError
 from .fitting import GATE_THRESHOLD, MagnificationEstimate, fit_edge_profiles
-from .imaging import Profile1D, g_envelope_coefficient, v_esf, write_profile_csv
+from .imaging import Profile1D, _coefficients, _esf_factors, write_profile_csv
 from .spreads import half_width_1e, knife_edge_width_2476, lsf_from_esf, theory_sweep_rows
 
 __all__ = ["build_edge_scene", "simulate_edge", "analyze_stack", "ANALYSIS_SCHEMA"]
@@ -81,12 +81,10 @@ def build_edge_scene(
                                    f"{sys.float_info.min!r} m, got {pixel_pitch!r}")
     x = (np.arange(cols) - (cols - 1) / 2.0) * pixel_pitch
     y = (np.arange(rows) - (rows - 1) / 2.0) * pixel_pitch
-    k = g_envelope_coefficient(params)
-    envelope = np.exp(-k * (x / setup.m_d) ** 2)
+    envelope, edge_factor = _esf_factors(*_coefficients(params), x, setup.m_u * x_tilde_o, setup.m_d)
     beam_y = np.exp(-((y / (rows * pixel_pitch / 4.0)) ** 2))
     b = background * np.outer(beam_y, envelope)
-    vis = v_esf(params, setup, x, x_tilde_o)
-    a = b * vis[None, :]
+    a = b * (0.5 * edge_factor)
     return SceneModel(background=b, modulation=a, phase_map=np.zeros_like(b))
 
 

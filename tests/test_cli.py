@@ -399,6 +399,29 @@ class TestMagnificationCommand:
         assert option[2:].replace("-", " ") in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
 
+    @pytest.mark.parametrize("option, value", [
+        ("--slit-distance", "1e-320m"), ("--slit-tolerance", "1e308m"),
+    ])
+    def test_non_finite_magnification_exit_code(self, tmp_path, capsys, option, value):
+        # a subnormal slit distance makes the magnification inf, a huge
+        # tolerance its uncertainty: neither is reported as a result
+        profile_path = tmp_path / "slits.csv"
+        self.write_two_slit_profile(profile_path)
+        out = tmp_path / "m"
+        assert run(["magnification", "--profile", profile_path, f"{option}={value}",
+                    "--out", out]) == 3
+        assert "is not finite" in capsys.readouterr().err
+        assert not (out / "magnification.json").exists()
+
+    def test_too_few_rows_for_the_fit_exit_code(self, tmp_path, capsys):
+        # two separated maxima, but 5 samples for the 7 fit parameters
+        profile_path = tmp_path / "short.csv"
+        profile_path.write_text("0,1\n1e-6,0\n2e-6,1\n3e-6,0\n4e-6,1\n", encoding="utf-8")
+        out = tmp_path / "m"
+        assert run(["magnification", "--profile", profile_path, "--out", out]) == 2
+        assert "need >= 9 data points" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_slit_tolerance_accepted(self, tmp_path):
         profile_path = tmp_path / "slits.csv"
         self.write_two_slit_profile(profile_path)
@@ -540,6 +563,26 @@ NOISE_SPECS = st.sampled_from(["none", ""]) | st.lists(NOISE_PARTS, min_size=1, 
 BACKGROUNDS = NUMBERS | st.sampled_from(["1e4", "-1", "0", "-inf", "1e300", "5e-324"]) | st.text(max_size=6)
 SEEDS = (st.integers(-2**64, 2**64).map(str) | st.sampled_from(["-1", "0", "-0", "+3"])
          | NUMBERS | st.text(max_size=6))
+SLIT_LENGTHS = st.sampled_from(["133um", "23um", "0um", "1e-320m", "1e-300m", "1e308m"]) | LENGTHS
+
+
+@st.composite
+def profile_csvs(draw):
+    """Profile CSV text of 2 to 40 rows on a uniform grid of any step.
+    The values are one scale times numbers in [-2, 2], or, in some
+    profiles, with 0, +-1e+-300 and any finite float mixed in."""
+    n = draw(st.integers(2, 40))
+    step = draw(st.sampled_from([1e-6, 1e-300, 5e-324, 1e300]) | st.floats(1e-9, 1e-3))
+    first = draw(st.integers(-40, 0))
+    scale = draw(st.sampled_from([1.0, -1.0, 1e300, 1e-300, 5e-324]) | st.floats(-1e6, 1e6))
+    value = st.floats(-2.0, 2.0)
+    if draw(st.booleans()):
+        value |= (st.sampled_from([0.0, 1e300, -1e300, 1e-300, -1e-300])
+                  | st.floats(allow_nan=False, allow_infinity=False))
+    values = draw(st.lists(value, min_size=n, max_size=n))
+    return "".join(f"{(first + i) * step!r},{scale * y!r}\n" for i, y in enumerate(values))
+
+
 # per config key, values that keep the other keys valid
 VALID_CONFIG_VALUES = {
     "lambda_p": ["405nm"], "lambda_d": ["730nm"], "lambda_u": ["910nm"],
@@ -700,6 +743,27 @@ class TestExitCodeContract:
         with tempfile.TemporaryDirectory() as tmp:
             code = exit_code(args + ["--out", tmp])
         assert code in (0, 2, 3, 4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=profile_csvs(), distance=SLIT_LENGTHS, tolerance=SLIT_LENGTHS)
+    def test_magnification_profiles(self, text, distance, tolerance):
+        # a profile and slit geometry either exit 2, 3 or 4, or every
+        # number in magnification.json is finite (JSON writes inf and nan
+        # as strings)
+        def leaves(obj):
+            return [v for o in obj.values() for v in leaves(o)] if isinstance(obj, dict) else [obj]
+
+        with tempfile.TemporaryDirectory() as tmp:
+            profile = Path(tmp) / "profile.csv"
+            profile.write_text(text, encoding="utf-8")
+            out = Path(tmp) / "mag"
+            code = exit_code(["magnification", "--profile", profile, "--out", out,
+                              f"--slit-distance={distance}", f"--slit-tolerance={tolerance}"])
+            assert code in (0, 2, 3, 4)
+            if code == 0:
+                report = json.loads((out / "magnification.json").read_text())
+                assert all(isinstance(v, (int, float)) and math.isfinite(v)
+                           for v in leaves(report)), report
 
     @settings(max_examples=40, deadline=None)
     @given(values=config_values())
