@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical non-convergence,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -162,7 +163,10 @@ def _cmd_magnification(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by
+    every later one in the process; callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="qiul",
         description="Near-field quantum imaging with undetected light: "
@@ -206,8 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # float64 overflow, division by zero or an invalid operation
         # (inf - inf) means the input lies outside what the model can

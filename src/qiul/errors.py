@@ -50,7 +50,12 @@ class QuadratureNotConverged(NumericalError):
 
 
 class NotConverged(NumericalError):
-    pass
+    """An iteration stopped before its tolerance; parameters holds the
+    fit engine's last parameter values (None from other solvers)."""
+
+    def __init__(self, message, parameters=None):
+        super().__init__(message)
+        self.parameters = parameters
 
 
 class SingularNormalEquations(NumericalError):

@@ -50,7 +50,6 @@ SLIT_DISTANCE_TOLERANCE = 23e-6
 MAX_ITERATIONS = 200
 STEP_TOL = 1e-10
 RESIDUAL_TOL = 1e-12
-JACOBIAN_REL_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -134,8 +133,9 @@ def least_squares_fit(
 
     Converges when the relative step norm drops below 1e-10 or the
     relative residual change below 1e-12; raises TooFewSamples below
-    n_par + 2 samples, NotConverged after 200 iterations and, if damping
-    cannot make the normal equations solvable, SingularNormalEquations."""
+    n_par + 2 samples, NotConverged (carrying the last parameters) after
+    200 iterations and, if damping cannot make the normal equations
+    solvable, SingularNormalEquations."""
     names = tuple(init)
     n_par = len(names)
     x = data.grid
@@ -193,7 +193,8 @@ def least_squares_fit(
         if step_norm <= STEP_TOL * theta_norm or rel_change <= RESIDUAL_TOL:
             break
     else:
-        raise NotConverged(f"no convergence within {MAX_ITERATIONS} iterations (SSR {ssr:.3g})")
+        raise NotConverged(f"no convergence within {MAX_ITERATIONS} iterations (SSR {ssr:.3g})",
+                           parameters=dict(zip(names, map(float, theta))))
 
     jac = jacobian_at(theta)
     jtj = jac.T @ jac
@@ -209,20 +210,6 @@ def least_squares_fit(
         residual_rms=math.sqrt(ssr / y.size),
         iterations=iterations,
     )
-
-
-def _central_difference(residual, theta: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of residual at theta, with the step
-    JACOBIAN_REL_STEP * max(|theta_i|, scale_i) for parameter i: the test
-    oracle for the analytic Jacobians, its only use."""
-    cols = []
-    for i in range(theta.size):
-        h = JACOBIAN_REL_STEP * max(abs(theta[i]), scale[i])
-        tp, tm = theta.copy(), theta.copy()
-        tp[i] += h
-        tm[i] -= h
-        cols.append((residual(tp) - residual(tm)) / (2.0 * h))
-    return np.column_stack(cols)
 
 
 # -- edge-profile magnification fits ------------------------------------------
@@ -313,21 +300,26 @@ def fit_edge_profiles(
     k, c = _coefficients(params)
     g_model, g_jacobian, v_model, v_jacobian = _edge_models(k, c)
 
-    def fit_one(model, jacobian, profile):
+    def fit_one(name, model, jacobian, profile):
         span = float(profile.grid[-1] - profile.grid[0])
-        return least_squares_fit(
-            model, profile,
-            init={"m_d": DEFAULT_M_D_C, "m_u_x_o": _extremal_slope_position(profile)},
-            bounds={
-                "m_d": (1e-3, 1e3),
-                "m_u_x_o": (profile.grid[0] - span, profile.grid[-1] + span),
-            },
-            jacobian=jacobian,
-        )
+        try:
+            return least_squares_fit(
+                model, profile,
+                init={"m_d": DEFAULT_M_D_C, "m_u_x_o": _extremal_slope_position(profile)},
+                bounds={
+                    "m_d": (1e-3, 1e3),
+                    "m_u_x_o": (profile.grid[0] - span, profile.grid[-1] + span),
+                },
+                jacobian=jacobian,
+            )
+        except NotConverged as exc:
+            last = ", ".join(f"{k} = {v:.6g}" for k, v in exc.parameters.items())
+            raise NotConverged(f"{name} edge fit: {exc}; last {last}",
+                               parameters=exc.parameters) from exc
 
-    g_fit = fit_one(g_model, g_jacobian,
+    g_fit = fit_one("amplitude (g)", g_model, g_jacobian,
                     Profile1D(g_profile.grid, g_profile.values / g_peak, g_profile.plane))
-    v_fit = fit_one(v_model, v_jacobian, v_profile)
+    v_fit = fit_one("visibility (v)", v_model, v_jacobian, v_profile)
     m_d_g = g_fit.parameters["m_d"]
     m_d_v = v_fit.parameters["m_d"]
 
@@ -451,10 +443,16 @@ def fit_double_slit(
     var_d = fit.covariance[i1, i1] + fit.covariance[i2, i2] - 2.0 * fit.covariance[i1, i2]
     var_d = max(float(var_d), 0.0)
     magnification = distance / slit_distance_object
-    rel = math.sqrt(var_d / distance**2 + (object_tolerance / slit_distance_object) ** 2)
+    try:
+        rel = math.sqrt(var_d / distance**2 + (object_tolerance / slit_distance_object) ** 2)
+    except OverflowError:  # a float ** 2 beyond the float64 range
+        rel = math.inf
     uncertainty = magnification * rel
-    if not (math.isfinite(magnification) and math.isfinite(uncertainty)):
-        raise OverflowError(f"magnification {magnification!r} +- {uncertainty!r} is not finite")
+    if not math.isfinite(magnification):
+        raise OverflowError(f"magnification {magnification!r} is not finite")
+    if not math.isfinite(uncertainty):
+        raise OverflowError(f"uncertainty {uncertainty!r} of magnification "
+                            f"{magnification!r} is not finite")
     return MagnificationMeasurement(
         peak_distance_camera=distance,
         slit_distance_object=slit_distance_object,

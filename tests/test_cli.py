@@ -330,6 +330,15 @@ class TestSimulateAndAnalyze:
         assert run(["simulate-edge", "--config", cfg, "--out", tmp_path / "sim",
                     "--rows", 2, "--cols", 64]) == 3
 
+    def test_edge_fit_not_converged_names_the_fit(self, tmp_path, capsys):
+        # the edge lies outside the beam window, so a valley of parameters
+        # fits the visibility profile and the fit never settles
+        assert run(["simulate-edge", "--edge-offset", "1mm", "--cols", 2048,
+                    "--out", tmp_path / "sim"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: visibility (v) edge fit: no convergence")
+        assert "last m_d = " in err
+
     def test_flat_profile_exit_code(self, tmp_path):
         # at a 1 m pitch the amplitude envelope underflows to zero on every pixel
         code = run(["simulate-edge", "--out", tmp_path / "sim", "--pitch", "1m",
@@ -412,6 +421,19 @@ class TestMagnificationCommand:
                     "--out", out]) == 3
         assert "is not finite" in capsys.readouterr().err
         assert not (out / "magnification.json").exists()
+
+    @pytest.mark.parametrize("distance", ["1e-300m", "1e-160m"])
+    def test_uncertainty_overflow_exit_code(self, tmp_path, capsys, distance):
+        # (tolerance / distance)^2 leaves the float range while the
+        # magnification itself is still finite: the error names the
+        # uncertainty, not a bare errno
+        profile_path = tmp_path / "slits.csv"
+        self.write_two_slit_profile(profile_path)
+        out = tmp_path / "m"
+        assert run(["magnification", "--profile", profile_path, "--slit-distance", distance,
+                    "--out", out]) == 3
+        assert "error: uncertainty inf of magnification" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_too_few_rows_for_the_fit_exit_code(self, tmp_path, capsys):
         # two separated maxima, but 5 samples for the 7 fit parameters
@@ -517,6 +539,44 @@ class TestDeterminism:
         for name in ("manifest.json", "analysis.json", "comparison.json",
                      "frames/frame_000.npy", "v_image.npy"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestRepeatedInProcessCalls:
+    def test_calls_share_no_state(self, tmp_path, config_file, capsys):
+        # one process builds the parser once; each call must still write
+        # what the same command writes in a process of its own
+        profile_path = tmp_path / "slits.csv"
+        TestMagnificationCommand.write_two_slit_profile(profile_path)
+        sim = ["simulate-edge", "--config", config_file, "--noise", "read:0.01,shot:on",
+               "--rows", 12, "--cols", 256, "--pitch", "2um"]
+        seq = tmp_path / "sequence"
+        assert run([*sim, "--seed", 5, "--out", seq / "seeded"]) == 0
+        assert run([*sim, "--out", seq / "default-seed"]) == 0
+        with pytest.raises(SystemExit) as usage:
+            run(["simulate-edge", "--phases", "four", "--out", seq / "usage"])
+        assert usage.value.code == 2
+        assert "invalid int value: 'four'" in capsys.readouterr().err
+        assert run(["magnification", "--profile", profile_path, "--out", seq / "magnification"]) == 0
+        assert run(["theory-sweep", "--out", seq / "sweep"]) == 0
+        assert qiul.cli.build_parser() is qiul.cli.build_parser()
+
+        alone = {
+            "seeded": [*sim, "--seed", 5],
+            "default-seed": [*sim, "--seed", 0],
+            "magnification": ["magnification", "--profile", profile_path],
+            "sweep": ["theory-sweep"],
+        }
+        for name, args in alone.items():
+            out = tmp_path / "alone" / name
+            proc = fresh_python("-m", "qiul.cli", *map(str, args), "--out", str(out))
+            assert proc.returncode == 0, proc.stderr
+            assert tree_bytes(seq / name) == tree_bytes(out), name
+        assert tree_bytes(seq / "seeded") != tree_bytes(seq / "default-seed")
+        assert not (seq / "usage").exists()
 
 
 JSON_VALUES = st.recursive(

@@ -60,17 +60,34 @@ def fit_counts(monkeypatch):
     return counts
 
 
+JACOBIAN_REL_STEP = 1e-6
+
+
+def _central_difference(residual, theta: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of residual at theta, with the step
+    JACOBIAN_REL_STEP * max(|theta_i|, scale_i) for parameter i: the
+    oracle for the analytic Jacobians."""
+    cols = []
+    for i in range(theta.size):
+        h = JACOBIAN_REL_STEP * max(abs(theta[i]), scale[i])
+        tp, tm = theta.copy(), theta.copy()
+        tp[i] += h
+        tm[i] -= h
+        cols.append((residual(tp) - residual(tm)) / (2.0 * h))
+    return np.column_stack(cols)
+
+
 def central_difference(model, x, params, scale):
-    """The central-difference oracle fitting._central_difference of model
-    at params, the step h set by max(|param|, scale) per parameter, as a
+    """The central-difference oracle _central_difference of model at
+    params, the step h set by max(|param|, scale) per parameter, as a
     dict of columns keyed by parameter name like the analytic Jacobians;
     and per column the roundoff floor 10 eps max|model| / h, below which
     the difference quotient resolves nothing."""
     names = tuple(params)
     theta = np.array([params[k] for k in names])
     scale = np.asarray(scale, dtype=float)
-    jac = fitting._central_difference(lambda t: model(x, dict(zip(names, t))), theta, scale)
-    steps = fitting.JACOBIAN_REL_STEP * np.maximum(np.abs(theta), scale)
+    jac = _central_difference(lambda t: model(x, dict(zip(names, t))), theta, scale)
+    steps = JACOBIAN_REL_STEP * np.maximum(np.abs(theta), scale)
     floor = 10.0 * np.finfo(float).eps * np.max(np.abs(model(x, params))) / steps
     return dict(zip(names, jac.T)), dict(zip(names, floor))
 
@@ -154,6 +171,18 @@ class TestLeastSquaresEngine:
             lambda xv, p: p["a"] * xv + p["b"], data, init={"b": 0.0, "a": 1.0},
             jacobian=lambda xv, p: {"a": xv, "b": np.ones_like(xv)})
         assert fit.parameters == pytest.approx({"b": 0.5, "a": 2.0}, rel=1e-9)
+
+    def test_not_converged_carries_last_parameters(self, monkeypatch):
+        monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
+        x = np.linspace(-6.0, 6.0, 301)
+        model = lambda xv, p: np.exp(-(((xv - p["mu"]) / p["width"]) ** 2))
+        data = Profile1D(grid=x, values=model(x, {"mu": 0.3, "width": 1.7}))
+        with pytest.raises(NotConverged, match="within 1 iterations") as info:
+            least_squares_fit(model, data, init={"mu": 0.0, "width": 1.0},
+                              jacobian=gaussian_jacobian)
+        last = info.value.parameters
+        assert list(last) == ["mu", "width"]
+        assert last != {"mu": 0.0, "width": 1.0}  # the one iteration moved them
 
     def test_covariance_scales_with_noise(self):
         x = np.linspace(-4, 4, 200)
