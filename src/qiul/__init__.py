@@ -8,7 +8,7 @@ synthesis and demodulation, resolution-spread extraction, and
 nonlinear-fit magnification estimation.
 """
 
-from .core import OpticalSetup, RegimeReport, SourceParams, regime_classify, singular_waist, validate_params
+from .core import OpticalSetup, SourceParams, singular_waist, validate_params
 from .biphoton import (
     Density2D,
     QuadraticForm2,
@@ -48,13 +48,11 @@ from .dpsh import (
     synthesize_stack,
 )
 from .fitting import (
-    EdgeSharpness,
     FitResult,
     MagnificationEstimate,
     MagnificationMeasurement,
     fit_double_slit,
     fit_edge_profiles,
-    fit_erf_edge,
     least_squares_fit,
 )
 

@@ -1,4 +1,4 @@
-"""Source parameters, optical setup, and validity-regime classification.
+"""Source parameters, optical setup, and key-value config files.
 
 All lengths are SI meters internally; unit suffixes (nm/um/mm/...) are
 handled only when reading key-value config files. The closed-form model
@@ -25,7 +25,6 @@ DEFAULT_M_D_C = 2.67
 
 ENERGY_REL_TOL = 0.01
 THIN_CRYSTAL_FACTOR = 100.0
-REGIME_THRESHOLD = 10.0
 
 
 @dataclass(frozen=True)
@@ -81,20 +80,6 @@ class OpticalSetup:
             )
 
 
-@dataclass(frozen=True)
-class RegimeReport:
-    """Large-waist regime margins w_p^2 (ld+lu) / (l^2 L) for the
-    undetected and detected wavelengths, plus w_p / w_sing. Booleans are
-    margin >= 10; the raw margins are reported so callers can apply
-    their own threshold."""
-
-    margin_u: float
-    margin_d: float
-    separability_margin: float
-    large_waist_u: bool
-    large_waist_d: bool
-
-
 def validate_params(raw: SourceParams) -> SourceParams:
     """Check positivity, energy conservation, and the long-crystal
     regime; returns the input unchanged when valid, else raises a typed
@@ -123,21 +108,6 @@ def singular_waist(params: SourceParams) -> float:
     return math.sqrt(
         params.lambda_d * params.lambda_u * params.crystal_length
         / (2.0 * math.pi * (params.lambda_d + params.lambda_u))
-    )
-
-
-def regime_classify(params: SourceParams) -> RegimeReport:
-    lsum = params.lambda_d + params.lambda_u
-    w2 = params.pump_waist**2
-    margin_u = w2 * lsum / (params.lambda_u**2 * params.crystal_length)
-    margin_d = w2 * lsum / (params.lambda_d**2 * params.crystal_length)
-    sep = params.pump_waist / singular_waist(params)
-    return RegimeReport(
-        margin_u=margin_u,
-        margin_d=margin_d,
-        separability_margin=sep,
-        large_waist_u=margin_u >= REGIME_THRESHOLD,
-        large_waist_d=margin_d >= REGIME_THRESHOLD,
     )
 
 

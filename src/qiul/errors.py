@@ -84,11 +84,6 @@ class TooFewSamples(ValidationError, ValueError):
     """Profile has fewer samples than a fit of its parameters needs."""
 
 
-class GateFailed(NumericalError):
-    """The two fitted edge magnifications disagree beyond the gate; the
-    averaged magnification estimate is withheld."""
-
-
 # -- interferogram stacks ---------------------------------------------------
 
 class TooFewPhases(ValidationError):

@@ -20,7 +20,6 @@ import numpy as np
 
 from .core import DEFAULT_M_D_C, SourceParams
 from .errors import (
-    GateFailed,
     NonPositiveParameter,
     NotConverged,
     PeaksNotResolved,
@@ -29,18 +28,16 @@ from .errors import (
     SingularNormalEquations,
     TooFewSamples,
 )
-from .imaging import Profile1D, _coefficients, _esf_factors, erf
+from .imaging import Profile1D, _coefficients, _esf_factors
 from .spreads import _g_esf_widths, spread_v_closed
 
 __all__ = [
     "FitResult",
     "MagnificationEstimate",
     "MagnificationMeasurement",
-    "EdgeSharpness",
     "least_squares_fit",
     "fit_edge_profiles",
     "fit_double_slit",
-    "fit_erf_edge",
 ]
 
 GATE_THRESHOLD = 0.10
@@ -62,10 +59,6 @@ class FitResult:
     residual_rms: float
     iterations: int
 
-    def variance(self, name: str) -> float:
-        i = list(self.parameters).index(name)
-        return float(self.covariance[i, i])
-
 
 @dataclass(frozen=True)
 class MagnificationEstimate:
@@ -80,14 +73,6 @@ class MagnificationEstimate:
     g_fit: FitResult
     v_fit: FitResult
 
-    def require_m_d_avg(self) -> float:
-        if not self.gate_passed or self.m_d_avg is None:
-            raise GateFailed(
-                f"fitted magnifications disagree by {self.gate_ratio_deviation:.3g} "
-                f"(> {GATE_THRESHOLD}); averaged magnification withheld"
-            )
-        return self.m_d_avg
-
 
 @dataclass(frozen=True)
 class MagnificationMeasurement:
@@ -100,20 +85,6 @@ class MagnificationMeasurement:
     magnification: float
     uncertainty: float
     fit: FitResult
-
-
-@dataclass(frozen=True)
-class EdgeSharpness:
-    """Erf-edge fit: width is the 1/e half-width of the underlying
-    Gaussian derivative; doubled it quantifies a two-edge feature."""
-
-    width: float
-    center: float
-    fit: FitResult
-
-    @property
-    def two_edge_width(self) -> float:
-        return 2.0 * self.width
 
 
 def least_squares_fit(
@@ -431,8 +402,12 @@ def fit_double_slit(
         "mu1": (x[0], x[-1]),
         "mu2": (x[0], x[-1]),
     }
-    fit = least_squares_fit(_two_gaussians, profile, init=init, bounds=bounds,
-                            jacobian=_two_gaussians_jacobian)
+    try:
+        fit = least_squares_fit(_two_gaussians, profile, init=init, bounds=bounds,
+                                jacobian=_two_gaussians_jacobian)
+    except FloatingPointError as exc:  # raised only under np.errstate, as in cli.main
+        raise FloatingPointError(f"two-slit fit: {exc} on a profile grid step of "
+                                 f"{profile.step:.3g} m") from exc
 
     mu1, mu2 = fit.parameters["mu1"], fit.parameters["mu2"]
     distance = abs(mu2 - mu1)
@@ -458,56 +433,5 @@ def fit_double_slit(
         slit_distance_object=slit_distance_object,
         magnification=magnification,
         uncertainty=uncertainty,
-        fit=fit,
-    )
-
-
-# -- erf edge sharpness --------------------------------------------------------
-
-
-def _erf_argument(x, p):
-    return (x - p["c"]) / p["width"]
-
-
-def _erf_edge(x, p):
-    """a + b erf((x - c) / width)"""
-    return p["a"] + p["b"] * erf(_erf_argument(x, p))
-
-
-def _erf_edge_jacobian(x, p):
-    """Columns d/d(a, b, c, width) of _erf_edge."""
-    t = _erf_argument(x, p)
-    d_c = -2.0 / math.sqrt(math.pi) * p["b"] * np.exp(-(t**2)) / p["width"]
-    return {"a": np.ones_like(x), "b": erf(t), "c": d_c, "width": d_c * t}
-
-
-def fit_erf_edge(profile: Profile1D) -> EdgeSharpness:
-    """Fit a + b erf((x - c) / width) to a monotone-trend edge profile;
-    width is the 1/e half-width of the Gaussian derivative."""
-    x = profile.grid
-    y = profile.values
-    n = max(2, y.size // 10)
-    y0 = float(np.mean(y[:n]))
-    y1 = float(np.mean(y[-n:]))
-    a0 = 0.5 * (y0 + y1)
-    b0 = 0.5 * (y1 - y0)
-    if b0 == 0:
-        raise ValueError("profile shows no edge trend")
-    slope = np.gradient(y, x)
-    c0 = float(x[int(np.argmax(np.abs(slope)))])
-    max_slope = float(np.max(np.abs(slope)))
-    width0 = max(2.0 * abs(b0) / (math.sqrt(math.pi) * max_slope), profile.step / 10.0)
-
-    span = float(x[-1] - x[0])
-    fit = least_squares_fit(
-        _erf_edge,
-        profile,
-        init={"a": a0, "b": b0, "c": c0, "width": width0},
-        bounds={"width": (profile.step / 100.0, 10.0 * span), "c": (x[0], x[-1])},
-        jacobian=_erf_edge_jacobian,
-    )
-    return EdgeSharpness(
-        width=float(abs(fit.parameters["width"])),
-        center=float(fit.parameters["c"]),
         fit=fit,
     )

@@ -46,25 +46,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpreadResult:
-    """Extracted width with method/plane metadata and a linear-
-    interpolation error estimate (same units as width)."""
+    """Extracted width with a linear-interpolation error estimate (same
+    units as width)."""
 
     width: float
-    method: str
-    plane: str = "camera"
     interpolation_error_estimate: float = 0.0
 
     def __post_init__(self):
         if not (self.width >= 0 and math.isfinite(self.width)):
             raise ValueError(f"width must be finite and >= 0, got {self.width}")
-
-    def magnification_adjusted(self, m_d: float) -> "SpreadResult":
-        return replace(
-            self,
-            width=self.width / m_d,
-            interpolation_error_estimate=self.interpolation_error_estimate / m_d,
-            plane="magnification_adjusted",
-        )
 
 
 def _crossing(x: np.ndarray, v: np.ndarray, i: int, j: int, level: float) -> tuple[float, float]:
@@ -83,7 +73,12 @@ def _crossing(x: np.ndarray, v: np.ndarray, i: int, j: int, level: float) -> tup
     return float(pos), float(err)
 
 
-def _half_width_1e_arrays(x: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+def half_width_1e(profile: Profile1D) -> SpreadResult:
+    """Half the distance between the left and right 1/e-of-maximum
+    crossings around the (unique) peak, crossings located by linear
+    interpolation."""
+    x = profile.grid
+    v = profile.values
     i_max = int(np.argmax(v))
     peak = v[i_max]
     if not (peak > 0 and np.isfinite(peak)):
@@ -106,18 +101,8 @@ def _half_width_1e_arrays(x: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     j = i_max + int(below_right[0])
     x_right, e_right = _crossing(x, v, j - 1, j, level)
 
-    return 0.5 * (x_right - x_left), 0.5 * (e_left + e_right)
-
-
-def half_width_1e(profile: Profile1D) -> SpreadResult:
-    """Half the distance between the left and right 1/e-of-maximum
-    crossings around the (unique) peak, crossings located by linear
-    interpolation."""
-    width, err = _half_width_1e_arrays(profile.grid, profile.values)
-    return SpreadResult(
-        width=width, method="one_over_e", plane=profile.plane,
-        interpolation_error_estimate=err,
-    )
+    return SpreadResult(width=0.5 * (x_right - x_left),
+                        interpolation_error_estimate=0.5 * (e_left + e_right))
 
 
 def knife_edge_width_2476(esf: Profile1D) -> SpreadResult:
@@ -144,10 +129,7 @@ def knife_edge_width_2476(esf: Profile1D) -> SpreadResult:
     j = int(above_hi[0])
     x_hi, e_hi = _crossing(x, v, j - 1, j, hi_level)
 
-    return SpreadResult(
-        width=abs(x_hi - x_lo), method="knife_24_76", plane=esf.plane,
-        interpolation_error_estimate=e_lo + e_hi,
-    )
+    return SpreadResult(width=abs(x_hi - x_lo), interpolation_error_estimate=e_lo + e_hi)
 
 
 def lsf_from_esf(esf: Profile1D) -> Profile1D:
@@ -174,22 +156,19 @@ def spread_g_psf_closed(params: SourceParams) -> float:
     return 1.0 / math.sqrt(k + c * c)
 
 
-def spread_v_closed(params: SourceParams, below_singularity: bool = False) -> float:
+def spread_v_closed(params: SourceParams) -> float:
     """1/e half-width of the visibility PSF, magnification adjusted:
     1/|c| for c = esf_slope_coefficient (v_psf's exponent is c^2).
 
-    Diverges at the singular waist, where c = 0; restricted to
-    w_p > w_sing unless below_singularity is set, in which case the
-    branch below the singularity is returned with positive sign
-    (paraxial assumptions are questionable there)."""
+    Defined only above the singular waist: c = 0 at w_sing, where the
+    spread diverges, so any w_p <= w_sing (1 + 1e-9) raises
+    SeparableState."""
     w_sing = singular_waist(params)
-    if not below_singularity and params.pump_waist <= w_sing * (1.0 + 1e-9):
+    if params.pump_waist <= w_sing * (1.0 + 1e-9):
         raise SeparableState(
             f"pump waist {params.pump_waist:.6g} m at or below the singular waist "
             f"{w_sing:.6g} m: visibility spread diverges"
         )
-    if below_singularity and abs(params.pump_waist - w_sing) <= w_sing * 1e-9:
-        raise SeparableState("visibility spread diverges at the singular waist")
     return 1.0 / abs(esf_slope_coefficient(params))
 
 

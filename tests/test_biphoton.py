@@ -17,7 +17,8 @@ from qiul.biphoton import (
 )
 from qiul.core import singular_waist
 from qiul.errors import GridTooCoarse
-from qiul.spreads import _half_width_1e_arrays
+from qiul.imaging import Profile1D
+from qiul.spreads import half_width_1e
 
 from conftest import make_params
 
@@ -99,7 +100,7 @@ class TestGaussianDensity:
         q = gaussian_quadratic_form(params)
         x = np.linspace(-5 / math.sqrt(q.a_dd), 5 / math.sqrt(q.a_dd), 4097)
         slice_d = joint_density_gaussian(params, x, np.zeros_like(x))
-        width, _ = _half_width_1e_arrays(x, slice_d / slice_d.max())
+        width = half_width_1e(Profile1D(grid=x, values=slice_d / slice_d.max())).width
         assert width == pytest.approx(1.0 / math.sqrt(q.a_dd), rel=1e-6)
 
 
@@ -158,7 +159,7 @@ class TestSincDensity:
         q = gaussian_quadratic_form(p)
         i0 = int(np.argmin(np.abs(d.grid_u)))
         slice_d = d.values[:, i0]
-        width, _ = _half_width_1e_arrays(d.grid_d, slice_d / slice_d.max())
+        width = half_width_1e(Profile1D(grid=d.grid_d, values=slice_d / slice_d.max())).width
         assert width == pytest.approx(1.0 / math.sqrt(q.a_dd), rel=0.15)
 
     def test_coarse_quadrature_rejected(self):

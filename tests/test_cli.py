@@ -371,14 +371,14 @@ class TestSimulateAndAnalyze:
 
 class TestMagnificationCommand:
     @staticmethod
-    def write_two_slit_profile(path, separation=355.11e-6):
+    def write_two_slit_profile(path, separation=355.11e-6, scale=1.0):
         x = np.linspace(-6e-4, 6e-4, 601)
         y = (
             0.02
             + np.exp(-(((x + separation / 2) / 5e-5) ** 2))
             + np.exp(-(((x - separation / 2) / 5e-5) ** 2))
         )
-        write_profile_csv(Profile1D(grid=x, values=y), path)
+        write_profile_csv(Profile1D(grid=x * scale, values=y), path)
 
     def test_reference_measurement(self, tmp_path):
         profile_path = tmp_path / "slits.csv"
@@ -433,6 +433,22 @@ class TestMagnificationCommand:
         assert run(["magnification", "--profile", profile_path, "--slit-distance", distance,
                     "--out", out]) == 3
         assert "error: uncertainty inf of magnification" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("step", [2e-300, 2e-170, 2e160, 2e300])
+    def test_fit_overflow_names_the_fit(self, tmp_path, capsys, step):
+        # the 2 um grid and the slit distance rescaled far from metres: a
+        # matrix product of the fit engine leaves the float range, and
+        # the error names the two-slit fit and the grid step
+        scale = step / 2e-6
+        profile_path = tmp_path / "slits.csv"
+        self.write_two_slit_profile(profile_path, scale=scale)
+        out = tmp_path / "m"
+        assert run(["magnification", "--profile", profile_path,
+                    f"--slit-distance={133e-6 * scale!r}m", "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert "error: two-slit fit: overflow encountered in " in err
+        assert f"grid step of {step:.3g} m" in err
         assert not out.exists()
 
     def test_too_few_rows_for_the_fit_exit_code(self, tmp_path, capsys):

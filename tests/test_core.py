@@ -4,15 +4,12 @@ from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qiul.core import (
     OpticalSetup,
     SourceParams,
     load_config,
     parse_length,
-    regime_classify,
     singular_waist,
     validate_params,
 )
@@ -130,39 +127,6 @@ class TestSingularWaist:
         lengths = [1e-3, 2e-3, 4e-3, 8e-3, 16e-3]
         values = [singular_waist(make_params(crystal_length=L)) for L in lengths]
         assert all(a < b for a, b in zip(values, values[1:]))
-
-
-class TestRegimeClassify:
-    def test_margins_match_arithmetic_oracle(self):
-        ld, lu = mp.mpf("730e-9"), mp.mpf("910e-9")
-        w, L = mp.mpf("308e-6"), mp.mpf("2e-3")
-        expected_u = float(w**2 * (ld + lu) / (lu**2 * L))
-        report = regime_classify(make_params(2e-3, 308e-6))
-        assert report.margin_u == pytest.approx(expected_u, rel=1e-12)
-        assert report.margin_u == pytest.approx(93.94, abs=0.05)
-        assert report.large_waist_u and report.large_waist_d
-
-    def test_small_waist_long_crystal_fails_u_condition(self):
-        report = regime_classify(make_params(10e-3, 50e-6))
-        assert report.margin_u == pytest.approx(0.4951, abs=0.001)
-        assert not report.large_waist_u
-
-    def test_separability_margin_is_one_at_singular_waist(self):
-        p = make_params()
-        w_sing = singular_waist(p)
-        report = regime_classify(p.with_waist(w_sing))
-        assert report.separability_margin == pytest.approx(1.0, rel=1e-12)
-
-    @given(st.floats(min_value=1.0, max_value=50.0))
-    @settings(max_examples=30, deadline=None)
-    def test_booleans_monotone_in_waist(self, factor):
-        base = make_params(5e-3, 60e-6)
-        small = regime_classify(base)
-        large = regime_classify(base.with_waist(60e-6 * factor))
-        if small.large_waist_u:
-            assert large.large_waist_u
-        if small.large_waist_d:
-            assert large.large_waist_d
 
 
 class TestOpticalSetup:

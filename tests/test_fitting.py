@@ -7,16 +7,14 @@ from hypothesis import strategies as st
 
 from qiul import fitting
 from qiul.core import DEFAULT_M_D_C, OpticalSetup, singular_waist
-from qiul.errors import GateFailed, NotConverged, PeaksNotResolved
+from qiul.errors import NotConverged, PeaksNotResolved
 from qiul.fitting import (
     fit_double_slit,
     fit_edge_profiles,
-    fit_erf_edge,
     least_squares_fit,
 )
 from qiul.imaging import Profile1D, _coefficients, g_esf, v_esf
 from qiul.spreads import spread_g_esf_numeric
-from scipy.special import erf
 
 from conftest import PARAM_GRID, make_params
 
@@ -191,8 +189,8 @@ class TestLeastSquaresEngine:
         data = Profile1D(grid=x, values=model(x, {"amp": 3.0}) + rng.normal(0, 0.05, x.size))
         fit = least_squares_fit(model, data, init={"amp": 1.0},
                                 jacobian=lambda xv, p: {"amp": np.exp(-(xv**2))})
-        assert fit.variance("amp") > 0
-        assert math.sqrt(fit.variance("amp")) < 0.05  # well constrained
+        assert fit.covariance[0, 0] > 0
+        assert math.sqrt(fit.covariance[0, 0]) < 0.05  # well constrained
 
 
 class TestEdgeProfileFits:
@@ -207,7 +205,6 @@ class TestEdgeProfileFits:
         assert est.gate_passed
         assert est.gate_ratio_deviation < 1e-6
         assert est.m_d_avg == pytest.approx(2.67, abs=1e-6)
-        assert est.require_m_d_avg() == est.m_d_avg
 
     def test_recovers_other_magnification_from_default_init(self):
         params = make_params(5e-3, 214e-6)
@@ -233,8 +230,7 @@ class TestEdgeProfileFits:
         except NotConverged:
             return
         assert not est.gate_passed
-        with pytest.raises(GateFailed):
-            est.require_m_d_avg()
+        assert est.m_d_avg is None
 
     def test_scale_equivariance(self):
         params = make_params(5e-3, 214e-6)
@@ -355,31 +351,6 @@ class TestDoubleSlit:
         assert abs(np.mean(estimates) - truth) / truth < 0.01
 
 
-class TestErfEdge:
-    def test_exact_recovery(self):
-        x = np.linspace(-2e-4, 2e-4, 501)
-        y = 0.4 + 0.35 * erf((x - 12e-6) / 10e-6)
-        sharp = fit_erf_edge(Profile1D(grid=x, values=y))
-        assert sharp.width == pytest.approx(10e-6, abs=1e-8 * 10e-6 + 1e-14)
-        assert sharp.center == pytest.approx(12e-6, abs=1e-12)
-        assert sharp.two_edge_width == pytest.approx(20e-6, rel=1e-8)
-
-    def test_step_function(self):
-        x = np.linspace(-1e-4, 1e-4, 201)
-        y = (x >= 0).astype(float)
-        sharp = fit_erf_edge(Profile1D(grid=x, values=y))
-        assert sharp.width < x[1] - x[0]
-
-    def test_noise_robustness(self):
-        x = np.linspace(-2e-4, 2e-4, 256)
-        clean = 0.5 + 0.5 * erf(x / 25e-6)
-        rng = np.random.default_rng(23)
-        for _ in range(100):
-            noisy = clean + rng.normal(0.0, 0.01, x.size)
-            sharp = fit_erf_edge(Profile1D(grid=x, values=noisy))
-            assert sharp.width == pytest.approx(25e-6, rel=0.03)
-
-
 class TestAnalyticJacobians:
     """Each model's analytic Jacobian against the central-difference
     oracle, to 1e-6 of each column's largest entry."""
@@ -401,17 +372,6 @@ class TestAnalyticJacobians:
         scale = [1.0, 1.0, 3.5e-4, 5e-5, 1.0, 3.5e-4, 5e-5]
         assert_jacobian_matches(fitting._two_gaussians_jacobian(x, p),
                                 central_difference(fitting._two_gaussians, x, p, scale))
-
-    @settings(max_examples=40, deadline=None)
-    @given(a=st.floats(-1.0, 1.0), b=st.floats(0.05, 1.0).flatmap(
-               lambda b: st.sampled_from([b, -b])),
-           c=st.floats(-1e-4, 1e-4), width=st.floats(2e-6, 5e-5))
-    def test_erf_edge(self, a, b, c, width):
-        p = {"a": a, "b": b, "c": c, "width": width}
-        x = np.linspace(-2e-4, 2e-4, 501)
-        scale = [abs(b), abs(b), 2e-5, width]
-        assert_jacobian_matches(fitting._erf_edge_jacobian(x, p),
-                                central_difference(fitting._erf_edge, x, p, scale))
 
     @staticmethod
     def edge_models(length, waist):
