@@ -5,10 +5,9 @@ The edge fits treat the source parameters (wavelengths, crystal length,
 pump waist) as known and fit only the detected-arm magnification M_d and
 the lumped edge offset M_u * x_tilde_o, separately on the amplitude and
 the visibility profile. The two magnifications are averaged only when
-they agree to within 10% once the amplitude fit's edge offset is taken
-into account (the quality gate, the paper's spread-ratio test with the
-visibility spread cancelled); otherwise the averaged estimate is
-withheld while both fits remain reported.
+they agree to within 10% and both fitted edges lie inside their profiles
+(the quality gate); otherwise the averaged estimate is withheld while
+both fits remain reported.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .errors import (
     TooFewSamples,
 )
 from .imaging import Profile1D, _coefficients, _esf_factors
-from .spreads import _g_esf_widths, spread_v_closed
+from .spreads import spread_v_closed
 
 __all__ = [
     "FitResult",
@@ -255,16 +254,13 @@ def fit_edge_profiles(
     the same row (the amplitude profile is compared peak-normalized),
     both started at M_d = DEFAULT_M_D_C.
 
-    The gate compares the measured camera-plane spread ratio
-    M_g s_g(x_g / M_g) / (M_v s_v) with the theory ratio s_g(0) / s_v,
-    where s_g(x) is the amplitude-ESF spread at edge offset x and x_g the
-    fitted amplitude edge offset. s_v cancels: the deviation
-    |M_g s_g(x_g / M_g) / (M_v s_g(0)) - 1| is how far the two fitted
-    magnifications disagree once the amplitude fit's edge offset is taken
-    into account, and the averaged M_d is reported only when it stays
-    below GATE_THRESHOLD. At or below the singular waist the gate fails
-    with deviation inf (the fits are still reported). An amplitude
-    profile without a positive maximum raises RangeNotSpanned."""
+    The gate deviation |M_g / M_v - 1| is how far the two fitted
+    magnifications disagree, and the averaged M_d is reported only when
+    it stays below GATE_THRESHOLD. The comparison is undefined, so the
+    deviation is inf and the gate fails (the fits are still reported),
+    at or below the singular waist and when either fitted edge offset
+    M_u x_tilde_o lies outside its profile's grid. An amplitude profile
+    without a positive maximum raises RangeNotSpanned."""
     g_peak = np.max(g_profile.values)
     if not g_peak > 0:
         raise RangeNotSpanned("amplitude profile has no positive maximum")
@@ -299,11 +295,9 @@ def fit_edge_profiles(
     except SeparableState:
         deviation = float("inf")
     else:
-        # s_g at x_tilde_o = 0 and at the fitted edge offset, from one two-row solve
-        spread_g, spread_g_fitted = _g_esf_widths(
-            k, c, [0.0, g_fit.parameters["m_u_x_o"] / m_d_g]
-        ).tolist()
-        deviation = abs(m_d_g * spread_g_fitted / (m_d_v * spread_g) - 1.0)
+        inside = all(profile.grid[0] <= fit.parameters["m_u_x_o"] <= profile.grid[-1]
+                     for fit, profile in ((g_fit, g_profile), (v_fit, v_profile)))
+        deviation = abs(m_d_g / m_d_v - 1.0) if inside else float("inf")
     passed = deviation < GATE_THRESHOLD
 
     return MagnificationEstimate(

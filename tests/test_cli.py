@@ -206,6 +206,30 @@ class TestSimulateAndAnalyze:
         for name in ("analysis.json", *ANALYSIS_OUTPUTS):
             assert (noisy_ana / name).read_bytes() == (noisy_sim / name).read_bytes(), name
 
+    @pytest.mark.parametrize("offset", ["0.3mm", "-0.3mm", "0.5mm"])
+    def test_gate_passes_off_centre_edge(self, tmp_path, offset):
+        # noiseless and self-consistent: both fits return the true M_d, so
+        # the gate passes wherever the edge sits inside the beam window
+        assert run(["simulate-edge", "--out", tmp_path, f"--edge-offset={offset}"]) == 0
+        analysis = json.loads((tmp_path / "analysis.json").read_text())
+        assert analysis["gate"]["ratio_deviation"] <= 1e-12
+        assert analysis["gate"]["passed"]
+
+    def test_gate_fails_edge_outside_beam_window(self, tmp_path, capsys):
+        # the visibility fit's edge lies outside the beam window and its
+        # M_d (11.4) is not the true 2.67: no averaged magnification
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("crystal_length = 0.0034394590617580615\n"
+                       "pump_waist = 0.00018188514218936237\n", encoding="utf-8")
+        out = tmp_path / "sim"
+        assert run(["simulate-edge", "--config", cfg, "--out", out, "--cols", 2048,
+                    "--pitch", "1.3022839461649018e-05m",
+                    "--edge-offset=-0.003383019184727057m"]) == 0
+        assert "gate FAILED" in capsys.readouterr().out
+        analysis = json.loads((out / "analysis.json").read_text())
+        assert analysis["gate"] == {"passed": False, "ratio_deviation": "inf", "threshold": 0.1}
+        assert analysis["m_d_avg"] is None
+
     def test_frame_write_error_exit_code(self, tmp_path, monkeypatch):
         # simulate-edge does not read the saved stack back: a failed frame
         # write must still stop it before any analysis
@@ -844,14 +868,36 @@ class TestExitCodeContract:
     @settings(max_examples=40, deadline=None)
     @given(values=config_values())
     def test_config_file_values(self, values):
+        # on exit 0 every number written is finite: sweep.csv cells may also
+        # be the SeparableState marker, and the gate deviation "inf" (JSON
+        # writes non-finite floats as strings) marks an undefined comparison
+        def non_finite(obj, path=()):
+            if isinstance(obj, dict):
+                return [p for key, v in obj.items() for p in non_finite(v, (*path, key))]
+            if isinstance(obj, list):
+                return [p for v in obj for p in non_finite(v, path)]
+            try:
+                number = float(obj)
+            except (TypeError, ValueError):
+                return []
+            return [] if math.isfinite(number) else [path]
+
         with tempfile.TemporaryDirectory() as tmp:
             cfg = Path(tmp) / "run.cfg"
             cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()),
                            encoding="utf-8")
-            codes = {
-                exit_code(["theory-sweep", "--config", cfg, "--out", Path(tmp) / "sweep",
-                           "--lengths", "2mm,10mm", "--waists", "20um:2mm:log8"]),
-                exit_code(["simulate-edge", "--config", cfg, "--out", Path(tmp) / "sim",
-                           "--rows", 2, "--cols", 64, "--phases", 3]),
-            }
-        assert codes <= {0, 2, 3, 4}
+            sweep, sim = Path(tmp) / "sweep", Path(tmp) / "sim"
+            sweep_code = exit_code(["theory-sweep", "--config", cfg, "--out", sweep,
+                                    "--lengths", "2mm,10mm", "--waists", "20um:2mm:log8"])
+            sim_code = exit_code(["simulate-edge", "--config", cfg, "--out", sim,
+                                  "--rows", 2, "--cols", 64, "--phases", 3])
+            assert {sweep_code, sim_code} <= {0, 2, 3, 4}
+            if sweep_code == 0:
+                lines = (sweep / "sweep.csv").read_text(encoding="utf-8").splitlines()[1:]
+                cells = [cell for line in lines for cell in line.split(",")]
+                assert all(cell == "SeparableState" or math.isfinite(float(cell))
+                           for cell in cells), cells
+            if sim_code == 0:
+                for name in ("analysis.json", "comparison.json"):
+                    report = json.loads((sim / name).read_text(encoding="utf-8"))
+                    assert set(non_finite(report)) <= {("gate", "ratio_deviation")}, name

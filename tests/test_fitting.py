@@ -14,7 +14,6 @@ from qiul.fitting import (
     least_squares_fit,
 )
 from qiul.imaging import Profile1D, _coefficients, g_esf, v_esf
-from qiul.spreads import spread_g_esf_numeric
 
 from conftest import PARAM_GRID, make_params
 
@@ -277,18 +276,6 @@ class TestEdgeProfileFits:
         est = fit_edge_profiles(g_profile, v_profile, params)
         assert est.gate_ratio_deviation == pytest.approx(1.0 - 1.0 / stretch, abs=1e-6)
         assert est.gate_passed == (stretch < 1.1)
-
-    def test_gate_takes_edge_offset_into_account(self):
-        params = make_params(5e-3, 214e-6)
-        g_profile, v_profile = make_edge_profiles(params, m_d=2.67, x_tilde_o=40e-6)
-        est = fit_edge_profiles(g_profile, v_profile, params)
-        m_g = est.g_fit.parameters["m_d"]
-        x_g = est.g_fit.parameters["m_u_x_o"]
-        expected = abs(
-            m_g * spread_g_esf_numeric(params, x_g / m_g)
-            / (est.v_fit.parameters["m_d"] * spread_g_esf_numeric(params)) - 1.0
-        )
-        assert est.gate_ratio_deviation == pytest.approx(expected, abs=1e-14)
 
     def test_below_singularity_gate_fails_but_fits_report(self):
         p = make_params(10e-3, 50e-6)

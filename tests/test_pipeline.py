@@ -1,11 +1,14 @@
 import math
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qiul.core import OpticalSetup
-from qiul.errors import ValidationError
+from qiul.core import OpticalSetup, singular_waist
+from qiul.errors import ToolkitError, ValidationError
 from qiul.pipeline import analyze_stack, build_edge_scene, simulate_edge
 
 from conftest import make_params
@@ -56,3 +59,27 @@ class TestSimulateEdge:
                                cols=256, pixel_pitch=2e-6)
         assert result["analysis"]["gate"]["passed"]
         assert (tmp_path / "manifest.json").exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(length=st.floats(1e-3, 10e-3), log_waist_ratio=st.floats(math.log(1.05), math.log(20.0)),
+           cols=st.sampled_from([256, 512, 1024, 2048]),
+           log_pitch=st.floats(math.log(1e-6), math.log(20e-6)), offset_fraction=st.floats(-1.0, 1.0))
+    def test_gate_passes_only_on_the_true_magnification(self, length, log_waist_ratio, cols,
+                                                        log_pitch, offset_fraction):
+        # noiseless data: whenever the two fits agree and both edges lie in
+        # the beam window, their magnification is the true one; the offset
+        # stays within half the image width over M_d
+        params = make_params(length, 1.0)
+        params = params.with_waist(math.exp(log_waist_ratio) * singular_waist(params))
+        pitch = math.exp(log_pitch)
+        setup = OpticalSetup()
+        with tempfile.TemporaryDirectory() as tmp:
+            try:
+                result = simulate_edge(params, setup, tmp, n_phases=4, rows=4, cols=cols,
+                                       pixel_pitch=pitch,
+                                       x_tilde_o=offset_fraction * cols * pitch / (2.0 * setup.m_d))
+            except (ToolkitError, ArithmeticError):
+                return
+        analysis = result["analysis"]
+        if analysis["gate"]["passed"]:
+            assert abs(analysis["m_d_avg"] - setup.m_d) <= 1e-12
