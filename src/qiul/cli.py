@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import OpticalSetup, default_params, load_config, parse_dimensionless, parse_length
+from .core import load_config, parse_dimensionless, parse_length
 from .dpsh import NoiseModel
-from .errors import NumericalError, SchemaError, ToolkitError, ValidationError
+from .errors import NumericalError, SchemaError, ToolkitError, ValidationError, raise_float_errors
 from .fitting import fit_double_slit
 from .imaging import read_profile_csv
 from .pipeline import analyze_stack, simulate_edge, write_json
@@ -80,14 +80,8 @@ def parse_noise(text: str | None, background: float) -> NoiseModel:
     return NoiseModel(read_sigma=read_rel * background, shot=shot)
 
 
-def _load(args) -> tuple:
-    if args.config:
-        return load_config(args.config)
-    return default_params(), OpticalSetup()
-
-
 def _cmd_theory_sweep(args) -> int:
-    params, setup = _load(args)
+    params, setup = load_config(args.config)
     lengths = parse_length_list(args.lengths)
     waists = parse_length_list(args.waists)
     rows = theory_sweep_rows(params, lengths, waists, setup)
@@ -100,7 +94,7 @@ def _cmd_theory_sweep(args) -> int:
 
 
 def _cmd_simulate_edge(args) -> int:
-    params, setup = _load(args)
+    params, setup = load_config(args.config)
     noise = parse_noise(args.noise, args.background)
     result = simulate_edge(
         params,
@@ -126,7 +120,7 @@ def _cmd_simulate_edge(args) -> int:
 
 
 def _cmd_analyze_stack(args) -> int:
-    params, _ = _load(args)
+    params, _ = load_config(args.config)
     analysis = analyze_stack(args.manifest, params, args.out)
     print(f"wrote analysis to {Path(args.out) / 'analysis.json'}; "
           f"gate {'passed' if analysis['gate']['passed'] else 'FAILED'}")
@@ -209,15 +203,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@raise_float_errors
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # float64 overflow, division by zero or an invalid operation
-        # (inf - inf) means the input lies outside what the model can
-        # represent: exit 3, not a warning followed by meaningless numbers;
-        # Python float arithmetic raises OverflowError or ZeroDivisionError
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return args.func(args)
+        # a FloatingPointError, or Python float arithmetic's OverflowError
+        # or ZeroDivisionError, means the input lies outside what the
+        # model can represent: exit 3
+        return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -60,7 +60,8 @@ class SourceParams:
 class OpticalSetup:
     """Arm magnifications. m_d = m_d_i * m_d_c (inside interferometer
     times crystal-to-camera leg); the undetected arm has no camera leg,
-    so m_u = m_u_i."""
+    so m_u = m_u_i. Either equation off by more than 1e-12 relative
+    raises SchemaError."""
 
     m_d: float = DEFAULT_M_D_C
     m_u: float = 1.0
@@ -73,11 +74,12 @@ class OpticalSetup:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise NonPositiveParameter(f"{name} must be finite and > 0, got {value}")
-        prod = self.m_d_i * self.m_d_c
-        if abs(self.m_d - prod) > 1e-12 * abs(prod):
-            raise SchemaError(
-                f"m_d = {self.m_d} inconsistent with m_d_i * m_d_c = {prod}"
-            )
+        for name, value, rule, expected in (
+            ("m_d", self.m_d, "m_d_i * m_d_c", self.m_d_i * self.m_d_c),
+            ("m_u", self.m_u, "m_u_i", self.m_u_i),
+        ):
+            if abs(value - expected) > 1e-12 * abs(expected):
+                raise SchemaError(f"{name} = {value} inconsistent with {rule} = {expected}")
 
 
 def validate_params(raw: SourceParams) -> SourceParams:
@@ -159,17 +161,20 @@ def parse_dimensionless(text: str) -> float:
     return number
 
 
-def load_config(path) -> tuple[SourceParams, OpticalSetup]:
+def load_config(path=None) -> tuple[SourceParams, OpticalSetup]:
     """Read a `key = value` config file (UTF-8, '#'/';' comments) and
-    return validated source parameters and optical setup. Missing keys
-    take the reference defaults."""
+    return validated source parameters and optical setup. Missing keys,
+    and every key when no path is given, take the reference defaults; a
+    file that sets only one of m_u and m_u_i sets both."""
     values = dict(DEFAULT_CONFIG)
     explicit = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = list(fh)
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not a UTF-8 text file ({exc})") from exc
+    lines = []
+    if path:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not a UTF-8 text file ({exc})") from exc
     for lineno, raw_line in enumerate(lines, start=1):
         line = raw_line.split("#", 1)[0].split(";", 1)[0].strip()
         if not line:
@@ -189,21 +194,12 @@ def load_config(path) -> tuple[SourceParams, OpticalSetup]:
     params = SourceParams(**{key: values[key] for key in _LENGTH_KEYS})
     m_d_i = values["m_d_i"]
     m_d_c = values["m_d_c"]
+    m_u_i = explicit.get("m_u_i", explicit.get("m_u", values["m_u_i"]))
     setup = OpticalSetup(
         m_d=explicit.get("m_d", m_d_i * m_d_c),
-        m_u=explicit.get("m_u", values["m_u_i"]),
+        m_u=explicit.get("m_u", m_u_i),
         m_d_i=m_d_i,
-        m_u_i=values["m_u_i"],
+        m_u_i=m_u_i,
         m_d_c=m_d_c,
     )
     return params, setup
-
-
-def default_params() -> SourceParams:
-    return SourceParams(
-        lambda_p=DEFAULT_CONFIG["lambda_p"],
-        lambda_d=DEFAULT_CONFIG["lambda_d"],
-        lambda_u=DEFAULT_CONFIG["lambda_u"],
-        crystal_length=DEFAULT_CONFIG["crystal_length"],
-        pump_waist=DEFAULT_CONFIG["pump_waist"],
-    )

@@ -31,6 +31,7 @@ __all__ = [
     "DemodulationResult",
     "synthesize_stack",
     "demodulate",
+    "pixel_centers",
     "select_max_row",
     "save_stack",
     "load_stack",
@@ -218,7 +219,8 @@ def demodulate(stack: InterferogramStack) -> DemodulationResult:
     bitwise equal to one product over the whole stack."""
     phases = stack.phases
     design = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
-    if np.linalg.matrix_rank(design, tol=1e-9) < 3 or np.linalg.cond(design) > 1e12:
+    sv = np.linalg.svd(design, compute_uv=False)  # descending: rank < 3 or condition > 1e12
+    if sv[-1] <= 1e-9 or sv[0] > 1e12 * sv[-1]:
         raise DegeneratePhases("phase list yields a rank-deficient design matrix")
     pinv = np.linalg.solve(design.T @ design, design.T)  # (3, n_phases)
     n_phases, *shape = stack.frames.shape
@@ -256,6 +258,12 @@ def _matmul_by_columns(left: np.ndarray, right: np.ndarray, block: int) -> np.nd
     return out
 
 
+def pixel_centers(n: int, pixel_pitch: float) -> np.ndarray:
+    """Coordinates of n pixels of the given pitch along one image axis,
+    centered on the image: (k - (n - 1) / 2) * pixel_pitch."""
+    return (np.arange(n) - (n - 1) / 2.0) * pixel_pitch
+
+
 def select_max_row(image: np.ndarray, pixel_pitch: float = DEFAULT_PIXEL_PITCH) -> tuple[int, Profile1D]:
     """Row with the largest integrated intensity (ties toward the
     smaller index), returned with camera x coordinates centered on the
@@ -264,8 +272,7 @@ def select_max_row(image: np.ndarray, pixel_pitch: float = DEFAULT_PIXEL_PITCH) 
     if img.ndim != 2 or img.size == 0:
         raise ValueError("need a nonempty 2D image")
     row = int(np.argmax(np.nansum(img, axis=1)))
-    cols = img.shape[1]
-    x = (np.arange(cols) - (cols - 1) / 2.0) * pixel_pitch
+    x = pixel_centers(img.shape[1], pixel_pitch)
     return row, Profile1D(grid=x, values=img[row], plane="camera", kind=None)
 
 

@@ -5,6 +5,14 @@ Grouped by how the CLI maps them to exit codes: validation problems
 failures (non-convergence, degenerate extraction) with 3, I/O with 4.
 """
 
+import numpy as np
+
+# The float-error policy of every entry point: float64 overflow, division
+# by zero or an invalid operation (inf - inf) raises FloatingPointError,
+# not a warning followed by meaningless numbers. Use it only as a
+# decorator: nested decorated calls work, nested `with` blocks are a TypeError.
+raise_float_errors = np.errstate(over="raise", divide="raise", invalid="raise")
+
 
 class ToolkitError(Exception):
     """Base class for all toolkit errors."""

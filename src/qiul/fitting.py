@@ -26,6 +26,7 @@ from .errors import (
     SeparableState,
     SingularNormalEquations,
     TooFewSamples,
+    raise_float_errors,
 )
 from .imaging import Profile1D, _coefficients, _esf_factors
 from .spreads import spread_v_closed
@@ -359,6 +360,7 @@ def _two_gaussians_jacobian(x, p):
     return cols
 
 
+@raise_float_errors
 def fit_double_slit(
     profile: Profile1D,
     slit_distance_object: float = SLIT_DISTANCE_DEFAULT,
@@ -399,7 +401,7 @@ def fit_double_slit(
     try:
         fit = least_squares_fit(_two_gaussians, profile, init=init, bounds=bounds,
                                 jacobian=_two_gaussians_jacobian)
-    except FloatingPointError as exc:  # raised only under np.errstate, as in cli.main
+    except FloatingPointError as exc:
         raise FloatingPointError(f"two-slit fit: {exc} on a profile grid step of "
                                  f"{profile.step:.3g} m") from exc
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biphoton import gaussian_quadratic_form
+from .biphoton import gaussian_quadratic_form, joint_density_gaussian
 from .core import OpticalSetup, SourceParams, singular_waist
 from .errors import QuadratureNotConverged, SchemaError, SeparableState
 
@@ -100,7 +100,7 @@ def write_profile_csv(profile: Profile1D, path) -> None:
                  + ("%.17g,%.17g\n" * profile.grid.size) % tuple(rows))
 
 
-def read_profile_csv(path, kind: str | None = None) -> Profile1D:
+def read_profile_csv(path) -> Profile1D:
     """Read a profile written by write_profile_csv. A file without data
     rows or without two numeric columns, or whose grid or values hold NaN
     or +-inf, raises SchemaError naming the file; the finiteness check on
@@ -120,7 +120,7 @@ def read_profile_csv(path, kind: str | None = None) -> Profile1D:
         grid, values = data[:, 0], data[:, 1]
         if not np.isfinite(values).all():
             raise ValueError("values must be finite")
-        return Profile1D(grid=grid, values=values, plane=plane, kind=kind)
+        return Profile1D(grid=grid, values=values, plane=plane)
     except (ValueError, IndexError) as exc:
         raise SchemaError(f"{path}: not a profile CSV ({exc})") from exc
 
@@ -373,12 +373,7 @@ def _integrate_t_weighted(
         span = np.maximum(b - a, 0.0)
         # map nodes to each interval; (n_x, n_piece)
         xo = a[:, None] + (nodes[None, :] + 1.0) * 0.5 * span[:, None]
-        expo = (
-            q.a_dd * x_d[:, None] ** 2
-            + q.a_uu * (xo / setup.m_u) ** 2
-            + 2.0 * q.a_du * x_d[:, None] * (xo / setup.m_u)
-        )
-        integrand = q.norm * np.exp(-expo)
+        integrand = joint_density_gaussian(params, x_d[:, None], xo / setup.m_u)
         if weight is not None:
             integrand = integrand * weight(xo)
         total = total + 0.5 * span * (integrand @ weights)
@@ -409,21 +404,12 @@ def image_function_numeric(
     x = np.asarray(grid, dtype=float)
     peak = float(_integrate_t_weighted(params, setup, None, np.zeros(1), n_nodes)[0])
     if t.kind == "point":
-        vals2 = _point_image(params, setup, t.x0, x)
+        vals2 = joint_density_gaussian(params, x / setup.m_d, t.x0 / setup.m_u)
     else:
         vals = _integrate_t_weighted(params, setup, t, x, n_nodes)
         vals2 = _integrate_t_weighted(params, setup, t, x, 2 * n_nodes - 1)
         _converged_pair(vals, vals2, peak)
     return Profile1D(grid=x, values=vals2 / peak, plane="camera", kind="g")
-
-
-def _point_image(params: SourceParams, setup: OpticalSetup, x0: float, x_c: np.ndarray):
-    q = gaussian_quadratic_form(params)
-    x_d = x_c / setup.m_d
-    x_u = x0 / setup.m_u
-    return q.norm * np.exp(
-        -(q.a_dd * x_d**2 + q.a_uu * x_u**2 + 2.0 * q.a_du * x_d * x_u)
-    )
 
 
 def visibility_numeric(

@@ -20,16 +20,18 @@ import numpy as np
 
 from .core import OpticalSetup, SourceParams
 from .dpsh import (
+    DEFAULT_PIXEL_PITCH,
     MIN_COLUMNS,
     NoiseModel,
     SceneModel,
     demodulate,
     load_stack,
+    pixel_centers,
     save_stack,
     select_max_row,
     synthesize_stack,
 )
-from .errors import ImageTooSmall, NonPositiveParameter, NumericalError
+from .errors import ImageTooSmall, NonPositiveParameter, NumericalError, raise_float_errors
 from .fitting import GATE_THRESHOLD, MagnificationEstimate, fit_edge_profiles
 from .imaging import Profile1D, _coefficients, _esf_factors, write_profile_csv
 from .spreads import half_width_1e, knife_edge_width_2476, lsf_from_esf, theory_sweep_rows
@@ -79,8 +81,8 @@ def build_edge_scene(
     if not (math.isfinite(pixel_pitch) and pixel_pitch >= sys.float_info.min):
         raise NonPositiveParameter(f"pixel pitch must be a finite length of at least "
                                    f"{sys.float_info.min!r} m, got {pixel_pitch!r}")
-    x = (np.arange(cols) - (cols - 1) / 2.0) * pixel_pitch
-    y = (np.arange(rows) - (rows - 1) / 2.0) * pixel_pitch
+    x = pixel_centers(cols, pixel_pitch)
+    y = pixel_centers(rows, pixel_pitch)
     envelope, edge_factor = _esf_factors(*_coefficients(params), x, setup.m_u * x_tilde_o, setup.m_d)
     beam_y = np.exp(-((y / (rows * pixel_pitch / 4.0)) ** 2))
     b = background * np.outer(beam_y, envelope)
@@ -144,7 +146,6 @@ def _analyze(stack, params: SourceParams, out: Path) -> tuple[dict, Magnificatio
             ),
         }
 
-    rows = demod.g_image.shape[0]
     analysis = {
         "schema": ANALYSIS_SCHEMA,
         "source": {
@@ -166,7 +167,7 @@ def _analyze(stack, params: SourceParams, out: Path) -> tuple[dict, Magnificatio
         },
         "row": {
             "index": row,
-            "y_m": (row - (rows - 1) / 2.0) * stack.pixel_pitch,
+            "y_m": pixel_centers(demod.g_image.shape[0], stack.pixel_pitch)[row],
             "column_window": [lo, hi],
         },
         "spreads_camera": spreads,
@@ -191,19 +192,13 @@ def _analyze(stack, params: SourceParams, out: Path) -> tuple[dict, Magnificatio
     return analysis, estimate
 
 
-# float64 overflow or an invalid operation (inf - inf) means the input
-# lies outside what the model can represent: raise FloatingPointError at
-# the first one instead of a warning followed by meaningless numbers
-_RAISE_ON_OVERFLOW = np.errstate(over="raise", invalid="raise")
-
-
-@_RAISE_ON_OVERFLOW
+@raise_float_errors
 def analyze_stack(manifest_path, params: SourceParams, out_dir) -> dict:
     """Demodulate a stack from disk and run row selection, spread
     extraction, and the magnification fits. Needs only the source
     parameters (wavelengths, crystal length, pump waist); magnifications
-    are estimated, never assumed. Float64 overflow or an invalid
-    operation raises FloatingPointError."""
+    are estimated, never assumed. Float64 overflow, division by zero or
+    an invalid operation raises FloatingPointError."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stack = load_stack(manifest_path)
@@ -211,7 +206,7 @@ def analyze_stack(manifest_path, params: SourceParams, out_dir) -> dict:
     return analysis
 
 
-@_RAISE_ON_OVERFLOW
+@raise_float_errors
 def simulate_edge(
     params: SourceParams,
     setup: OpticalSetup,
@@ -221,14 +216,14 @@ def simulate_edge(
     seed: int = 0,
     rows: int = 48,
     cols: int = 1024,
-    pixel_pitch: float = 6.5e-6,
+    pixel_pitch: float = DEFAULT_PIXEL_PITCH,
     background: float = 1e4,
     x_tilde_o: float = 0.0,
 ) -> dict:
     """Synthesize an edge measurement, save the stack, analyze the
     synthesized stack, and emit a measured-vs-theory comparison. Returns
-    {"analysis": ..., "comparison": ...}. Float64 overflow or an invalid
-    operation raises FloatingPointError."""
+    {"analysis": ..., "comparison": ...}. Float64 overflow, division by
+    zero or an invalid operation raises FloatingPointError."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     scene = build_edge_scene(params, setup, rows, cols, pixel_pitch, background, x_tilde_o)

@@ -18,8 +18,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import OpticalSetup, SourceParams, singular_waist
-from .errors import MultiPeak, NoCrossing, NotConverged, RangeNotSpanned, SeparableState
+from .errors import (
+    MultiPeak,
+    NoCrossing,
+    NotConverged,
+    RangeNotSpanned,
+    SeparableState,
+    raise_float_errors,
+)
 from .imaging import (
+    SEPARABLE_REL_TOL,
     Profile1D,
     _coefficients,
     _edge_coefficients,
@@ -161,10 +169,10 @@ def spread_v_closed(params: SourceParams) -> float:
     1/|c| for c = esf_slope_coefficient (v_psf's exponent is c^2).
 
     Defined only above the singular waist: c = 0 at w_sing, where the
-    spread diverges, so any w_p <= w_sing (1 + 1e-9) raises
-    SeparableState."""
+    spread diverges, so any w_p <= w_sing (1 + SEPARABLE_REL_TOL)
+    raises SeparableState."""
     w_sing = singular_waist(params)
-    if params.pump_waist <= w_sing * (1.0 + 1e-9):
+    if params.pump_waist <= w_sing * (1.0 + SEPARABLE_REL_TOL):
         raise SeparableState(
             f"pump waist {params.pump_waist:.6g} m at or below the singular waist "
             f"{w_sing:.6g} m: visibility spread diverges"
@@ -344,6 +352,7 @@ SWEEP_COLUMNS = (
 SEPARABLE_MARKER = "SeparableState"
 
 
+@raise_float_errors
 def theory_sweep_rows(
     base: SourceParams,
     lengths: list[float],
@@ -351,22 +360,23 @@ def theory_sweep_rows(
     setup: OpticalSetup,
 ) -> list[dict]:
     """One row per (L, w_p) pair, sorted by the pair. Waists at or below
-    the singular waist carry the SeparableState marker in the columns
-    that diverge there. Each distinct L and w_p is validated once (the
-    thin-crystal check reads only L). k and c come from the one-row
-    formula evaluated once over the grid, so every value equals its
-    one-row library call by construction (spread_g_psf_closed,
+    w_sing (1 + 1e-3) carry the SeparableState marker in the columns
+    that diverge at the singular waist w_sing. Each distinct L and w_p
+    is validated once (the thin-crystal check reads only L). k and c
+    come from the one-row formula evaluated once over the grid, so every
+    number equals its one-row library call (spread_g_psf_closed,
     spread_v_closed, spread_g_esf_numeric, singular_waist,
-    min_resolvable_distance at setup.m_u)."""
+    min_resolvable_distance at setup.m_u); between w_sing (1 + SEPARABLE_REL_TOL)
+    and w_sing (1 + 1e-3) the row holds the marker where spread_v_closed
+    returns a number."""
     lengths = sorted(set(float(v) for v in lengths))
     waists = sorted(set(float(v) for v in waists))
     w_sings = [singular_waist(replace(base, crystal_length=L)) for L in lengths]
     for w in waists:
         replace(base, pump_waist=w)  # raises for an invalid w_p
     grid_l, grid_w = (a.ravel() for a in np.meshgrid(lengths, waists, indexing="ij"))
-    with np.errstate(over="raise", invalid="raise", divide="raise"):  # as one-row calls do
-        k, c = _edge_coefficients(base.lambda_d, base.lambda_u, grid_l, grid_w)
-        spread_g_psf = 1.0 / np.sqrt(k + c * c)
+    k, c = _edge_coefficients(base.lambda_d, base.lambda_u, grid_l, grid_w)
+    spread_g_psf = 1.0 / np.sqrt(k + c * c)
     rows = []
     pairs = ((L, w_sing, w) for L, w_sing in zip(lengths, w_sings) for w in waists)
     for (L, w_sing, w), psf, c_row, width in zip(

@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 
 import qiul
 from qiul.cli import MAX_RANGE_POINTS, main, parse_length_list, parse_noise
+from qiul.core import load_config
 from qiul.dpsh import SceneModel, save_stack, synthesize_stack
 from qiul.errors import SchemaError
 from qiul.imaging import Profile1D, write_profile_csv
+from qiul.spreads import min_resolvable_distance
 
 
 def run(args):
@@ -229,6 +231,22 @@ class TestSimulateAndAnalyze:
         analysis = json.loads((out / "analysis.json").read_text())
         assert analysis["gate"] == {"passed": False, "ratio_deviation": "inf", "threshold": 0.1}
         assert analysis["m_d_avg"] is None
+
+    def test_m_u_inconsistent_with_m_u_i_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("m_u = 2\nm_u_i = 3\n", encoding="utf-8")
+        assert run(["simulate-edge", "--config", cfg, "--out", tmp_path / "sim"]) == 2
+        assert "m_u = 2.0 inconsistent with m_u_i = 3.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["m_u = 3", "m_u_i = 3"])
+    def test_lone_undetected_magnification_sets_both(self, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        assert run(["simulate-edge", "--config", cfg, "--out", tmp_path, "--rows", 4]) == 0
+        comparison = json.loads((tmp_path / "comparison.json").read_text())
+        assert comparison["true_m_u"] == 3.0
+        params, _ = load_config()
+        assert comparison["theory_adjusted"]["d_min_m"] == min_resolvable_distance(params, 3.0)
 
     def test_frame_write_error_exit_code(self, tmp_path, monkeypatch):
         # simulate-edge does not read the saved stack back: a failed frame

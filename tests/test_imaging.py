@@ -255,7 +255,7 @@ class TestProfile1D:
         profile = Profile1D(grid=x, values=v_esf(params, setup, x), plane="camera", kind="v")
         path = tmp_path / "profile.csv"
         write_profile_csv(profile, path)
-        back = read_profile_csv(path, kind="v")
+        back = read_profile_csv(path)
         assert back.plane == "camera"
         np.testing.assert_array_equal(back.grid, profile.grid)
         np.testing.assert_array_equal(back.values, profile.values)

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -18,3 +20,17 @@ def test_all_resolves(name):
     namespace = {}
     exec(f"from qiul.{name} import *", namespace)
     assert set(module.__all__) <= set(namespace)
+
+
+def test_float_error_policy_defined_once():
+    # qiul.errors.raise_float_errors is the one np.errstate that raises;
+    # local ones may only relax it (demodulate ignores division by zero)
+    raising = []
+    for path in sorted(Path(qiul.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "errstate"
+                    and any(isinstance(kw.value, ast.Constant) and kw.value.value == "raise"
+                            for kw in node.keywords)):
+                raising.append(path.name)
+    assert raising == ["errors.py"]

@@ -7,16 +7,50 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qiul.fitting
+import qiul.pipeline
+import qiul.spreads
 from qiul.core import OpticalSetup, singular_waist
 from qiul.errors import ToolkitError, ValidationError
+from qiul.imaging import Profile1D
 from qiul.pipeline import analyze_stack, build_edge_scene, simulate_edge
 
 from conftest import make_params
 
 
+def two_slit_profile() -> Profile1D:
+    x = np.linspace(-6e-4, 6e-4, 601)
+    y = 0.02 + np.exp(-(((x + 1.8e-4) / 5e-5) ** 2)) + np.exp(-(((x - 1.8e-4) / 5e-5) ** 2))
+    return Profile1D(grid=x, values=y)
+
+
 class TestFloatingPointErrors:
-    """The library entry points fail on float64 overflow the way the CLI
-    does (FloatingPointError), whatever the caller's numpy error state."""
+    """The library entry points fail on float64 overflow, division by zero
+    and invalid operations the way the CLI does (FloatingPointError),
+    whatever the caller's numpy error state."""
+
+    @pytest.mark.parametrize("module, inner, call", [
+        (qiul.pipeline, "demodulate", lambda out: simulate_edge(
+            make_params(), OpticalSetup(), out, rows=4, cols=64)),
+        (qiul.spreads, "_g_esf_widths", lambda out: qiul.spreads.theory_sweep_rows(
+            make_params(), [2e-3], [142e-6], OpticalSetup())),
+        (qiul.fitting, "least_squares_fit", lambda out: qiul.fitting.fit_double_slit(
+            two_slit_profile())),
+    ], ids=["simulate_edge", "theory_sweep_rows", "fit_double_slit"])
+    def test_inner_calls_raise_on_float_errors(self, tmp_path, monkeypatch, module, inner, call):
+        seen = []
+        original = getattr(module, inner)
+
+        def spy(*args, **kwargs):
+            seen.append(np.geterr())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, inner, spy)
+        with np.errstate(all="ignore"):
+            call(tmp_path)
+        assert seen and all(
+            (e["over"], e["divide"], e["invalid"]) == ("raise",) * 3 for e in seen
+        )
 
     def test_overflowing_frame_pixel_raises(self, tmp_path):
         params = make_params(5e-3, 214e-6)
