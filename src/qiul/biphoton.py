@@ -48,12 +48,19 @@ class QuadraticForm2:
     a_dd: float
     a_uu: float
     a_du: float
-    norm: float
 
     def __post_init__(self):
-        det = self.a_dd * self.a_uu - self.a_du**2
-        if not (self.a_dd > 0 and self.a_uu > 0 and det > 0):
+        if not (self.a_dd > 0 and self.a_uu > 0 and self.det > 0):
             raise ValueError("quadratic form must be positive definite")
+
+    @property
+    def det(self) -> float:
+        """Determinant a_dd a_uu - a_du^2 (1/m^4)."""
+        return self.a_dd * self.a_uu - self.a_du**2
+
+    @property
+    def norm(self) -> float:
+        return math.sqrt(self.det) / math.pi
 
 
 @dataclass(frozen=True)
@@ -74,8 +81,7 @@ def gaussian_quadratic_form(params: SourceParams) -> QuadraticForm2:
     a_dd = params.lambda_u**2 * pump + pm
     a_uu = params.lambda_d**2 * pump + pm
     a_du = params.lambda_d * params.lambda_u * pump - pm
-    det = a_dd * a_uu - a_du**2
-    return QuadraticForm2(a_dd=a_dd, a_uu=a_uu, a_du=a_du, norm=math.sqrt(det) / math.pi)
+    return QuadraticForm2(a_dd=a_dd, a_uu=a_uu, a_du=a_du)
 
 
 def joint_density_gaussian(params: SourceParams, x_d, x_u):
@@ -105,8 +111,7 @@ def gaussian_density_grid(
     spanning span_widths marginal 1/e widths, renormalized to unit
     trapezoidal integral (same conventions as the sinc model)."""
     q = gaussian_quadratic_form(params)
-    det = q.a_dd * q.a_uu - q.a_du**2
-    half = span_widths * max(math.sqrt(q.a_uu / det), math.sqrt(q.a_dd / det))
+    half = span_widths * max(math.sqrt(q.a_uu / q.det), math.sqrt(q.a_dd / q.det))
     grid = np.linspace(-half, half, n_grid)
     values = joint_density_gaussian(params, grid[:, None], grid[None, :])
     z = np.trapezoid(np.trapezoid(values, grid, axis=1), grid)
@@ -177,10 +182,9 @@ def joint_density_sinc_1d(
     )
 
     q = gaussian_quadratic_form(params)
-    det = q.a_dd * q.a_uu - q.a_du**2
     # 1/e half-widths of the Gaussian-model marginals
-    width_d = math.sqrt(q.a_uu / det)
-    width_u = math.sqrt(q.a_dd / det)
+    width_d = math.sqrt(q.a_uu / q.det)
+    width_u = math.sqrt(q.a_dd / q.det)
     half = 6.5 * max(width_d, width_u)
     grid = np.linspace(-half, half, n_grid)
 

@@ -51,21 +51,25 @@ CSV_MANIFEST_SCHEMA = "qiul.stack/1"
 @dataclass(frozen=True)
 class SceneModel:
     """Per-pixel fringe parameters: background B >= modulation A >= 0
-    (counts) and object phase phi0 (radians)."""
+    (counts) and object phase phi0 (radians), either one value for every
+    pixel (a scalar, which spares each frame a cosine per pixel) or a 2D
+    array of the scene's shape."""
 
     background: np.ndarray
     modulation: np.ndarray
-    phase_map: np.ndarray
+    phase_map: np.ndarray | float
 
     def __post_init__(self):
         b = np.asarray(self.background, dtype=float)
         a = np.asarray(self.modulation, dtype=float)
         p = np.asarray(self.phase_map, dtype=float)
-        for name, arr in (("background", b), ("modulation", a), ("phase_map", p)):
+        for name, arr in (("background", b), ("modulation", a)):
             if arr.ndim != 2 or not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be a finite 2D array")
-        if b.shape != a.shape or b.shape != p.shape:
+        if b.shape != a.shape:
             raise ValueError("scene arrays must share one shape")
+        if p.shape not in ((), b.shape) or not np.all(np.isfinite(p)):
+            raise ValueError("phase_map must be a finite scalar or a 2D array of the scene's shape")
         if np.any(a < 0):
             raise ValueError("modulation must be non-negative")
         if np.any(a > b * (1 + 1e-12)):

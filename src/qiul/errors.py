@@ -67,7 +67,12 @@ class NotConverged(NumericalError):
 
 
 class SingularNormalEquations(NumericalError):
-    pass
+    """Damping could not make the normal equations solvable; parameters
+    holds the fit engine's last parameter values."""
+
+    def __init__(self, message, parameters=None):
+        super().__init__(message)
+        self.parameters = parameters
 
 
 # -- profile / width extraction --------------------------------------------

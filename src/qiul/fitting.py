@@ -104,9 +104,9 @@ def least_squares_fit(
 
     Converges when the relative step norm drops below 1e-10 or the
     relative residual change below 1e-12; raises TooFewSamples below
-    n_par + 2 samples, NotConverged (carrying the last parameters) after
-    200 iterations and, if damping cannot make the normal equations
-    solvable, SingularNormalEquations."""
+    n_par + 2 samples, NotConverged after 200 iterations and, if damping
+    cannot make the normal equations solvable, SingularNormalEquations;
+    both carry the last parameters."""
     names = tuple(init)
     n_par = len(names)
     x = data.grid
@@ -152,7 +152,8 @@ def least_squares_fit(
             lam *= 10.0
         else:
             if lam > 1e30:
-                raise SingularNormalEquations("damping exhausted without a solvable step")
+                raise SingularNormalEquations("damping exhausted without a solvable step",
+                                              parameters=dict(zip(names, map(float, theta))))
             # no improving step found: stay in place, which converges below
             candidate, r_new, ssr_new = theta, r, ssr
 
@@ -280,10 +281,10 @@ def fit_edge_profiles(
                 },
                 jacobian=jacobian,
             )
-        except NotConverged as exc:
+        except (NotConverged, SingularNormalEquations) as exc:
             last = ", ".join(f"{k} = {v:.6g}" for k, v in exc.parameters.items())
-            raise NotConverged(f"{name} edge fit: {exc}; last {last}",
-                               parameters=exc.parameters) from exc
+            raise type(exc)(f"{name} edge fit: {exc}; last {last}",
+                            parameters=exc.parameters) from exc
 
     g_fit = fit_one("amplitude (g)", g_model, g_jacobian,
                     Profile1D(g_profile.grid, g_profile.values / g_peak, g_profile.plane))

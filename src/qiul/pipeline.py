@@ -87,7 +87,7 @@ def build_edge_scene(
     beam_y = np.exp(-((y / (rows * pixel_pitch / 4.0)) ** 2))
     b = background * np.outer(beam_y, envelope)
     a = b * (0.5 * edge_factor)
-    return SceneModel(background=b, modulation=a, phase_map=np.zeros_like(b))
+    return SceneModel(background=b, modulation=a, phase_map=0.0)
 
 
 def _spread_or_error(extract) -> dict:

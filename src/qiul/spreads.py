@@ -13,6 +13,7 @@ the 24%- and 76%-of-maximum crossings, which for an erf edge equals
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -240,42 +241,75 @@ def _g_esf_widths(k, c, x_tilde_o) -> np.ndarray:
     A coarse grid over +-(8 / sqrt(k + c^2) + |x_tilde_o|) finds the
     window where f exceeds a quarter of its peak; a zoom grid over that
     window carries the checks of half_width_1e and brackets the peak and
-    both crossings. Illinois regula falsi then solves f' = 0 for the
-    peak and f = peak/e for the two crossings nearest it, to 1e-14 of
-    the span. Rows are solved together, in blocks that keep the grids
-    small. The first failing row raises NoCrossing (no positive finite
-    maximum, or no 1/e crossing on one side) or MultiPeak (more than one
-    local maximum above half maximum)."""
+    both crossings. The grids are evaluated in blocks of rows, which keeps
+    them small; the first failing row raises NoCrossing (no positive
+    finite maximum, or no 1/e crossing on one side) or MultiPeak (more
+    than one local maximum above half maximum, or a maximum not isolated
+    between two grid points). Illinois regula falsi then solves f' = 0
+    for the peak and f = peak/e for the two crossings nearest it, to
+    1e-14 of the span, in one solve over all rows for each."""
     k, c, x_tilde_o = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
                                             for v in (k, c, x_tilde_o)))
-    widths = np.empty(k.size)
-    for start in range(0, k.size, _BLOCK_ROWS):
+    n_rows = k.size
+    on_row = np.arange(n_rows)
+    span = 8.0 / np.sqrt(k + c * c) + np.abs(x_tilde_o)
+    xtol = _XTOL * span
+    # the zoom grid of row r is lo[r] + width[r] * _ZOOM_GRID; only f is kept
+    f = np.empty((n_rows, _ZOOM_GRID.size))
+    lo, width, s_lo, s_hi = (np.empty(n_rows) for _ in range(4))
+    i = np.empty(n_rows, dtype=np.intp)
+    for start in range(0, n_rows, _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        widths[block] = _g_esf_block_widths(k[block], c[block], x_tilde_o[block])
-    return widths
+        lo[block], width[block], i[block], s_lo[block], s_hi[block] = _g_esf_zoom_block(
+            k[block], c[block], x_tilde_o[block], span[block], f[block])
+
+    grid_peak = f[on_row, i]
+    x_peak = _illinois(lambda q, t: _g_esf_slope(k[q], c[q], t, x_tilde_o[q]),
+                       lo + width * _ZOOM_GRID[i - 1], lo + width * _ZOOM_GRID[i + 1],
+                       s_lo, s_hi, xtol)
+    peak = np.maximum(_unit_g_esf_derivative(k, c, x_peak, x_tilde_o), grid_peak)
+    level = peak / math.e
+
+    # the crossings nearest the peak: right of the last grid point below
+    # the level on its left, left of the first one on its right
+    below = f < level[:, None]
+    j = _ZOOM_GRID.size - 1 - np.argmax((below & (_ZOOM_COLUMNS <= i[:, None]))[:, ::-1], axis=1)
+    m = np.argmax(below & (_ZOOM_COLUMNS >= i[:, None]), axis=1)
+    row = np.concatenate([on_row, on_row])
+    below_col = np.concatenate([j, m])
+    above_col = np.concatenate([j + 1, m - 1])
+    crossings = _illinois(
+        lambda q, t: _unit_g_esf_derivative(k[row[q]], c[row[q]], t, x_tilde_o[row[q]])
+        - level[row[q]],
+        lo[row] + width[row] * _ZOOM_GRID[below_col], lo[row] + width[row] * _ZOOM_GRID[above_col],
+        f[row, below_col] - level[row], f[row, above_col] - level[row], xtol[row],
+    )
+    return 0.5 * (crossings[n_rows:] - crossings[:n_rows])
 
 
-def _g_esf_block_widths(k, c, x_tilde_o) -> np.ndarray:
-    """_g_esf_widths for one block of rows (1-d arrays of equal length)."""
+def _g_esf_zoom_block(k, c, x_tilde_o, span, f):
+    """The grids of _g_esf_widths for one block of rows (1-d arrays of
+    equal length; span is the coarse grid's half-width): writes the
+    zoom-grid values into f and returns the zoom window (lo, width), the
+    column of the grid peak and the slopes at the columns either side of
+    it. Raises for the first failing row."""
     n_rows = k.size
     on_row = np.arange(n_rows)
     kc, cc, xc = k[:, None], c[:, None], x_tilde_o[:, None]
-    span = 8.0 / np.sqrt(k + c * c) + np.abs(x_tilde_o)
-    xtol = _XTOL * span
 
     x = span[:, None] * _COARSE_GRID
-    f = _unit_g_esf_derivative(kc, cc, x, xc)
-    coarse_peak = np.max(f, axis=1)
+    coarse = _unit_g_esf_derivative(kc, cc, x, xc)
+    coarse_peak = np.max(coarse, axis=1)
     no_peak = ~((coarse_peak > 0) & np.isfinite(coarse_peak))
     # zoom window: one coarse step beyond the outermost samples above a
     # quarter of the peak, so both of its ends lie below 1/e of the peak
-    high = f >= 0.25 * coarse_peak[:, None]
+    high = coarse >= 0.25 * coarse_peak[:, None]
     last = _COARSE_GRID.size - 1
     first = np.maximum(np.argmax(high, axis=1) - 1, 0)
     final = np.minimum(last - np.argmax(high[:, ::-1], axis=1) + 1, last)
     lo = x[on_row, first]
-    x = lo[:, None] + (x[on_row, final] - lo)[:, None] * _ZOOM_GRID
-    f = _unit_g_esf_derivative(kc, cc, x, xc)
+    width = x[on_row, final] - lo
+    f[...] = _unit_g_esf_derivative(kc, cc, lo[:, None] + width[:, None] * _ZOOM_GRID, xc)
 
     i = np.argmax(f, axis=1)
     grid_peak = f[on_row, i]
@@ -297,31 +331,11 @@ def _g_esf_block_widths(k, c, x_tilde_o) -> np.ndarray:
         side = "left" if no_left[r] else "right"
         raise NoCrossing(f"ESF derivative never decays to 1/e of its maximum on the {side}")
 
-    lo, hi = x[on_row, i - 1], x[on_row, i + 1]
-    s_lo = _g_esf_slope(k, c, lo, x_tilde_o)
-    s_hi = _g_esf_slope(k, c, hi, x_tilde_o)
+    s_lo = _g_esf_slope(k, c, lo + width * _ZOOM_GRID[i - 1], x_tilde_o)
+    s_hi = _g_esf_slope(k, c, lo + width * _ZOOM_GRID[i + 1], x_tilde_o)
     if not np.all((s_lo > 0) & (s_hi < 0)):
         raise MultiPeak("ESF derivative maximum is not isolated between two grid points")
-    x_peak = _illinois(lambda q, t: _g_esf_slope(k[q], c[q], t, x_tilde_o[q]),
-                       lo, hi, s_lo, s_hi, xtol)
-    peak = np.maximum(_unit_g_esf_derivative(k, c, x_peak, x_tilde_o), grid_peak)
-    level = peak / math.e
-
-    # the crossings nearest the peak: right of the last grid point below
-    # the level on its left, left of the first one on its right
-    below = f < level[:, None]
-    j = _ZOOM_GRID.size - 1 - np.argmax((below & (_ZOOM_COLUMNS <= i[:, None]))[:, ::-1], axis=1)
-    m = np.argmax(below & (_ZOOM_COLUMNS >= i[:, None]), axis=1)
-    row = np.concatenate([on_row, on_row])
-    below_col = np.concatenate([j, m])
-    above_col = np.concatenate([j + 1, m - 1])
-    crossings = _illinois(
-        lambda q, t: _unit_g_esf_derivative(k[row[q]], c[row[q]], t, x_tilde_o[row[q]])
-        - level[row[q]],
-        x[row, below_col], x[row, above_col],
-        f[row, below_col] - level[row], f[row, above_col] - level[row], xtol[row],
-    )
-    return 0.5 * (crossings[n_rows:] - crossings[:n_rows])
+    return lo, width, i, s_lo, s_hi
 
 
 def spread_ratio(params: SourceParams, setup: OpticalSetup | None = None) -> float:
@@ -394,11 +408,17 @@ def theory_sweep_rows(
 
 
 def write_sweep_csv(rows: list[dict], path) -> None:
+    """One line per row, every number as %.12e; a row with a marker is
+    formatted cell by cell, every other one with one format string."""
+    cells = operator.itemgetter(*SWEEP_COLUMNS)
+    line = ",".join(["%.12e"] * len(SWEEP_COLUMNS)) + "\n"
+    lines = [",".join(SWEEP_COLUMNS) + "\n"]
+    for row in rows:
+        values = cells(row)
+        if SEPARABLE_MARKER in values:
+            lines.append(",".join(v if isinstance(v, str) else format(v, ".12e")
+                                  for v in values) + "\n")
+        else:
+            lines.append(line % values)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        for row in rows:
-            cells = []
-            for col in SWEEP_COLUMNS:
-                value = row[col]
-                cells.append(value if isinstance(value, str) else format(value, ".12e"))
-            fh.write(",".join(cells) + "\n")
+        fh.write("".join(lines))

@@ -381,6 +381,19 @@ class TestSimulateAndAnalyze:
         assert err.startswith("error: visibility (v) edge fit: no convergence")
         assert "last m_d = " in err
 
+    def test_singular_edge_fit_names_the_fit(self, tmp_path, capsys):
+        # the visibility fit starts far from the edge (m_u_x_o = -1.10 mm)
+        # and damping finds no solvable step
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("crystal_length = 5mm\npump_waist = 308um\n", encoding="utf-8")
+        assert run(["simulate-edge", "--config", cfg, "--out", tmp_path / "sim",
+                    "--phases", 4, "--rows", 16, "--cols", 2549,
+                    "--pitch", "2.2843428577796606e-06", "--noise", "read:0.01,shot:on",
+                    "--seed", 3]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: visibility (v) edge fit: damping exhausted")
+        assert "last m_d = " in err
+
     def test_flat_profile_exit_code(self, tmp_path):
         # at a 1 m pitch the amplitude envelope underflows to zero on every pixel
         code = run(["simulate-edge", "--out", tmp_path / "sim", "--pitch", "1m",

@@ -108,6 +108,25 @@ class TestSynthesize:
         stack = synthesize_stack(scene, phases, noise, seed=42)
         np.testing.assert_array_equal(stack.frames, expected)
 
+    @pytest.mark.parametrize("n_phases", [3, 4, 16])
+    def test_scalar_phase_equals_zero_phase_map(self, n_phases, rng):
+        scene = random_scene(rng, shape=(7, 300))
+        b, a = scene.background, scene.modulation
+        phases = 2.0 * math.pi * np.arange(n_phases) / n_phases
+        noise = NoiseModel(read_sigma=30.0, shot=True)
+        stacks = [synthesize_stack(SceneModel(background=b, modulation=a, phase_map=p0),
+                                   phases, noise, seed=42)
+                  for p0 in (0.0, np.zeros_like(b))]
+        np.testing.assert_array_equal(stacks[0].frames, stacks[1].frames)
+
+    @pytest.mark.parametrize("phase_map", [math.nan, np.zeros(3), np.zeros((3, 2)),
+                                           np.full((2, 3), math.inf)],
+                             ids=["nan", "1d", "transposed", "inf"])
+    def test_phase_map_scalar_or_scene_shaped(self, phase_map):
+        with pytest.raises(ValueError, match="phase_map"):
+            SceneModel(background=np.ones((2, 3)), modulation=np.ones((2, 3)),
+                       phase_map=phase_map)
+
     def test_error_state_reaches_workers(self):
         scene = uniform_scene(1.7e308, 1.7e308, 0.0, shape=(4, 4))  # b + a overflows
         with np.errstate(over="raise", invalid="raise"):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import erf
 
-from qiul import core
+from qiul import core, spreads
 from qiul.core import OpticalSetup, singular_waist
 from qiul.errors import (
     MultiPeak,
@@ -23,6 +23,7 @@ from qiul.errors import (
 )
 from qiul.imaging import (
     Profile1D,
+    _edge_coefficients,
     _unit_g_esf_derivative,
     esf_slope_coefficient,
     g_envelope_coefficient,
@@ -34,6 +35,7 @@ from qiul.imaging import (
 from qiul.pipeline import simulate_edge
 from qiul.spreads import (
     SEPARABLE_MARKER,
+    _BLOCK_ROWS,
     _g_esf_slope,
     _g_esf_widths,
     half_width_1e,
@@ -325,8 +327,8 @@ class TestEsfDerivativeSolver:
         assert spread_g_esf_numeric(p, x_tilde_o) == pytest.approx(expected, rel=1e-12)
 
     def test_sweep_rows_match_single_row_calls(self, setup):
-        # batched solves for the sweep (150 rows, more than one block),
-        # one solve per call: a shared stopping rule must not shift any row
+        # one solve over the sweep's 150 rows (grids in more than one
+        # block), one per call: a shared stopping rule must not shift any row
         base = make_params()
         lengths = [2e-3, 5e-3, 10e-3]
         waists = list(np.geomspace(20e-6, 2e-3, 50))
@@ -334,6 +336,31 @@ class TestEsfDerivativeSolver:
         for row in rows:
             p = base.with_crystal_length(row["L_m"]).with_waist(row["w_p_m"])
             assert row["spread_g_esf_m"] == pytest.approx(spread_g_esf_numeric(p), rel=1e-13)
+
+    def test_ten_block_sweep_equals_single_row_calls(self, setup):
+        # the grids of 3 x 400 rows span ten blocks, and one solve covers
+        # them all: every width is bit for bit its one-row call
+        base = make_params()
+        waists = list(np.geomspace(20e-6, 2e-3, 400))
+        rows = theory_sweep_rows(base, [2e-3, 5e-3, 10e-3], waists, setup)
+        assert -(-len(rows) // _BLOCK_ROWS) == 10
+        for row in rows:
+            p = base.with_crystal_length(row["L_m"]).with_waist(row["w_p_m"])
+            assert row["spread_g_esf_m"] == spread_g_esf_numeric(p)
+
+    @pytest.mark.parametrize("n_rows", [1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 1200])
+    def test_one_peak_solve_and_one_crossing_solve_per_call(self, monkeypatch, n_rows):
+        sizes = []
+        illinois = spreads._illinois
+
+        def counting(fn, a, *args):
+            sizes.append(a.size)
+            return illinois(fn, a, *args)
+
+        monkeypatch.setattr(spreads, "_illinois", counting)
+        k, c = _edge_coefficients(LAMBDA_D, LAMBDA_U, 5e-3, np.geomspace(100e-6, 2e-3, n_rows))
+        _g_esf_widths(k, c, 0.0)
+        assert sizes == [n_rows, 2 * n_rows]
 
     def test_slope_matches_complex_step(self):
         p = make_params(5e-3, 142e-6)
