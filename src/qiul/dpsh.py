@@ -44,8 +44,7 @@ SATURATION_COUNTS = 65535.0  # 16-bit camera
 _POISSON_MEAN_MAX = 1e18
 # fewest columns of a stack: spread extraction differentiates its max-intensity row
 MIN_COLUMNS = 8
-MANIFEST_SCHEMA = "qiul.stack/2"
-CSV_MANIFEST_SCHEMA = "qiul.stack/1"
+MANIFEST_SCHEMA = "qiul.stack/3"
 
 
 @dataclass(frozen=True)
@@ -284,25 +283,20 @@ def select_max_row(image: np.ndarray, pixel_pitch: float = DEFAULT_PIXEL_PITCH) 
 
 
 def save_stack(stack: InterferogramStack, out_dir) -> Path:
-    """Write a `qiul.stack/2` stack: one `frames/frame_kkk.npy` per phase
-    step (`np.save`, float64) plus `manifest.json`, whose keys are
-    `schema`, `phases_rad`, `pixel_pitch_m`, `noise`, `shape` (rows,
-    cols) and `frames` (the frame paths relative to the manifest, in
-    phase order). Returns the manifest path."""
+    """Write a `qiul.stack/3` stack: the frames as one `(n_phases, rows,
+    cols)` float64 array in `frames.npy` (`np.save`) plus
+    `manifest.json`, whose keys are `schema`, `phases_rad`,
+    `pixel_pitch_m`, `noise` and `frames` (the path of the frames file
+    relative to the manifest). Returns the manifest path."""
     out = Path(out_dir)
-    (out / "frames").mkdir(parents=True, exist_ok=True)
-    names = []
-    for k in range(stack.frames.shape[0]):
-        name = f"frames/frame_{k:03d}.npy"
-        np.save(out / name, stack.frames[k])
-        names.append(name)
+    out.mkdir(parents=True, exist_ok=True)
+    np.save(out / "frames.npy", stack.frames)
     manifest = {
         "schema": MANIFEST_SCHEMA,
         "phases_rad": [float(p) for p in stack.phases],
         "pixel_pitch_m": stack.pixel_pitch,
         "noise": stack.noise_meta,
-        "shape": list(stack.frames.shape[1:]),
-        "frames": names,
+        "frames": "frames.npy",
     }
     path = out / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -315,12 +309,12 @@ def _finite_number(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def _read_frame_header(fh, path: Path, shape: tuple) -> tuple[np.dtype, bool]:
-    """Check the header of the open `.npy` file `fh` against the manifest
-    shape and return its dtype and Fortran-order flag, leaving `fh` at the
-    first data byte. The file must hold every data byte the header
-    claims, so a lying header is an error, not an allocation of that
-    size."""
+def _read_frames_header(fh, path: Path, n_phases: int) -> tuple[tuple, np.dtype, bool]:
+    """Check the header of the open `.npy` file `fh` and return its
+    shape, which must be `(n_phases, rows, cols)`, its dtype and its
+    Fortran-order flag, leaving `fh` at the first data byte. The file
+    must hold every data byte the header claims, so a lying header is an
+    error, not an allocation of that size."""
     try:
         version = np.lib.format.read_magic(fh)
     except ValueError as exc:  # an .npz archive, a pickle or anything else
@@ -333,7 +327,7 @@ def _read_frame_header(fh, path: Path, shape: tuple) -> tuple[np.dtype, bool]:
     if read_header is None:
         raise CorruptFrame(path, f".npy format version {version} is not supported")
     try:
-        frame_shape, fortran_order, dtype = read_header(fh)
+        shape, fortran_order, dtype = read_header(fh)
     except Exception as exc:
         # the header is a Python literal parsed with ast and tokenize: a
         # damaged one raises ValueError, TypeError, IndexError, EOFError or
@@ -341,52 +335,39 @@ def _read_frame_header(fh, path: Path, shape: tuple) -> tuple[np.dtype, bool]:
         raise CorruptFrame(path, f"{type(exc).__name__}: {exc}") from exc
     if dtype.kind not in "iuf":
         raise CorruptFrame(path, f"dtype {dtype} is not a real number type")
-    if frame_shape != shape:
-        raise CorruptFrame(path, f"shape {frame_shape} != manifest shape {shape}")
+    if len(shape) != 3 or shape[0] != n_phases or min(shape) < 0:
+        raise CorruptFrame(path, f"shape {shape} is not ({n_phases} phases, rows, cols)")
     claimed = math.prod(shape) * dtype.itemsize
     held = os.fstat(fh.fileno()).st_size - fh.tell()
     if held < claimed:
         raise CorruptFrame(path, f"header claims {claimed} data bytes, the file holds {held}")
-    return dtype, fortran_order
-
-
-def _read_frame(fh, path: Path, dtype: np.dtype, fortran_order: bool, out: np.ndarray) -> None:
-    """Read the data of the `.npy` file `fh`, positioned and checked by
-    `_read_frame_header`, into the float64 C-order frame `out`: straight
-    into it when the file holds that layout, else through a buffer of the
-    file's dtype and order."""
-    direct = dtype == out.dtype and not fortran_order
-    buf = out if direct else np.empty(out.shape[::-1] if fortran_order else out.shape, dtype)
-    if fh.readinto(buf) != buf.nbytes:  # the file shrank since the header check
-        raise CorruptFrame(path, "truncated data")
-    if not direct:
-        out[...] = buf.T if fortran_order else buf
+    return shape, dtype, fortran_order
 
 
 def load_stack(manifest_path) -> InterferogramStack:
-    """Load a `qiul.stack/2` stack (see `save_stack`). A malformed
-    manifest, a frame path outside the manifest directory and a
-    `qiul.stack/1` manifest (CSV frames, no longer read) raise
-    SchemaError; a frame that is missing, not a `.npy` array of a real
-    dtype, of the wrong shape, shorter than its header claims or
-    non-finite raises CorruptFrame naming the file. Each frame file is
-    opened once: its header is checked, then its data is read into one
-    float64 array, allocated once the first header has passed. So one
-    file descriptor is open at a time however long the stack, and no
-    header makes the loader allocate more than the files hold."""
+    """Load a `qiul.stack/3` stack (see `save_stack`). A malformed
+    manifest, a frames path outside the manifest directory, a stack with
+    no rows or fewer than MIN_COLUMNS columns and a `qiul.stack/1` or
+    `qiul.stack/2` manifest (one file per phase step, no longer read)
+    raise SchemaError; a frames file that is missing, not a `.npy` array
+    of a real dtype, not of shape `(len(phases_rad), rows, cols)`,
+    shorter than its header claims or non-finite raises CorruptFrame
+    naming the file. The file is opened once: its header is checked,
+    then its data is read into one float64 array, so no header makes the
+    loader allocate more than the file holds."""
     manifest_path = Path(manifest_path)
     try:  # RecursionError: arrays or objects nested too deep for the parser
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"manifest {manifest_path} is not valid UTF-8 JSON: {exc}") from exc
     schema = manifest.get("schema") if isinstance(manifest, dict) else None
-    if schema == CSV_MANIFEST_SCHEMA:
-        raise SchemaError(f"{manifest_path}: {CSV_MANIFEST_SCHEMA} stacks (CSV frames) are no "
-                          f"longer read; save each frame with np.save and list the .npy files "
-                          f"in a {MANIFEST_SCHEMA} manifest")
+    if schema in ("qiul.stack/1", "qiul.stack/2"):
+        raise SchemaError(f"{manifest_path}: {schema} stacks (one file per phase step) are no "
+                          f"longer read; np.save the frames stacked as one (n_phases, rows, cols) "
+                          f"array and name it as frames in a {MANIFEST_SCHEMA} manifest")
     if schema != MANIFEST_SCHEMA:
         raise SchemaError(f"{manifest_path}: not a {MANIFEST_SCHEMA} manifest")
-    for key in ("phases_rad", "pixel_pitch_m", "noise", "shape", "frames"):
+    for key in ("phases_rad", "pixel_pitch_m", "noise", "frames"):
         if key not in manifest:
             raise SchemaError(f"{manifest_path}: missing key {key!r}")
     phases = manifest["phases_rad"]
@@ -396,38 +377,35 @@ def load_stack(manifest_path) -> InterferogramStack:
         raise SchemaError(f"{manifest_path}: pixel_pitch_m must be a finite number")
     if not isinstance(manifest["noise"], dict):
         raise SchemaError(f"{manifest_path}: noise must be a JSON object")
-    names = manifest["frames"]
-    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
-        raise SchemaError(f"{manifest_path}: frames must be a list of file paths")
-    if len(names) != len(phases):
-        raise SchemaError(f"{manifest_path}: frames/phases length mismatch")
-    shape = manifest["shape"]
-    if not (isinstance(shape, list) and len(shape) == 2
-            and all(type(n) is int and n > 0 for n in shape)):
-        raise SchemaError(f"{manifest_path}: shape must be a list of two positive integers")
-    if shape[1] < MIN_COLUMNS:
-        raise SchemaError(f"{manifest_path}: a stack needs at least {MIN_COLUMNS} columns, "
-                          f"got {shape[1]}")
-    shape = tuple(shape)
-    frames = None
-    stack_dir = manifest_path.parent.resolve()
-    for k, name in enumerate(names):
-        path = manifest_path.parent / name
-        try:
-            inside = path.resolve().is_relative_to(stack_dir)
-        except ValueError:  # an embedded NUL byte
-            inside = False
-        if not inside:
-            raise SchemaError(f"{manifest_path}: frame {name!r} lies outside the manifest directory")
-        if not path.is_file():
-            raise CorruptFrame(path, "file not found")
-        with open(path, "rb") as fh:
-            dtype, fortran_order = _read_frame_header(fh, path, shape)
-            if frames is None:  # allocated once a frame on disk holds the manifest shape
-                frames = np.empty((len(names), *shape))
-            _read_frame(fh, path, dtype, fortran_order, frames[k])
-        if not np.isfinite(frames[k]).all():
-            raise CorruptFrame(path, "non-finite values")
+    name = manifest["frames"]
+    if not isinstance(name, str):
+        raise SchemaError(f"{manifest_path}: frames must be a file path")
+    path = manifest_path.parent / name
+    try:
+        inside = path.resolve().is_relative_to(manifest_path.parent.resolve())
+    except ValueError:  # an embedded NUL byte
+        inside = False
+    if not inside:
+        raise SchemaError(f"{manifest_path}: frames {name!r} lies outside the manifest directory")
+    if not path.is_file():
+        raise CorruptFrame(path, "file not found")
+    with open(path, "rb") as fh:
+        shape, dtype, fortran_order = _read_frames_header(fh, path, len(phases))
+        if shape[1] < 1 or shape[2] < MIN_COLUMNS:
+            raise SchemaError(f"{manifest_path}: a stack needs at least 1 row and {MIN_COLUMNS} "
+                              f"columns, got {shape[1]} x {shape[2]}")
+        frames = np.empty(shape)
+        # straight into the frames when the file holds float64 in C order,
+        # else through a buffer of the file's dtype and order
+        direct = dtype == frames.dtype and not fortran_order
+        buf = frames if direct else np.empty(shape[::-1] if fortran_order else shape, dtype)
+        if fh.readinto(buf) != buf.nbytes:  # the file shrank since the header check
+            raise CorruptFrame(path, "truncated data")
+        if not direct:
+            frames[...] = buf.T if fortran_order else buf
+    finite = np.isfinite(frames).all(axis=(1, 2))
+    if not finite.all():
+        raise CorruptFrame(path, f"non-finite values in phase step {int(np.argmin(finite))}")
     try:
         return InterferogramStack(
             frames=frames,

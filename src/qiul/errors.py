@@ -118,11 +118,11 @@ class SchemaError(ValidationError):
 
 
 class CorruptFrame(ToolkitError):
-    """A frame file referenced by a stack manifest is missing or unreadable."""
+    """The frames file named by a stack manifest is missing or unreadable."""
 
     def __init__(self, path, reason=""):
         self.path = str(path)
-        msg = f"corrupt or missing frame file: {self.path}"
+        msg = f"corrupt or missing frames file: {self.path}"
         if reason:
             msg += f" ({reason})"
         super().__init__(msg)

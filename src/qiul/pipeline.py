@@ -102,9 +102,10 @@ def _spread_or_error(extract) -> dict:
 
 
 def _fit_to_dict(fit) -> dict:
+    """A fit as JSON; the covariance is null where J^T J could not be inverted."""
     return {
         "parameters": dict(fit.parameters),
-        "covariance": fit.covariance,
+        "covariance": fit.covariance if np.isfinite(fit.covariance).all() else None,
         "residual_rms": fit.residual_rms,
         "iterations": fit.iterations,
     }

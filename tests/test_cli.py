@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qiul
@@ -259,10 +259,10 @@ class TestSimulateAndAnalyze:
         assert run(["simulate-edge", "--out", out, "--rows", 8, "--cols", 64]) == 4
         assert not (out / "analysis.json").exists()
 
-    @pytest.mark.parametrize("cols", [1, 2, 4, 5, 7])
-    def test_narrow_stack_exit_code(self, tmp_path, capsys, cols):
-        scene = SceneModel(background=np.full((4, cols), 1e4), modulation=np.full((4, cols), 5e3),
-                           phase_map=np.zeros((4, cols)))
+    @pytest.mark.parametrize("rows, cols", [(4, 1), (4, 2), (4, 4), (4, 5), (4, 7), (0, 64)])
+    def test_narrow_stack_exit_code(self, tmp_path, capsys, rows, cols):
+        scene = SceneModel(background=np.full((rows, cols), 1e4), modulation=np.full((rows, cols), 5e3),
+                           phase_map=np.zeros((rows, cols)))
         stack = synthesize_stack(scene, 2.0 * np.pi * np.arange(4) / 4, pixel_pitch=2e-6)
         manifest = save_stack(stack, tmp_path / "stack")
         assert run(["analyze-stack", "--manifest", manifest, "--out", tmp_path / "ana"]) == 2
@@ -279,14 +279,20 @@ class TestSimulateAndAnalyze:
         assert analysis["stack"]["n_phases"] == 3
         assert analysis["m_d_avg"] == pytest.approx(2.67, abs=1e-3)
 
-    def test_missing_frame_exit_code(self, tmp_path, config_file):
+    @pytest.mark.parametrize("damage", ["missing", "first-axis-not-the-phases"])
+    def test_missing_frame_exit_code(self, tmp_path, config_file, capsys, damage):
         sim_out = tmp_path / "sim"
         run(["simulate-edge", "--config", config_file, "--out", sim_out,
              "--rows", 12, "--cols", 256, "--pitch", "2um"])
-        (sim_out / "frames" / "frame_001.npy").unlink()
+        path = sim_out / "frames.npy"
+        if damage == "missing":
+            path.unlink()
+        else:
+            np.save(path, np.load(path, allow_pickle=False)[:3])
         code = run(["analyze-stack", "--manifest", sim_out / "manifest.json",
                     "--config", config_file, "--out", tmp_path / "ana"])
         assert code == 4
+        assert str(path) in capsys.readouterr().err
 
     def test_frame_outside_manifest_directory_exit_code(self, tmp_path, config_file):
         sim_out = tmp_path / "sim"
@@ -294,7 +300,7 @@ class TestSimulateAndAnalyze:
              "--rows", 12, "--cols", 256, "--pitch", "2um"])
         manifest = sim_out / "manifest.json"
         data = json.loads(manifest.read_text())
-        data["frames"][1] = "../elsewhere/frame_001.csv"
+        data["frames"] = "../elsewhere/frames.npy"
         manifest.write_text(json.dumps(data))
         code = run(["analyze-stack", "--manifest", manifest,
                     "--config", config_file, "--out", tmp_path / "ana"])
@@ -304,23 +310,23 @@ class TestSimulateAndAnalyze:
         sim_out = tmp_path / "sim"
         run(["simulate-edge", "--config", config_file, "--out", sim_out,
              "--rows", 12, "--cols", 256, "--pitch", "2um"])
-        frame = sim_out / "frames" / "frame_001.npy"
-        values = np.load(frame, allow_pickle=False)
-        values[6, 100] = np.nan
-        np.save(frame, values)
+        path = sim_out / "frames.npy"
+        values = np.load(path, allow_pickle=False)
+        values[1, 6, 100] = np.nan
+        np.save(path, values)
         code = run(["analyze-stack", "--manifest", sim_out / "manifest.json",
                     "--config", config_file, "--out", tmp_path / "ana"])
         assert code == 4
 
     @pytest.mark.parametrize("key, value", [
-        ("shape", 5),
+        ("frames", 5),
         ("phases_rad", [0.0, 0.0, math.pi, 1.5 * math.pi]),
         ("phases_rad", 5),
         ("noise", 3),
         ("pixel_pitch_m", [1]),
         ("pixel_pitch_m", 10**400),
         ("pixel_pitch_m", 5e-324),
-    ], ids=["shape-not-a-list", "equal-phases", "phases-not-a-list", "noise-not-an-object",
+    ], ids=["frames-not-a-string", "equal-phases", "phases-not-a-list", "noise-not-an-object",
             "pitch-not-a-number", "pitch-beyond-float-range", "pitch-subnormal"])
     def test_malformed_manifest_exit_code(self, tmp_path, config_file, capsys, key, value):
         sim_out = tmp_path / "sim"
@@ -608,7 +614,7 @@ class TestDeterminism:
         assert run(args + ["--out", out_a]) == 0
         assert run(args + ["--out", out_b]) == 0
         for name in ("manifest.json", "analysis.json", "comparison.json",
-                     "frames/frame_000.npy", "v_image.npy"):
+                     "frames.npy", "v_image.npy"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
@@ -656,20 +662,20 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=4), children, max_size=4),
     max_leaves=8,
 )
-FRAME_NAMES = [f"frames/frame_{k:03d}.npy" for k in range(4)]
-FRAME_HEADER_BYTES, FRAME_PIXELS = 128, 12 * 256  # .npy header and pixels of a 12 x 256 frame
-OFFSETS = st.integers(0, FRAME_HEADER_BYTES + 32) | st.integers(0, FRAME_HEADER_BYTES + 8 * FRAME_PIXELS)
+# .npy header and pixels of the 4 x 12 x 256 frames file
+FRAMES_HEADER_BYTES, FRAMES_PIXELS = 128, 4 * 12 * 256
+OFFSETS = (st.integers(0, FRAMES_HEADER_BYTES + 32)
+           | st.integers(0, FRAMES_HEADER_BYTES + 8 * FRAMES_PIXELS))
 # per manifest key: values near the valid ones, so that mutations reach the
-# frame reader and the analysis, besides arbitrary JSON
+# frames reader and the analysis, besides arbitrary JSON
 MANIFEST_VALUES = {
-    "schema": st.sampled_from(["qiul.stack/1", "qiul.stack/2", ""]),
+    "schema": st.sampled_from(["qiul.stack/1", "qiul.stack/2", "qiul.stack/3", ""]),
     "phases_rad": st.lists(st.floats() | st.integers(), max_size=6),
     "pixel_pitch_m": st.floats() | st.integers(),
     "noise": st.dictionaries(st.text(max_size=5), JSON_VALUES, max_size=3),
-    "shape": st.lists(st.integers(-2, 300), max_size=3),
-    "frames": st.lists(st.sampled_from(
-        FRAME_NAMES + ["", "frames", "manifest.json", "frames/missing.npy", "../sim/manifest.json"]
-    ) | st.text(max_size=12), max_size=6),
+    "frames": st.sampled_from(
+        ["frames.npy", "", "manifest.json", "missing.npy", "../sim/manifest.json", "../sim/frames.npy"]
+    ) | st.text(max_size=12),
 }
 
 
@@ -764,26 +770,28 @@ def manifest_edits(draw):
 
 
 @st.composite
-def frame_edits(draw):
-    """(frame index, edit) pairs; an edit takes and returns file bytes."""
+def frames_edits(draw):
+    """Edits of the frames file; an edit takes and returns file bytes."""
     edits = []
     for _ in range(draw(st.integers(0, 2))):
-        k = draw(st.integers(0, len(FRAME_NAMES) - 1))
-        kind = draw(st.sampled_from(["truncate", "overwrite", "value", "replace"]))
+        kind = draw(st.sampled_from(["truncate", "overwrite", "value", "phase-axis", "replace"]))
         if kind == "truncate":
             cut = draw(OFFSETS)
-            edits.append((k, lambda data, cut=cut: data[:cut]))
+            edits.append(lambda data, cut=cut: data[:cut])
         elif kind == "overwrite":
             at = draw(OFFSETS)
             new = draw(st.binary(min_size=1, max_size=8))
-            edits.append((k, lambda data, at=at, new=new: data[:at] + new + data[at + len(new):]))
+            edits.append(lambda data, at=at, new=new: data[:at] + new + data[at + len(new):])
         elif kind == "value":  # one pixel set to any float64, NaN and huge ones included
-            at = FRAME_HEADER_BYTES + 8 * draw(st.integers(0, FRAME_PIXELS - 1))
+            at = FRAMES_HEADER_BYTES + 8 * draw(st.integers(0, FRAMES_PIXELS - 1))
             new = struct.pack("<d", draw(st.floats()))
-            edits.append((k, lambda data, at=at, new=new: data[:at] + new + data[at + 8:]))
+            edits.append(lambda data, at=at, new=new: data[:at] + new + data[at + 8:])
+        elif kind == "phase-axis":  # a header whose first axis is not the 4 phases
+            new = f"'shape': ({draw(st.integers(0, 9))}, ".encode()
+            edits.append(lambda data, new=new: data.replace(b"'shape': (4, ", new, 1))
         else:
             new = draw(st.binary(max_size=200))
-            edits.append((k, lambda data, new=new: new))
+            edits.append(lambda data, new=new: new)
     return edits
 
 
@@ -820,7 +828,7 @@ class TestExitCodeContract:
         assert codes <= {0, 2, 3, 4}
 
     @settings(max_examples=60, deadline=5000)
-    @given(manifest=manifest_edits(), frames=frame_edits())
+    @given(manifest=manifest_edits(), frames=frames_edits())
     def test_analyze_stack_mutated_input(self, simulated_stack, manifest, frames):
         sim, cfg = simulated_stack
         with tempfile.TemporaryDirectory() as tmp:
@@ -834,9 +842,9 @@ class TestExitCodeContract:
                 else:
                     data[key] = value
             path.write_text(json.dumps(data))
-            for k, edit in frames:
-                frame = stack / FRAME_NAMES[k]
-                frame.write_bytes(edit(frame.read_bytes()))
+            frames_path = stack / "frames.npy"
+            for edit in frames:
+                frames_path.write_bytes(edit(frames_path.read_bytes()))
             code = run(["analyze-stack", "--manifest", path, "--config", cfg,
                         "--out", Path(tmp) / "ana"])
         assert code in (0, 2, 3, 4)
@@ -898,6 +906,7 @@ class TestExitCodeContract:
 
     @settings(max_examples=40, deadline=None)
     @given(values=config_values())
+    @example(values={"m_d_c": "2e-3"})  # the g fit ends where J^T J cannot be inverted
     def test_config_file_values(self, values):
         # on exit 0 every number written is finite: sweep.csv cells may also
         # be the SeparableState marker, and the gate deviation "inf" (JSON

@@ -56,10 +56,10 @@ class TestFloatingPointErrors:
         params = make_params(5e-3, 214e-6)
         simulate_edge(params, OpticalSetup(), tmp_path / "sim", rows=12, cols=256,
                       pixel_pitch=2e-6)
-        frame = tmp_path / "sim" / "frames" / "frame_001.npy"
-        values = np.load(frame, allow_pickle=False)
-        values[6, 100] = 1e300
-        np.save(frame, values)
+        path = tmp_path / "sim" / "frames.npy"
+        values = np.load(path, allow_pickle=False)
+        values[1, 6, 100] = 1e300
+        np.save(path, values)
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("ignore")
             with pytest.raises(FloatingPointError):
