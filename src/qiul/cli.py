@@ -30,8 +30,11 @@ from .spreads import theory_sweep_rows, write_sweep_csv
 DEFAULT_LENGTHS = "2mm,5mm,10mm"
 DEFAULT_WAISTS = "50um,142um,214um,308um"
 # most points of a 'start:stop:logN' range: far above any sweep the model
-# needs, and small enough that its rows fit in memory
+# needs; the rows of a sweep are bounded by MAX_SWEEP_ROWS
 MAX_RANGE_POINTS = 10_000
+# most rows of one theory-sweep (distinct lengths x distinct waists); a
+# sweep this size peaks near 170 MB resident
+MAX_SWEEP_ROWS = 100_000
 
 
 def parse_length_list(text: str) -> list[float]:
@@ -84,6 +87,10 @@ def _cmd_theory_sweep(args) -> int:
     params, setup = load_config(args.config)
     lengths = parse_length_list(args.lengths)
     waists = parse_length_list(args.waists)
+    n_lengths, n_waists = np.unique(lengths).size, np.unique(waists).size
+    if n_lengths * n_waists > MAX_SWEEP_ROWS:
+        raise SchemaError(f"a sweep has at most {MAX_SWEEP_ROWS} rows, got {n_lengths} "
+                          f"distinct lengths x {n_waists} distinct waists")
     rows = theory_sweep_rows(params, lengths, waists, setup)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -82,14 +82,19 @@ class OpticalSetup:
                 raise SchemaError(f"{name} = {value} inconsistent with {rule} = {expected}")
 
 
+def check_positive_length(name: str, value) -> None:
+    """Raise NonPositiveParameter unless value is a positive finite int or
+    float; the rule validate_params applies to each SourceParams field."""
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        raise NonPositiveParameter(f"{name} must be a positive finite length, got {value!r}")
+
+
 def validate_params(raw: SourceParams) -> SourceParams:
     """Check positivity, energy conservation, and the long-crystal
     regime; returns the input unchanged when valid, else raises a typed
     ValidationError. SourceParams runs this check on construction."""
     for name in ("lambda_p", "lambda_d", "lambda_u", "crystal_length", "pump_waist"):
-        value = getattr(raw, name)
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-            raise NonPositiveParameter(f"{name} must be a positive finite length, got {value!r}")
+        check_positive_length(name, getattr(raw, name))
     rel = abs(1.0 / raw.lambda_p - (1.0 / raw.lambda_d + 1.0 / raw.lambda_u)) * raw.lambda_p
     if rel > ENERGY_REL_TOL:
         raise EnergyConservationViolated(

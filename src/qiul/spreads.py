@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import OpticalSetup, SourceParams, singular_waist
+from .core import OpticalSetup, SourceParams, check_positive_length, singular_waist
 from .errors import (
     MultiPeak,
     NoCrossing,
@@ -199,6 +199,7 @@ _ZOOM_COLUMNS = np.arange(_ZOOM_GRID.size)
 _XTOL = 1e-14  # of the bracketing span
 _MAX_ITERATIONS = 100
 _BLOCK_ROWS = 128
+_SOLVE_ROWS = 32 * _BLOCK_ROWS  # bounds the zoom values kept for one solve
 
 
 def _g_esf_slope(k, c, x, x_tilde_o):
@@ -247,9 +248,21 @@ def _g_esf_widths(k, c, x_tilde_o) -> np.ndarray:
     than one local maximum above half maximum, or a maximum not isolated
     between two grid points). Illinois regula falsi then solves f' = 0
     for the peak and f = peak/e for the two crossings nearest it, to
-    1e-14 of the span, in one solve over all rows for each."""
+    1e-14 of the span. The rows are solved in chunks of _SOLVE_ROWS, one
+    solve for the peaks and one for the crossings per chunk, so the zoom
+    values kept for a solve stay bounded; each row's solve is independent
+    of the other rows, so the chunking does not change any width."""
     k, c, x_tilde_o = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
                                             for v in (k, c, x_tilde_o)))
+    widths = np.empty(k.size)
+    for start in range(0, k.size, _SOLVE_ROWS):
+        chunk = slice(start, start + _SOLVE_ROWS)
+        widths[chunk] = _g_esf_chunk_widths(k[chunk], c[chunk], x_tilde_o[chunk])
+    return widths
+
+
+def _g_esf_chunk_widths(k, c, x_tilde_o) -> np.ndarray:
+    """_g_esf_widths for one chunk of rows (1-d arrays of equal length)."""
     n_rows = k.size
     on_row = np.arange(n_rows)
     span = 8.0 / np.sqrt(k + c * c) + np.abs(x_tilde_o)
@@ -375,9 +388,12 @@ def theory_sweep_rows(
 ) -> list[dict]:
     """One row per (L, w_p) pair, sorted by the pair. Waists at or below
     w_sing (1 + 1e-3) carry the SeparableState marker in the columns
-    that diverge at the singular waist w_sing. Each distinct L and w_p
-    is validated once (the thin-crystal check reads only L). k and c
-    come from the one-row formula evaluated once over the grid, so every
+    that diverge at the singular waist w_sing. Each distinct L is
+    validated once with base (validate_params; the thin-crystal check
+    reads only L), and each distinct w_p once by
+    core.check_positive_length, the only check that reads it. k and c
+    come from the one-row formula evaluated once over the grid, and
+    every other column is computed as an array over the grid, so every
     number equals its one-row library call (spread_g_psf_closed,
     spread_v_closed, spread_g_esf_numeric, singular_waist,
     min_resolvable_distance at setup.m_u); between w_sing (1 + SEPARABLE_REL_TOL)
@@ -387,38 +403,62 @@ def theory_sweep_rows(
     waists = sorted(set(float(v) for v in waists))
     w_sings = [singular_waist(replace(base, crystal_length=L)) for L in lengths]
     for w in waists:
-        replace(base, pump_waist=w)  # raises for an invalid w_p
+        check_positive_length("pump_waist", w)
     grid_l, grid_w = (a.ravel() for a in np.meshgrid(lengths, waists, indexing="ij"))
     k, c = _edge_coefficients(base.lambda_d, base.lambda_u, grid_l, grid_w)
-    spread_g_psf = 1.0 / np.sqrt(k + c * c)
-    rows = []
-    pairs = ((L, w_sing, w) for L, w_sing in zip(lengths, w_sings) for w in waists)
-    for (L, w_sing, w), psf, c_row, width in zip(
-        pairs, spread_g_psf.tolist(), c.tolist(), _g_esf_widths(k, c, 0.0).tolist()
-    ):
-        # the visibility spread diverges like (1 - w_sing^2/w_p^2)^-1: within
-        # 0.1% of the singularity the value is meaningless, so mark it too
-        if w > w_sing * (1.0 + 1e-3):
-            spread_v = 1.0 / abs(c_row)
-            ratio, d_min = width / spread_v, _d_min(spread_v, setup.m_u)
-        else:
-            spread_v = ratio = d_min = SEPARABLE_MARKER
-        rows.append(dict(zip(SWEEP_COLUMNS, (L, w, spread_v, psf, width, ratio, w_sing, d_min))))
-    return rows
+    widths = _g_esf_widths(k, c, 0.0)
+    # the visibility spread diverges like (1 - w_sing^2/w_p^2)^-1: within
+    # 0.1% of the singularity the value is meaningless, so mark it too
+    finite = grid_w > np.repeat(w_sings, len(waists)) * (1.0 + 1e-3)
+    spread_v = 1.0 / np.abs(c[finite])
+    ratio = widths[finite] / spread_v
+    d_min = _d_min(spread_v, setup.m_u)
+    spread_v, ratio, d_min = (_marked(v, finite) for v in (spread_v, ratio, d_min))
+    pairs = ((L, w, w_sing) for L, w_sing in zip(lengths, w_sings) for w in waists)
+    # a dict display, in SWEEP_COLUMNS order, builds a row in half the
+    # time of dict(zip(SWEEP_COLUMNS, ...))
+    return [
+        {"L_m": L, "w_p_m": w, "spread_v_m": v, "spread_g_psf_m": psf, "spread_g_esf_m": width,
+         "ratio": r, "w_sing_m": w_sing, "d_min_m": d}
+        for (L, w, w_sing), v, psf, width, r, d in zip(
+            pairs, spread_v, (1.0 / np.sqrt(k + c * c)).tolist(), widths.tolist(), ratio, d_min)
+    ]
+
+
+def _marked(values: np.ndarray, finite: np.ndarray) -> list:
+    """values at the rows where finite holds, SEPARABLE_MARKER elsewhere."""
+    column = np.full(finite.shape, SEPARABLE_MARKER, dtype=object)
+    column[finite] = values
+    return column.tolist()
+
+
+class _FormattedOnce(dict):
+    """The %.12e text of each number looked up, formatted on its first
+    lookup. Zeros are formatted on every lookup: 0.0 == -0.0 as keys,
+    but their texts differ."""
+
+    def __missing__(self, value):
+        text = format(value, ".12e")
+        if value:
+            self[value] = text
+        return text
 
 
 def write_sweep_csv(rows: list[dict], path) -> None:
-    """One line per row, every number as %.12e; a row with a marker is
-    formatted cell by cell, every other one with one format string."""
+    """One line per row, every number as %.12e. A row with a marker is
+    formatted cell by cell; every other one with one format string, into
+    which the L_m, w_p_m and w_sing_m texts go formatted once per
+    distinct value (a sweep repeats each of them over many rows)."""
+    text = _FormattedOnce()
     cells = operator.itemgetter(*SWEEP_COLUMNS)
-    line = ",".join(["%.12e"] * len(SWEEP_COLUMNS)) + "\n"
+    line = "%s,%s,%.12e,%.12e,%.12e,%.12e,%s,%.12e\n"
     lines = [",".join(SWEEP_COLUMNS) + "\n"]
     for row in rows:
-        values = cells(row)
+        L, w, spread_v, psf, esf, ratio, w_sing, d_min = values = cells(row)
         if SEPARABLE_MARKER in values:
             lines.append(",".join(v if isinstance(v, str) else format(v, ".12e")
                                   for v in values) + "\n")
         else:
-            lines.append(line % values)
+            lines.append(line % (text[L], text[w], spread_v, psf, esf, ratio, text[w_sing], d_min))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(lines))

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qiul
-from qiul.cli import MAX_RANGE_POINTS, main, parse_length_list, parse_noise
+from qiul.cli import MAX_RANGE_POINTS, MAX_SWEEP_ROWS, main, parse_length_list, parse_noise
 from qiul.core import load_config
 from qiul.dpsh import SceneModel, save_stack, synthesize_stack
 from qiul.errors import SchemaError
@@ -150,6 +151,32 @@ class TestTheorySweep:
 
     def test_oversized_range_exit_code(self, tmp_path, refuse_geomspace):
         assert run(["theory-sweep", "--out", tmp_path, "--lengths=1mm:2mm:log100000000"]) == 2
+
+    def test_oversized_sweep_exit_code(self, tmp_path, capsys):
+        # 10,000 x 10,000 = 10^8 rows: rejected before any row is computed.
+        # A one-row sweep first builds the parser and loads what the
+        # command imports, so the traced peak holds only the two lists.
+        assert run(["theory-sweep", "--out", tmp_path / "one", "--lengths=2mm", "--waists=142um"]) == 0
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = run(["theory-sweep", "--out", tmp_path / "big",
+                        "--lengths=1mm:10mm:log10000", "--waists=20um:2mm:log10000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert (f"at most {MAX_SWEEP_ROWS} rows, got 10000 distinct lengths x 10000 distinct waists"
+                in capsys.readouterr().err)
+        assert peak < 1_000_000
+        assert not (tmp_path / "big").exists()
+
+    @pytest.mark.parametrize("lengths, code", [("2mm,5mm,2mm", 0), ("2mm,5mm,10mm", 2)])
+    def test_row_cap_counts_distinct_values(self, tmp_path, monkeypatch, lengths, code):
+        # 2 or 3 distinct lengths x 3 distinct waists against a cap of 6 rows
+        monkeypatch.setattr(qiul.cli, "MAX_SWEEP_ROWS", 6)
+        assert run(["theory-sweep", "--out", tmp_path, f"--lengths={lengths}",
+                    "--waists=50um,142um,50um,214um"]) == code
 
     @pytest.mark.parametrize("grid", [
         ["--waists=1e200m"],

@@ -6,7 +6,7 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import erf
@@ -35,7 +35,9 @@ from qiul.imaging import (
 from qiul.pipeline import simulate_edge
 from qiul.spreads import (
     SEPARABLE_MARKER,
+    SWEEP_COLUMNS,
     _BLOCK_ROWS,
+    _SOLVE_ROWS,
     _g_esf_slope,
     _g_esf_widths,
     half_width_1e,
@@ -362,6 +364,25 @@ class TestEsfDerivativeSolver:
         _g_esf_widths(k, c, 0.0)
         assert sizes == [n_rows, 2 * n_rows]
 
+    def test_rows_past_one_chunk_are_solved_in_two(self, monkeypatch):
+        # one row more than a chunk: a second peak solve and crossing solve
+        # for that row alone, and every width is bit for bit its one-row call
+        sizes = []
+        illinois = spreads._illinois
+
+        def counting(fn, a, *args):
+            sizes.append(a.size)
+            return illinois(fn, a, *args)
+
+        monkeypatch.setattr(spreads, "_illinois", counting)
+        n_rows = _SOLVE_ROWS + 1
+        k, c = _edge_coefficients(LAMBDA_D, LAMBDA_U, 5e-3, np.geomspace(100e-6, 2e-3, n_rows))
+        widths = _g_esf_widths(k, c, 0.0)
+        assert sizes == [_SOLVE_ROWS, 2 * _SOLVE_ROWS, 1, 2]
+        monkeypatch.undo()
+        for k_row, c_row, width in zip(k, c, widths):
+            assert width == _g_esf_widths(k_row, c_row, 0.0)[0]
+
     def test_slope_matches_complex_step(self):
         p = make_params(5e-3, 142e-6)
         k, c = g_envelope_coefficient(p), esf_slope_coefficient(p)
@@ -446,6 +467,7 @@ class TestSweep:
         base = make_params()
         rows = theory_sweep_rows(base, [2e-3, 5e-3, 10e-3], [50e-6, 142e-6, 214e-6, 308e-6], setup)
         assert len(rows) == 12
+        assert all(tuple(r) == SWEEP_COLUMNS for r in rows)
         assert all(not isinstance(r["spread_v_m"], str) for r in rows)
         path = tmp_path / "sweep.csv"
         write_sweep_csv(rows, path)
@@ -547,19 +569,38 @@ class TestSweepIsOneRowCalls:
                 assert row["d_min_m"] == min_resolvable_distance(p, m_u)
 
     def test_validates_each_length_and_waist_once(self, monkeypatch, setup):
-        calls = []
+        # validate_params runs once per distinct L; a waist is checked by
+        # the one rule that reads it, once per distinct w_p
+        calls, waist_checks = [], []
+        validate_params = core.validate_params
+        check_positive_length = spreads.check_positive_length
 
         def counting(params):
             calls.append(params)
             return validate_params(params)
 
+        def checking(name, value):
+            waist_checks.append((name, value))
+            return check_positive_length(name, value)
+
         base = make_params()
-        validate_params = core.validate_params
         monkeypatch.setattr(core, "validate_params", counting)
+        monkeypatch.setattr(spreads, "check_positive_length", checking)
         waists = list(np.geomspace(20e-6, 2e-3, 400))
         rows = theory_sweep_rows(base, [2e-3, 5e-3, 10e-3, 5e-3], waists + waists[:7], setup)
         assert len(rows) == 3 * 400
-        assert len(calls) == 3 + 400
+        assert [p.crystal_length for p in calls] == [2e-3, 5e-3, 10e-3]
+        assert waist_checks == [("pump_waist", w) for w in waists]
+
+    @pytest.mark.parametrize("waist", [0.0, -1e-4, math.inf, math.nan])
+    def test_invalid_waist_raises_as_its_params_would(self, setup, waist):
+        base = make_params()
+        with pytest.raises(NonPositiveParameter) as expected:
+            replace(base, pump_waist=waist)
+        with pytest.raises(NonPositiveParameter) as got:
+            theory_sweep_rows(base, [2e-3, 5e-3], [142e-6, waist], setup)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize("lengths, waists, error", [
         ([2e-3, 5e-3], [142e-6, 0.0], NonPositiveParameter),
@@ -581,3 +622,47 @@ class TestSweepIsOneRowCalls:
         for one_row in (g_envelope_coefficient, esf_slope_coefficient, spread_g_psf_closed):
             with pytest.raises(OverflowError):
                 one_row(p)
+
+
+def per_cell_sweep_csv(rows) -> str:
+    """write_sweep_csv's text formatted one cell at a time."""
+    return "".join(
+        ",".join(v if isinstance(v, str) else format(v, ".12e") for v in cells) + "\n"
+        for cells in [SWEEP_COLUMNS] + [[row[name] for name in SWEEP_COLUMNS] for row in rows]
+    )
+
+
+@st.composite
+def sweep_csv_rows(draw):
+    # L_m, w_p_m and w_sing_m drawn from a small pool, so values repeat
+    # across rows and columns; the pool always holds 0.0 and -0.0, which
+    # are equal but print differently
+    pool = [0.0, -0.0] + draw(st.lists(st.floats(), max_size=4))
+    shared = st.sampled_from(pool)
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        row = {name: draw(st.floats()) for name in SWEEP_COLUMNS}
+        row.update(L_m=draw(shared), w_p_m=draw(shared), w_sing_m=draw(shared))
+        if draw(st.booleans()):
+            row.update(spread_v_m=SEPARABLE_MARKER, ratio=SEPARABLE_MARKER, d_min_m=SEPARABLE_MARKER)
+        rows.append(row)
+    return rows
+
+
+def _csv_row(L, w, w_sing, marked=False):
+    row = dict(zip(SWEEP_COLUMNS, (L, w, 1.5e-5, 2e-5, 1.75e-5, 0.75, w_sing, 6.6e-5)))
+    if marked:
+        row.update(spread_v_m=SEPARABLE_MARKER, ratio=SEPARABLE_MARKER, d_min_m=SEPARABLE_MARKER)
+    return row
+
+
+class TestWriteSweepCsv:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=sweep_csv_rows())
+    @example(rows=[_csv_row(0.0, 0.0, 0.0), _csv_row(-0.0, -0.0, -0.0),
+                   _csv_row(0.0, -0.0, 0.0, marked=True), _csv_row(2e-3, 2e-3, 0.0),
+                   _csv_row(2e-3, -0.0, 2e-3)])
+    def test_text_equals_per_cell_formatting(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("csv") / "sweep.csv"
+        write_sweep_csv(rows, path)
+        assert path.read_text(encoding="utf-8") == per_cell_sweep_csv(rows)
