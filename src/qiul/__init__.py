@@ -10,12 +10,10 @@ nonlinear-fit magnification estimation.
 
 from .core import OpticalSetup, SourceParams, singular_waist, validate_params
 from .biphoton import (
-    Density2D,
     QuadraticForm2,
     correlation_coefficient,
     gaussian_quadratic_form,
     joint_density_gaussian,
-    joint_density_sinc_1d,
 )
 from .imaging import (
     Profile1D,

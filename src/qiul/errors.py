@@ -1,4 +1,4 @@
-"""Exception hierarchy.
+"""Exception hierarchy; the package raises every leaf class.
 
 Grouped by how the CLI maps them to exit codes: validation problems
 (bad parameters, bad files, schema violations) exit with 2, numerical
@@ -48,10 +48,6 @@ class SeparableState(NumericalError):
 
 
 # -- numerics --------------------------------------------------------------
-
-class GridTooCoarse(NumericalError):
-    pass
-
 
 class QuadratureNotConverged(NumericalError):
     pass

@@ -200,6 +200,7 @@ _XTOL = 1e-14  # of the bracketing span
 _MAX_ITERATIONS = 100
 _BLOCK_ROWS = 128
 _SOLVE_ROWS = 32 * _BLOCK_ROWS  # bounds the zoom values kept for one solve
+_WRITE_ROWS = 4096  # sweep.csv rows per write: bounds the text held at once
 
 
 def _g_esf_slope(k, c, x, x_tilde_o):
@@ -246,18 +247,23 @@ def _g_esf_widths(k, c, x_tilde_o) -> np.ndarray:
     them small; the first failing row raises NoCrossing (no positive
     finite maximum, or no 1/e crossing on one side) or MultiPeak (more
     than one local maximum above half maximum, or a maximum not isolated
-    between two grid points). Illinois regula falsi then solves f' = 0
-    for the peak and f = peak/e for the two crossings nearest it, to
-    1e-14 of the span. The rows are solved in chunks of _SOLVE_ROWS, one
-    solve for the peaks and one for the crossings per chunk, so the zoom
-    values kept for a solve stay bounded; each row's solve is independent
-    of the other rows, so the chunking does not change any width."""
+    between two grid points), its index as the error's row. Illinois
+    regula falsi then solves f' = 0 for the peak and f = peak/e for the
+    two crossings nearest it, to 1e-14 of the span. The rows are solved
+    in chunks of _SOLVE_ROWS, one solve for the peaks and one for the
+    crossings per chunk, so the zoom values kept for a solve stay bounded;
+    each row's solve is independent of the other rows, so the chunking
+    does not change any width."""
     k, c, x_tilde_o = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
                                             for v in (k, c, x_tilde_o)))
     widths = np.empty(k.size)
     for start in range(0, k.size, _SOLVE_ROWS):
         chunk = slice(start, start + _SOLVE_ROWS)
-        widths[chunk] = _g_esf_chunk_widths(k[chunk], c[chunk], x_tilde_o[chunk])
+        try:
+            widths[chunk] = _g_esf_chunk_widths(k[chunk], c[chunk], x_tilde_o[chunk])
+        except (NoCrossing, MultiPeak) as err:
+            err.row += start
+            raise
     return widths
 
 
@@ -273,8 +279,12 @@ def _g_esf_chunk_widths(k, c, x_tilde_o) -> np.ndarray:
     i = np.empty(n_rows, dtype=np.intp)
     for start in range(0, n_rows, _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        lo[block], width[block], i[block], s_lo[block], s_hi[block] = _g_esf_zoom_block(
-            k[block], c[block], x_tilde_o[block], span[block], f[block])
+        try:
+            lo[block], width[block], i[block], s_lo[block], s_hi[block] = _g_esf_zoom_block(
+                k[block], c[block], x_tilde_o[block], span[block], f[block])
+        except (NoCrossing, MultiPeak) as err:
+            err.row += start
+            raise
 
     grid_peak = f[on_row, i]
     x_peak = _illinois(lambda q, t: _g_esf_slope(k[q], c[q], t, x_tilde_o[q]),
@@ -305,7 +315,7 @@ def _g_esf_zoom_block(k, c, x_tilde_o, span, f):
     equal length; span is the coarse grid's half-width): writes the
     zoom-grid values into f and returns the zoom window (lo, width), the
     column of the grid peak and the slopes at the columns either side of
-    it. Raises for the first failing row."""
+    it. Raises for the first failing row, its index in the block as row."""
     n_rows = k.size
     on_row = np.arange(n_rows)
     kc, cc, xc = k[:, None], c[:, None], x_tilde_o[:, None]
@@ -337,17 +347,20 @@ def _g_esf_zoom_block(k, c, x_tilde_o, span, f):
     bad = no_peak | (n_max > 1) | no_left | no_right
     if bad.any():
         r = int(np.argmax(bad))
-        if no_peak[r]:
-            raise NoCrossing("ESF derivative has no positive finite maximum")
-        if n_max[r] > 1:
-            raise MultiPeak(f"{n_max[r]} local maxima above half maximum")
         side = "left" if no_left[r] else "right"
-        raise NoCrossing(f"ESF derivative never decays to 1/e of its maximum on the {side}")
+        err = (NoCrossing("ESF derivative has no positive finite maximum") if no_peak[r]
+               else MultiPeak(f"{n_max[r]} local maxima above half maximum") if n_max[r] > 1
+               else NoCrossing(f"ESF derivative never decays to 1/e of its maximum on the {side}"))
+        err.row = r
+        raise err
 
     s_lo = _g_esf_slope(k, c, lo + width * _ZOOM_GRID[i - 1], x_tilde_o)
     s_hi = _g_esf_slope(k, c, lo + width * _ZOOM_GRID[i + 1], x_tilde_o)
-    if not np.all((s_lo > 0) & (s_hi < 0)):
-        raise MultiPeak("ESF derivative maximum is not isolated between two grid points")
+    isolated = (s_lo > 0) & (s_hi < 0)
+    if not isolated.all():
+        err = MultiPeak("ESF derivative maximum is not isolated between two grid points")
+        err.row = int(np.argmin(isolated))
+        raise err
     return lo, width, i, s_lo, s_hi
 
 
@@ -398,7 +411,7 @@ def theory_sweep_rows(
     spread_v_closed, spread_g_esf_numeric, singular_waist,
     min_resolvable_distance at setup.m_u); between w_sing (1 + SEPARABLE_REL_TOL)
     and w_sing (1 + 1e-3) the row holds the marker where spread_v_closed
-    returns a number."""
+    returns a number. A NoCrossing or MultiPeak names the failing L and w_p."""
     lengths = sorted(set(float(v) for v in lengths))
     waists = sorted(set(float(v) for v in waists))
     w_sings = [singular_waist(replace(base, crystal_length=L)) for L in lengths]
@@ -406,7 +419,10 @@ def theory_sweep_rows(
         check_positive_length("pump_waist", w)
     grid_l, grid_w = (a.ravel() for a in np.meshgrid(lengths, waists, indexing="ij"))
     k, c = _edge_coefficients(base.lambda_d, base.lambda_u, grid_l, grid_w)
-    widths = _g_esf_widths(k, c, 0.0)
+    try:
+        widths = _g_esf_widths(k, c, 0.0)
+    except (NoCrossing, MultiPeak) as err:
+        raise type(err)(f"L = {grid_l[err.row]:.6g} m, w_p = {grid_w[err.row]:.6g} m: {err}") from err
     # the visibility spread diverges like (1 - w_sing^2/w_p^2)^-1: within
     # 0.1% of the singularity the value is meaningless, so mark it too
     finite = grid_w > np.repeat(w_sings, len(waists)) * (1.0 + 1e-3)
@@ -445,20 +461,23 @@ class _FormattedOnce(dict):
 
 
 def write_sweep_csv(rows: list[dict], path) -> None:
-    """One line per row, every number as %.12e. A row with a marker is
-    formatted cell by cell; every other one with one format string, into
-    which the L_m, w_p_m and w_sing_m texts go formatted once per
-    distinct value (a sweep repeats each of them over many rows)."""
+    """One line per row, every number as %.12e, _WRITE_ROWS rows a write.
+    A row with a marker is formatted cell by cell; every other one with
+    one format string, into which the L_m, w_p_m and w_sing_m texts go
+    formatted once per distinct value (a sweep repeats each of them)."""
     text = _FormattedOnce()
     cells = operator.itemgetter(*SWEEP_COLUMNS)
     line = "%s,%s,%.12e,%.12e,%.12e,%.12e,%s,%.12e\n"
-    lines = [",".join(SWEEP_COLUMNS) + "\n"]
-    for row in rows:
-        L, w, spread_v, psf, esf, ratio, w_sing, d_min = values = cells(row)
-        if SEPARABLE_MARKER in values:
-            lines.append(",".join(v if isinstance(v, str) else format(v, ".12e")
-                                  for v in values) + "\n")
-        else:
-            lines.append(line % (text[L], text[w], spread_v, psf, esf, ratio, text[w_sing], d_min))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(lines))
+        fh.write(",".join(SWEEP_COLUMNS) + "\n")
+        for start in range(0, len(rows), _WRITE_ROWS):
+            lines = []
+            for row in rows[start:start + _WRITE_ROWS]:
+                L, w, spread_v, psf, esf, ratio, w_sing, d_min = values = cells(row)
+                if SEPARABLE_MARKER in values:
+                    lines.append(",".join(v if isinstance(v, str) else format(v, ".12e")
+                                          for v in values) + "\n")
+                else:
+                    lines.append(line % (text[L], text[w], spread_v, psf, esf, ratio,
+                                         text[w_sing], d_min))
+            fh.write("".join(lines))

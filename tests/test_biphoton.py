@@ -7,16 +7,10 @@ from scipy.integrate import simpson
 
 from qiul.biphoton import (
     correlation_coefficient,
-    export_density_csv,
     gaussian_quadratic_form,
     joint_density_gaussian,
-    gaussian_density_grid,
-    joint_density_sinc_1d,
-    min_abs_correlation_scan,
-    sinc_correlation,
 )
 from qiul.core import singular_waist
-from qiul.errors import GridTooCoarse
 from qiul.imaging import Profile1D
 from qiul.spreads import half_width_1e
 
@@ -37,6 +31,91 @@ def oracle_coefficients(L, w):
         float(ld**2 * pump + pm),
         float(ld * lu * pump - pm),
     )
+
+
+def sinc_density(params, n_grid=129, n_quad=None):
+    """Reference model: the per-axis joint density (1/m^2) of (x_d, x_u)
+    with the exact sinc phase matching, on a symmetric grid spanning 6.5
+    Gaussian-model 1/e marginal widths on both axes, normalized to unit
+    trapezoidal integral. Returns (grid, values).
+
+    The momentum amplitude P(q_d+q_u) sinc(...) is separable in the
+    rotated coordinates Q = q_d + q_u and R = lambda_d q_d - lambda_u q_u,
+    so the 2D transform is an analytic Gaussian factor in
+    zeta = (lambda_u x_d + lambda_d x_u) / (lambda_d + lambda_u) times
+    g(eta) = 2 int_0^{r_max} sinc(a R^2) cos(R eta) dR,
+    a = L lambda_p / (8 pi lambda_d lambda_u), eta = (x_d - x_u) /
+    (lambda_d + lambda_u), taken as a zero-padded FFT cosine transform.
+    Both are asserted: the FFT reaches the largest eta on the grid, and
+    doubling the quadrature resolution changes the density by at most
+    1e-3 in integrated absolute difference."""
+    lsum = params.lambda_d + params.lambda_u
+    a = params.crystal_length * params.lambda_p / (
+        8.0 * math.pi * params.lambda_d * params.lambda_u
+    )
+    q = gaussian_quadratic_form(params)
+    half = 6.5 * max(math.sqrt(q.a_uu / q.det), math.sqrt(q.a_dd / q.det))
+    grid = np.linspace(-half, half, n_grid)
+
+    eta_max = 2.0 * half / lsum
+    # cover the sinc main-lobe decay and the outermost stationary point
+    # eta/(2a) of the oscillatory integrand
+    r_max = max(10.0 * math.sqrt(2.0 * math.pi / a), 1.5 * eta_max / (2.0 * a))
+    if n_quad is None:
+        rate = max(2.0 * a * r_max, eta_max)  # fastest local phase rate
+        n_quad = max(8193, int(r_max * rate * 8.0 / math.pi) | 1)
+
+    zeta = (params.lambda_u * grid[:, None] + params.lambda_d * grid[None, :]) / lsum
+    pump = np.exp(-(zeta**2) / params.pump_waist**2)
+    # x_d[i] - x_u[j] depends on i - j only: 2 n_grid - 1 values of |eta|
+    eta = (grid - grid[0]) / lsum
+    eta = np.concatenate([eta[:0:-1], eta])
+    idx = np.arange(n_grid)
+    offsets = idx[:, None] - idx[None, :] + (n_grid - 1)
+
+    def density(nq):
+        r = np.linspace(0.0, r_max, nq)
+        dr = r[1] - r[0]
+        h = np.sinc(a * r**2 / np.pi)
+        h[0] *= 0.5
+        h[-1] *= 0.5  # trapezoid end weights
+        # pad so the FFT frequency grid covers eta and resolves g's
+        # structure (scale sqrt(a)) for the interpolation
+        d_eta = min(math.sqrt(a) / 32.0, math.pi / (4.0 * dr))
+        n_fft = 1 << max(
+            math.ceil(math.log2(2.0 * math.pi / (dr * d_eta))),
+            math.ceil(math.log2((eta[-1] * dr / math.pi + 1.0) * nq)),
+            math.ceil(math.log2(2 * nq)),
+        )
+        spectrum = np.fft.rfft(h, n=n_fft)
+        eta_grid = 2.0 * math.pi * np.arange(spectrum.size) / (n_fft * dr)
+        assert eta[-1] <= eta_grid[-1], "quadrature step too coarse for the FFT to reach eta"
+        g = np.interp(eta, eta_grid, 2.0 * dr * spectrum.real)
+        values = (pump * g[offsets]) ** 2
+        return values / np.trapezoid(np.trapezoid(values, grid, axis=1), grid)
+
+    coarse, values = density(n_quad), density(2 * n_quad + 1)
+    diff = np.trapezoid(np.trapezoid(np.abs(coarse - values), grid, axis=1), grid)
+    assert diff <= 1e-3, f"sinc density not converged: doubling quadrature changes it by {diff:.3g}"
+    return grid, values
+
+
+def moment_correlation(grid, values):
+    """Pearson correlation of (x_d, x_u) from a density sampled on
+    grid x grid, by trapezoidal moments."""
+
+    def integrate(f):
+        return np.trapezoid(np.trapezoid(f, grid, axis=1), grid)
+
+    xd = grid[:, None]
+    xu = grid[None, :]
+    z = integrate(values)
+    md = integrate(values * xd) / z
+    mu = integrate(values * xu) / z
+    vd = integrate(values * (xd - md) ** 2) / z
+    vu = integrate(values * (xu - mu) ** 2) / z
+    cov = integrate(values * (xd - md) * (xu - mu)) / z
+    return float(cov / math.sqrt(vd * vu))
 
 
 class TestQuadraticForm:
@@ -146,65 +225,47 @@ class TestCorrelation:
 
 class TestSincDensity:
     def test_unit_integral_and_symmetry(self):
-        d = joint_density_sinc_1d(make_params(2e-3, 142e-6), n_grid=97)
-        integral = np.trapezoid(np.trapezoid(d.values, d.grid_u, axis=1), d.grid_d)
+        grid, values = sinc_density(make_params(2e-3, 142e-6), n_grid=97)
+        integral = np.trapezoid(np.trapezoid(values, grid, axis=1), grid)
         assert integral == pytest.approx(1.0, rel=1e-6)
-        np.testing.assert_allclose(d.values, d.values[::-1, ::-1], rtol=1e-10)
-        assert d.model == "sinc_numeric"
+        np.testing.assert_allclose(values, values[::-1, ::-1], rtol=1e-10)
 
     def test_conditional_width_close_to_gaussian_model(self):
         # documents the sinc-vs-Gaussian approximation gap (not equality)
         p = make_params(5e-3, 308e-6)
-        d = joint_density_sinc_1d(p, n_grid=257)
+        grid, values = sinc_density(p, n_grid=257)
         q = gaussian_quadratic_form(p)
-        i0 = int(np.argmin(np.abs(d.grid_u)))
-        slice_d = d.values[:, i0]
-        width = half_width_1e(Profile1D(grid=d.grid_d, values=slice_d / slice_d.max())).width
+        i0 = int(np.argmin(np.abs(grid)))
+        slice_d = values[:, i0]
+        width = half_width_1e(Profile1D(grid=grid, values=slice_d / slice_d.max())).width
         assert width == pytest.approx(1.0 / math.sqrt(q.a_dd), rel=0.15)
 
     def test_coarse_quadrature_rejected(self):
-        with pytest.raises(GridTooCoarse):
-            joint_density_sinc_1d(make_params(5e-3, 308e-6), n_grid=97, n_quad=64)
+        with pytest.raises(AssertionError, match="quadrature"):
+            sinc_density(make_params(5e-3, 308e-6), n_grid=97, n_quad=64)
 
     def test_correlation_weaker_than_gaussian_model(self):
         p = make_params(10e-3, 50e-6)
-        d = joint_density_sinc_1d(p, n_grid=129)
-        assert 0.0 < sinc_correlation(d) < correlation_coefficient(p)
-
-    def test_csv_export(self, tmp_path):
-        d = joint_density_sinc_1d(make_params(2e-3, 142e-6), n_grid=33)
-        path = tmp_path / "density.csv"
-        export_density_csv(d, path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# x_d_m:")
-        assert lines[1] == "# model=sinc_numeric"
-        data = np.loadtxt(path, delimiter=",")
-        np.testing.assert_allclose(data, d.values, rtol=1e-15)
+        assert 0.0 < moment_correlation(*sinc_density(p, n_grid=129)) < correlation_coefficient(p)
 
     def test_min_abs_correlation_scan(self):
-        # reports where the sinc-model correlation magnitude is smallest
-        # near the Gaussian-model singular waist, without asserting zero
+        # the sinc-model correlation magnitude is smaller near the
+        # Gaussian-model singular waist than at twice it, without
+        # asserting that it reaches zero
         p = make_params(2e-3, 142e-6)
         w_sing = singular_waist(p)
-        waists = w_sing * np.array([0.8, 1.0, 1.25, 2.0])
-        best_w, best_c = min_abs_correlation_scan(p, waists, n_grid=65)
-        assert best_w in waists
-        assert best_c < abs(sinc_correlation(joint_density_sinc_1d(p.with_waist(2.0 * w_sing), n_grid=65)))
 
-    def test_gaussian_grid_matches_pointwise_density(self):
-        p = make_params(2e-3, 142e-6)
-        d = gaussian_density_grid(p, n_grid=97)
-        assert d.model == "gaussian"
-        integral = np.trapezoid(np.trapezoid(d.values, d.grid_u, axis=1), d.grid_d)
-        assert integral == pytest.approx(1.0, rel=1e-12)
-        direct = joint_density_gaussian(p, d.grid_d[:, None], d.grid_u[None, :])
-        mask = direct > 1e-30 * direct.max()  # corners underflow to 0.0
-        ratio = d.values[mask] / direct[mask]
-        np.testing.assert_allclose(ratio, ratio[0], rtol=1e-12)
+        def abs_corr(scale):
+            return abs(moment_correlation(*sinc_density(p.with_waist(scale * w_sing), n_grid=65)))
+
+        assert min(abs_corr(s) for s in (0.8, 1.0, 1.25)) < abs_corr(2.0)
 
     def test_gaussian_grid_sinc_correlation_consistency(self):
         # moment-based correlation of the sampled gaussian density agrees
         # with the closed form
         p = make_params(5e-3, 60e-6)
-        d = gaussian_density_grid(p, n_grid=257, span_widths=8.0)
-        assert sinc_correlation(d) == pytest.approx(correlation_coefficient(p), abs=1e-4)
+        q = gaussian_quadratic_form(p)
+        half = 8.0 * max(math.sqrt(q.a_uu / q.det), math.sqrt(q.a_dd / q.det))
+        grid = np.linspace(-half, half, 257)
+        values = joint_density_gaussian(p, grid[:, None], grid[None, :])
+        assert moment_correlation(grid, values) == pytest.approx(correlation_coefficient(p), abs=1e-4)

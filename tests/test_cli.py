@@ -188,6 +188,14 @@ class TestTheorySweep:
         # or ZeroDivisionError here, like float64 overflow in numpy
         assert run(["theory-sweep", "--out", tmp_path, *grid]) == 3
 
+    def test_unsolvable_amplitude_spread_names_the_row(self, tmp_path, capsys):
+        # below ~0.094 w_sing the amplitude ESF derivative's 1/e crossing
+        # on the left is not found: exit 3, naming L and w_p of the row
+        out = tmp_path / "sweep"
+        assert run(["theory-sweep", "--out", out, "--lengths=2mm", "--waists=1um,1.2um,50um"]) == 3
+        assert "L = 0.002 m, w_p = 1e-06 m: " in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", ["m_d_c = 1.2.3", "m_u = 1e309"])
     def test_malformed_config_number_exit_code(self, tmp_path, line):
         cfg = tmp_path / "bad.cfg"

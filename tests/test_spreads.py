@@ -38,6 +38,7 @@ from qiul.spreads import (
     SWEEP_COLUMNS,
     _BLOCK_ROWS,
     _SOLVE_ROWS,
+    _WRITE_ROWS,
     _g_esf_slope,
     _g_esf_widths,
     half_width_1e,
@@ -415,10 +416,34 @@ class TestEsfDerivativeSolver:
         p = make_params(10e-3, 308e-6)
         k, c = g_envelope_coefficient(p), esf_slope_coefficient(p)
         multi_peak = -1.5 / math.sqrt(k)
-        with pytest.raises(MultiPeak):
+        with pytest.raises(MultiPeak) as got:
             _g_esf_widths(k, c, [0.0, multi_peak, 3e-2])
-        with pytest.raises(NoCrossing):
+        assert got.value.row == 1
+        with pytest.raises(NoCrossing) as got:
             _g_esf_widths(k, c, [0.0, 3e-2, multi_peak])
+        assert got.value.row == 1
+
+    def test_maximum_not_isolated_names_its_row(self, monkeypatch):
+        # a zero slope either side of the grid peak of the last row only
+        slope = spreads._g_esf_slope
+        monkeypatch.setattr(spreads, "_g_esf_slope", lambda k, c, x, x_tilde_o: np.where(
+            x_tilde_o == 1e-7, 0.0, slope(k, c, x, x_tilde_o)))
+        p = make_params(10e-3, 308e-6)
+        k, c = g_envelope_coefficient(p), esf_slope_coefficient(p)
+        with pytest.raises(MultiPeak, match="not isolated") as got:
+            _g_esf_widths(k, c, [0.0, 0.0, 1e-7])
+        assert got.value.row == 2
+
+    def test_sweep_error_names_the_failing_row(self, setup):
+        # 2 um lies below ~0.094 w_sing only at L = 10 mm, whose rows come
+        # after two of 2,200 rows each: row 4,400 is in the third block of
+        # the second chunk
+        waists = [2e-6, *np.geomspace(20e-6, 2e-3, 2199)]
+        with pytest.raises(NoCrossing) as got:
+            theory_sweep_rows(make_params(), [2e-3, 5e-3, 10e-3], waists, setup)
+        assert str(got.value) == ("L = 0.01 m, w_p = 2e-06 m: ESF derivative never "
+                                  "decays to 1/e of its maximum on the left")
+        assert got.value.__cause__.row == 4400 == 2 * len(waists)
 
 
 class TestSpreadRatio:
@@ -662,6 +687,9 @@ class TestWriteSweepCsv:
     @example(rows=[_csv_row(0.0, 0.0, 0.0), _csv_row(-0.0, -0.0, -0.0),
                    _csv_row(0.0, -0.0, 0.0, marked=True), _csv_row(2e-3, 2e-3, 0.0),
                    _csv_row(2e-3, -0.0, 2e-3)])
+    # more rows than one write holds, marker rows on both sides of the split
+    @example(rows=[_csv_row(2e-3, 1e-6 * (n + 1), 1.1e-5, marked=n % 997 == 0 or n == _WRITE_ROWS)
+                   for n in range(_WRITE_ROWS + 3)])
     def test_text_equals_per_cell_formatting(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("csv") / "sweep.csv"
         write_sweep_csv(rows, path)
