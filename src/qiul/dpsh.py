@@ -170,11 +170,13 @@ def synthesize_stack(
     from the seed (deterministic and order-independent), and counts are
     clipped to the 16-bit range. Noiseless frames are exact floats.
 
-    Each frame is rendered and noised as one task on a thread pool with
-    one worker per usable CPU (at most one per frame): numpy's ufuncs
-    and samplers release the GIL, and as every frame draws only from its
-    own stream the frames are byte-identical to rendering them one after
-    another. The tasks run in copies of the caller's context, so its
+    Each frame is rendered and noised in place in the one stack array,
+    as one task on a thread pool with one worker per usable CPU (at most
+    one per frame), so synthesis holds one stack-sized array plus one
+    frame-sized noise draw per worker. numpy's ufuncs and samplers
+    release the GIL, and as every frame draws only from its own stream
+    the frames are byte-identical to rendering them one after another.
+    The tasks run in copies of the caller's context, so its
     `np.errstate` holds in the workers too."""
     # imported here, not at module level, to keep it out of CLI start-up
     from concurrent.futures import ThreadPoolExecutor
@@ -189,16 +191,16 @@ def synthesize_stack(
     seeds = np.random.SeedSequence(seed).spawn(phases.size) if noise.enabled else None
 
     def render(k: int) -> None:
-        frame = b + a * np.cos(phases[k] + p0)
+        frame = frames[k]  # each task renders and noises its frame in place
+        np.multiply(a, np.cos(phases[k] + p0), out=frame)
+        frame += b
         if noise.enabled:
             rng = np.random.default_rng(seeds[k])
             if noise.shot:
-                frame = rng.poisson(np.clip(frame, 0.0, _POISSON_MEAN_MAX)).astype(float)
+                frame[...] = rng.poisson(np.clip(frame, 0.0, _POISSON_MEAN_MAX, out=frame))
             if noise.read_sigma > 0:
-                frame = frame + rng.normal(0.0, noise.read_sigma, size=frame.shape)
-            np.clip(frame, 0.0, SATURATION_COUNTS, out=frames[k])
-        else:
-            frames[k] = frame
+                frame += rng.normal(0.0, noise.read_sigma, size=frame.shape)
+            np.clip(frame, 0.0, SATURATION_COUNTS, out=frame)
 
     with ThreadPoolExecutor(max_workers=min(phases.size, _usable_cpus())) as pool:
         tasks = [pool.submit(contextvars.copy_context().run, render, k) for k in range(phases.size)]
@@ -211,7 +213,16 @@ def synthesize_stack(
 def demodulate(stack: InterferogramStack) -> DemodulationResult:
     """Per-pixel least-squares sinusoid fit; exact inversion for
     noiseless data. Raises DegeneratePhases if the design matrix is
-    numerically rank deficient.
+    numerically rank deficient. The stack is left untouched: the fit
+    runs on a copy of its frames (see `_demodulate_frames`)."""
+    return _demodulate_frames(stack.frames.copy(), stack.phases)
+
+
+def _demodulate_frames(frames: np.ndarray, phases: np.ndarray) -> DemodulationResult:
+    """`demodulate` on frames of shape (n_phases, rows, cols) that the
+    caller owns: the fit residual is formed and squared in place in
+    `frames`, so the fit holds no second stack-sized array, and only the
+    shape of `frames` means anything afterwards.
 
     Both contractions over the phase axis (the fit and the fitted
     frames) run in blocks of 65536 // n_phases pixels (at least one), so
@@ -220,30 +231,27 @@ def demodulate(stack: InterferogramStack) -> DemodulationResult:
     0.1 s and take a CPU from the caller's next work, such as the
     synthesis pool. Blocks split only the pixel axis, so every value is
     bitwise equal to one product over the whole stack."""
-    phases = stack.phases
     design = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
     sv = np.linalg.svd(design, compute_uv=False)  # descending: rank < 3 or condition > 1e12
     if sv[-1] <= 1e-9 or sv[0] > 1e12 * sv[-1]:
         raise DegeneratePhases("phase list yields a rank-deficient design matrix")
     pinv = np.linalg.solve(design.T @ design, design.T)  # (3, n_phases)
-    n_phases, *shape = stack.frames.shape
+    n_phases, *shape = frames.shape
     block = max(1, 65536 // n_phases)
-    coeffs = _matmul_by_columns(pinv, stack.frames.reshape(n_phases, -1), block)  # (3, pixels)
+    flat = frames.reshape(n_phases, -1)  # a view, as both callers' frames are C-ordered
+    coeffs = _matmul_by_columns(pinv, flat, block)  # (3, pixels)
+    residual_rms = _residual_rms_in_place(flat, design, coeffs, block)
     b, c, s = coeffs.reshape(3, *shape)
     amp = np.hypot(c, s)
-    phase = np.arctan2(-s, c)
-    phase = np.where(phase <= -math.pi, phase + 2.0 * math.pi, phase)
-
     invalid = ~(b > 0)
+    vis = np.full(amp.shape, np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vis = np.where(invalid, np.nan, np.clip(amp / np.where(invalid, 1.0, b), 0.0, 1.0))
-
-    # the residual overwrites the fitted frames: one stack-sized array, not three
-    residual = _matmul_by_columns(design, coeffs, block).reshape(stack.frames.shape)
-    np.subtract(stack.frames, residual, out=residual)
-    residual_rms = float(np.sqrt(np.mean(np.square(residual, out=residual))))
+        np.divide(amp, b, out=vis, where=~invalid)
+        np.clip(vis, 0.0, 1.0, out=vis)
+    phase = np.arctan2(np.negative(s, out=s), c, out=c)  # s and c are not read again
+    np.add(phase, 2.0 * math.pi, out=phase, where=phase <= -math.pi)
     return DemodulationResult(
-        g_image=2.0 * amp,
+        g_image=np.multiply(amp, 2.0, out=amp),
         v_image=vis,
         phase_image=phase,
         residual_rms=residual_rms,
@@ -259,6 +267,20 @@ def _matmul_by_columns(left: np.ndarray, right: np.ndarray, block: int) -> np.nd
     for j in range(0, right.shape[1], block):
         np.matmul(left, right[:, j:j + block], out=out[:, j:j + block])
     return out
+
+
+def _residual_rms_in_place(frames: np.ndarray, design: np.ndarray, coeffs: np.ndarray,
+                           block: int) -> float:
+    """RMS of frames - design @ coeffs for 2D arrays. The residual is
+    formed and squared in `frames`, `block` columns of the fitted frames
+    at a time; the mean is one reduction over the whole array, since
+    block-wise partial sums would change its bits."""
+    fitted = np.empty((frames.shape[0], min(block, frames.shape[1])))
+    for j in range(0, frames.shape[1], block):
+        cols = frames[:, j:j + block]
+        fit = np.matmul(design, coeffs[:, j:j + block], out=fitted[:, :cols.shape[1]])
+        np.subtract(cols, fit, out=cols)
+    return float(np.sqrt(np.mean(np.square(frames, out=frames))))
 
 
 def pixel_centers(n: int, pixel_pitch: float) -> np.ndarray:

@@ -24,7 +24,7 @@ from .dpsh import (
     MIN_COLUMNS,
     NoiseModel,
     SceneModel,
-    demodulate,
+    _demodulate_frames,
     load_stack,
     pixel_centers,
     save_stack,
@@ -112,7 +112,10 @@ def _fit_to_dict(fit) -> dict:
 
 
 def _analyze(stack, params: SourceParams, out: Path) -> tuple[dict, MagnificationEstimate]:
-    demod = demodulate(stack)
+    # safe to demodulate in the frames, which end up holding the squared
+    # residual: both callers own them (simulate_edge has saved them,
+    # analyze_stack has just loaded them), and only their shape is read below
+    demod = _demodulate_frames(stack.frames, stack.phases)
     row, g_full = select_max_row(demod.g_image, stack.pixel_pitch)
     # visibility is A/B: outside the beam the background estimate carries
     # no signal and v is noise, so restrict both profiles to the window
@@ -224,18 +227,19 @@ def simulate_edge(
     """Synthesize an edge measurement, save the stack, analyze the
     synthesized stack, and emit a measured-vs-theory comparison. Returns
     {"analysis": ..., "comparison": ...}. Float64 overflow, division by
-    zero or an invalid operation raises FloatingPointError."""
+    zero or an invalid operation raises FloatingPointError. The theory
+    row is computed before anything is written, so its failure leaves
+    no files behind."""
+    scene = build_edge_scene(params, setup, rows, cols, pixel_pitch, background, x_tilde_o)
+    row = theory_sweep_rows(params, [params.crystal_length], [params.pump_waist], setup)[0]
+    theory = {key: row[key] for key in
+              ("spread_g_psf_m", "spread_g_esf_m", "w_sing_m", "spread_v_m", "d_min_m")}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    scene = build_edge_scene(params, setup, rows, cols, pixel_pitch, background, x_tilde_o)
     phases = 2.0 * math.pi * np.arange(n_phases) / n_phases
     stack = synthesize_stack(scene, phases, noise=noise, seed=seed, pixel_pitch=pixel_pitch)
     save_stack(stack, out)
     analysis, estimate = _analyze(stack, params, out)
-
-    row = theory_sweep_rows(params, [params.crystal_length], [params.pump_waist], setup)[0]
-    theory = {key: row[key] for key in
-              ("spread_g_psf_m", "spread_g_esf_m", "w_sing_m", "spread_v_m", "d_min_m")}
 
     measured_v = analysis["spreads_camera"]["v_lsf_one_over_e"].get("width_m")
     comparison = {

@@ -435,6 +435,16 @@ class TestSimulateAndAnalyze:
         assert err.startswith("error: visibility (v) edge fit: damping exhausted")
         assert "last m_d = " in err
 
+    def test_unsolvable_theory_row_writes_nothing(self, tmp_path, capsys):
+        # the theory row of comparison.json is computed before any output,
+        # so its exit 3 leaves no half-written directory behind
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("crystal_length = 2mm\npump_waist = 1um\n", encoding="utf-8")
+        out = tmp_path / "sim"
+        assert run(["simulate-edge", "--config", cfg, "--out", out]) == 3
+        assert "never decays" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flat_profile_exit_code(self, tmp_path):
         # at a 1 m pitch the amplitude envelope underflows to zero on every pixel
         code = run(["simulate-edge", "--out", tmp_path / "sim", "--pitch", "1m",

@@ -12,6 +12,7 @@ from qiul.dpsh import (
     InterferogramStack,
     NoiseModel,
     SceneModel,
+    _demodulate_frames,
     demodulate,
     load_stack,
     save_stack,
@@ -229,6 +230,18 @@ class TestDemodulate:
             errors.append(result.v_image - 0.5)
         rms = float(np.sqrt(np.mean(np.square(errors))))
         assert rms < 0.01
+
+    def test_leaves_the_stack_untouched(self, rng):
+        # the public call demodulates a copy: the in-place fit on one gives its results
+        stack = synthesize_stack(random_scene(rng), FOUR_STEPS, NoiseModel(read_sigma=5.0), seed=1)
+        before = stack.frames.tobytes()
+        result = demodulate(stack)
+        assert stack.frames.tobytes() == before
+        in_place = _demodulate_frames(stack.frames.copy(), stack.phases)
+        for name in ("g_image", "v_image", "phase_image", "b_image"):
+            np.testing.assert_array_equal(getattr(result, name), getattr(in_place, name))
+        assert result.residual_rms == in_place.residual_rms
+        assert result.n_invalid == in_place.n_invalid
 
     @pytest.mark.parametrize("n_phases", [3, 16, 64])
     def test_blocked_contractions_equal_one_product(self, n_phases, rng):

@@ -1,5 +1,6 @@
 import math
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qiul.dpsh
 import qiul.fitting
+import qiul.imaging
 import qiul.pipeline
 import qiul.spreads
 from qiul.core import OpticalSetup, singular_waist
+from qiul.dpsh import NoiseModel
 from qiul.errors import ToolkitError, ValidationError
 from qiul.imaging import Profile1D
 from qiul.pipeline import analyze_stack, build_edge_scene, simulate_edge
@@ -30,7 +34,7 @@ class TestFloatingPointErrors:
     whatever the caller's numpy error state."""
 
     @pytest.mark.parametrize("module, inner, call", [
-        (qiul.pipeline, "demodulate", lambda out: simulate_edge(
+        (qiul.pipeline, "_demodulate_frames", lambda out: simulate_edge(
             make_params(), OpticalSetup(), out, rows=4, cols=64)),
         (qiul.spreads, "_g_esf_widths", lambda out: qiul.spreads.theory_sweep_rows(
             make_params(), [2e-3], [142e-6], OpticalSetup())),
@@ -93,6 +97,27 @@ class TestSimulateEdge:
                                cols=256, pixel_pitch=2e-6)
         assert result["analysis"]["gate"]["passed"]
         assert (tmp_path / "manifest.json").exists()
+
+    def test_edge_commands_hold_one_stack_sized_array(self, tmp_path, monkeypatch):
+        # synthesis renders in place in the frames and demodulation forms
+        # its residual there; each synthesis worker also holds one
+        # frame-sized noise draw, so the worker count is pinned to two
+        monkeypatch.setattr(qiul.dpsh, "_usable_cpus", lambda: 2)
+        params = make_params(5e-3, 214e-6)
+        qiul.imaging.erf(0.0)  # scipy's one-off import is not part of either peak
+        stack_bytes = 16 * 16 * 2048 * 8
+        tracemalloc.start()
+        try:
+            simulate_edge(params, OpticalSetup(), tmp_path / "sim", n_phases=16, rows=16,
+                          cols=2048, pixel_pitch=2e-6, noise=NoiseModel(read_sigma=100.0, shot=True))
+            simulate_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            analyze_stack(tmp_path / "sim" / "manifest.json", params, tmp_path / "ana")
+            analyze_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert simulate_peak <= 1.7 * stack_bytes
+        assert analyze_peak <= 1.5 * stack_bytes
 
     @settings(max_examples=60, deadline=None)
     @given(length=st.floats(1e-3, 10e-3), log_waist_ratio=st.floats(math.log(1.05), math.log(20.0)),
