@@ -33,14 +33,14 @@ DEFAULT_WAISTS = "50um,142um,214um,308um"
 # needs; the rows of a sweep are bounded by MAX_SWEEP_ROWS
 MAX_RANGE_POINTS = 10_000
 # most rows of one theory-sweep (distinct lengths x distinct waists); a
-# sweep this size peaks near 107 MB resident (ru_maxrss, 10 x 10,000 rows)
+# sweep this size peaks near 83 MB resident (ru_maxrss, 10 x 10,000 rows)
 MAX_SWEEP_ROWS = 100_000
 
 
 def parse_length_list(text: str) -> list[float]:
     """Comma list of lengths ('2mm,5mm,10mm') or a log-spaced range
     'start:stop:logN' ('50um:400um:log50') of 2 to MAX_RANGE_POINTS
-    points; an empty list is a SchemaError."""
+    points, 0 < start < stop < inf; an empty list is a SchemaError."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -52,7 +52,7 @@ def parse_length_list(text: str) -> list[float]:
         if len(count) > len(str(MAX_RANGE_POINTS)) or int(count) > MAX_RANGE_POINTS:
             raise SchemaError(f"a range has at most {MAX_RANGE_POINTS} points, got {text!r}")
         n = int(count)
-        if n < 2 or start <= 0 or stop <= start:
+        if n < 2 or not 0 < start < stop < np.inf:
             raise SchemaError(f"bad range {text!r}")
         return [float(v) for v in np.geomspace(start, stop, n)]
     lengths = [parse_length(part) for part in text.split(",") if part.strip()]
@@ -91,12 +91,12 @@ def _cmd_theory_sweep(args) -> int:
     if n_lengths * n_waists > MAX_SWEEP_ROWS:
         raise SchemaError(f"a sweep has at most {MAX_SWEEP_ROWS} rows, got {n_lengths} "
                           f"distinct lengths x {n_waists} distinct waists")
-    rows = theory_sweep_rows(params, lengths, waists, setup)
+    sweep = theory_sweep_rows(params, lengths, waists, setup)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "sweep.csv"
-    write_sweep_csv(rows, path)
-    print(f"wrote {len(rows)} rows to {path}")
+    write_sweep_csv(sweep, path)
+    print(f"wrote {len(sweep['L_m'])} rows to {path}")
     return 0
 
 

@@ -231,8 +231,8 @@ def simulate_edge(
     row is computed before anything is written, so its failure leaves
     no files behind."""
     scene = build_edge_scene(params, setup, rows, cols, pixel_pitch, background, x_tilde_o)
-    row = theory_sweep_rows(params, [params.crystal_length], [params.pump_waist], setup)[0]
-    theory = {key: row[key] for key in
+    sweep = theory_sweep_rows(params, [params.crystal_length], [params.pump_waist], setup)
+    theory = {key: sweep[key].item(0) for key in
               ("spread_g_psf_m", "spread_g_esf_m", "w_sing_m", "spread_v_m", "d_min_m")}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -13,7 +13,6 @@ the 24%- and 76%-of-maximum crossings, which for an erf edge equals
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -398,20 +397,23 @@ def theory_sweep_rows(
     lengths: list[float],
     waists: list[float],
     setup: OpticalSetup,
-) -> list[dict]:
-    """One row per (L, w_p) pair, sorted by the pair. Waists at or below
-    w_sing (1 + 1e-3) carry the SeparableState marker in the columns
-    that diverge at the singular waist w_sing. Each distinct L is
-    validated once with base (validate_params; the thin-crystal check
-    reads only L), and each distinct w_p once by
-    core.check_positive_length, the only check that reads it. k and c
-    come from the one-row formula evaluated once over the grid, and
-    every other column is computed as an array over the grid, so every
-    number equals its one-row library call (spread_g_psf_closed,
-    spread_v_closed, spread_g_esf_numeric, singular_waist,
-    min_resolvable_distance at setup.m_u); between w_sing (1 + SEPARABLE_REL_TOL)
-    and w_sing (1 + 1e-3) the row holds the marker where spread_v_closed
-    returns a number. A NoCrossing or MultiPeak names the failing L and w_p."""
+) -> dict[str, np.ndarray]:
+    """The sweep as columns: SWEEP_COLUMNS -> a 1-d array with one value
+    per (L, w_p) pair, the pairs sorted. L_m, w_p_m, spread_g_psf_m,
+    spread_g_esf_m and w_sing_m are float64 arrays; spread_v_m, ratio
+    and d_min_m, which diverge at the singular waist w_sing, are object
+    arrays of Python floats that hold the SeparableState marker at
+    waists at or below w_sing (1 + 1e-3). Each distinct L is validated
+    once with base (validate_params; the thin-crystal check reads only
+    L), and each distinct w_p once by core.check_positive_length, the
+    only check that reads it. k and c come from the one-row formula
+    evaluated once over the grid, and every other column is computed
+    as an array over the grid, so every number equals its one-row
+    library call (spread_g_psf_closed, spread_v_closed,
+    spread_g_esf_numeric, singular_waist, min_resolvable_distance at
+    setup.m_u); between w_sing (1 + SEPARABLE_REL_TOL) and
+    w_sing (1 + 1e-3) the marker stands where spread_v_closed returns a
+    number. A NoCrossing or MultiPeak names the failing L and w_p."""
     lengths = sorted(set(float(v) for v in lengths))
     waists = sorted(set(float(v) for v in waists))
     w_sings = [singular_waist(replace(base, crystal_length=L)) for L in lengths]
@@ -423,61 +425,35 @@ def theory_sweep_rows(
         widths = _g_esf_widths(k, c, 0.0)
     except (NoCrossing, MultiPeak) as err:
         raise type(err)(f"L = {grid_l[err.row]:.6g} m, w_p = {grid_w[err.row]:.6g} m: {err}") from err
+    w_sing = np.repeat(w_sings, len(waists))
     # the visibility spread diverges like (1 - w_sing^2/w_p^2)^-1: within
     # 0.1% of the singularity the value is meaningless, so mark it too
-    finite = grid_w > np.repeat(w_sings, len(waists)) * (1.0 + 1e-3)
+    finite = grid_w > w_sing * (1.0 + 1e-3)
     spread_v = 1.0 / np.abs(c[finite])
     ratio = widths[finite] / spread_v
     d_min = _d_min(spread_v, setup.m_u)
-    spread_v, ratio, d_min = (_marked(v, finite) for v in (spread_v, ratio, d_min))
-    pairs = ((L, w, w_sing) for L, w_sing in zip(lengths, w_sings) for w in waists)
-    # a dict display, in SWEEP_COLUMNS order, builds a row in half the
-    # time of dict(zip(SWEEP_COLUMNS, ...))
-    return [
-        {"L_m": L, "w_p_m": w, "spread_v_m": v, "spread_g_psf_m": psf, "spread_g_esf_m": width,
-         "ratio": r, "w_sing_m": w_sing, "d_min_m": d}
-        for (L, w, w_sing), v, psf, width, r, d in zip(
-            pairs, spread_v, (1.0 / np.sqrt(k + c * c)).tolist(), widths.tolist(), ratio, d_min)
-    ]
+    return dict(zip(SWEEP_COLUMNS, (
+        grid_l, grid_w, _marked(spread_v, finite), 1.0 / np.sqrt(k + c * c), widths,
+        _marked(ratio, finite), w_sing, _marked(d_min, finite))))
 
 
-def _marked(values: np.ndarray, finite: np.ndarray) -> list:
+def _marked(values: np.ndarray, finite: np.ndarray) -> np.ndarray:
     """values at the rows where finite holds, SEPARABLE_MARKER elsewhere."""
     column = np.full(finite.shape, SEPARABLE_MARKER, dtype=object)
     column[finite] = values
-    return column.tolist()
+    return column
 
 
-class _FormattedOnce(dict):
-    """The %.12e text of each number looked up, formatted on its first
-    lookup. Zeros are formatted on every lookup: 0.0 == -0.0 as keys,
-    but their texts differ."""
-
-    def __missing__(self, value):
-        text = format(value, ".12e")
-        if value:
-            self[value] = text
-        return text
-
-
-def write_sweep_csv(rows: list[dict], path) -> None:
-    """One line per row, every number as %.12e, _WRITE_ROWS rows a write.
-    A row with a marker is formatted cell by cell; every other one with
-    one format string, into which the L_m, w_p_m and w_sing_m texts go
-    formatted once per distinct value (a sweep repeats each of them)."""
-    text = _FormattedOnce()
-    cells = operator.itemgetter(*SWEEP_COLUMNS)
-    line = "%s,%s,%.12e,%.12e,%.12e,%.12e,%s,%.12e\n"
+def write_sweep_csv(columns: dict[str, np.ndarray], path) -> None:
+    """One line per row of theory_sweep_rows' columns, every number as
+    %.12e, _WRITE_ROWS rows a write. A row with a marker is formatted
+    cell by cell; every other one with one format string."""
+    line = ",".join(["%.12e"] * len(SWEEP_COLUMNS)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        for start in range(0, len(rows), _WRITE_ROWS):
-            lines = []
-            for row in rows[start:start + _WRITE_ROWS]:
-                L, w, spread_v, psf, esf, ratio, w_sing, d_min = values = cells(row)
-                if SEPARABLE_MARKER in values:
-                    lines.append(",".join(v if isinstance(v, str) else format(v, ".12e")
-                                          for v in values) + "\n")
-                else:
-                    lines.append(line % (text[L], text[w], spread_v, psf, esf, ratio,
-                                         text[w_sing], d_min))
-            fh.write("".join(lines))
+        for start in range(0, len(columns["L_m"]), _WRITE_ROWS):
+            block = zip(*(columns[name][start:start + _WRITE_ROWS].tolist() for name in SWEEP_COLUMNS))
+            fh.write("".join(
+                ",".join(v if isinstance(v, str) else format(v, ".12e") for v in values) + "\n"
+                if SEPARABLE_MARKER in values else line % values
+                for values in block))

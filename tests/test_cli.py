@@ -72,7 +72,8 @@ class TestParsers:
         with pytest.raises(SchemaError):
             parse_noise("dark:0.1", background=1e4)
 
-    @pytest.mark.parametrize("text", ["1mm:2mm", "1mm:2mm:logx", "1mm:2mm:3mm:log5"])
+    @pytest.mark.parametrize("text", ["1mm:2mm", "1mm:2mm:logx", "1mm:2mm:3mm:log5",
+                                      "1um:1e309m:log5", "1mm:1e309m:log3"])
     def test_malformed_range(self, text):
         with pytest.raises(SchemaError):
             parse_length_list(text)
@@ -136,7 +137,8 @@ class TestTheorySweep:
         cfg.write_text("pump_waist = -3um\n", encoding="utf-8")
         assert run(["theory-sweep", "--out", tmp_path / "x", "--config", cfg]) == 2
 
-    @pytest.mark.parametrize("waists", ["1mm:2mm", "1mm:2mm:logx"])
+    @pytest.mark.parametrize("waists", ["1mm:2mm", "1mm:2mm:logx", "1um:1e309m:log5",
+                                        "1mm:1e309m:log3"])
     def test_malformed_waists_exit_code(self, tmp_path, waists):
         assert run(["theory-sweep", "--out", tmp_path, f"--waists={waists}"]) == 2
 

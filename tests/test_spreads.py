@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -57,6 +58,18 @@ from conftest import LAMBDA_D, LAMBDA_U, make_params
 
 mp.mp.dps = 50
 LD, LU = mp.mpf("730e-9"), mp.mpf("910e-9")
+
+
+def sweep_rows(*args) -> list[dict]:
+    """theory_sweep_rows(*args) as one dict per row."""
+    columns = theory_sweep_rows(*args)
+    return [dict(zip(SWEEP_COLUMNS, values))
+            for values in zip(*(columns[name].tolist() for name in SWEEP_COLUMNS))]
+
+
+def sweep_columns(rows: list[dict]) -> dict:
+    """Row dicts as the object-array columns that write_sweep_csv takes."""
+    return {name: np.array([row[name] for row in rows], dtype=object) for name in SWEEP_COLUMNS}
 
 
 def oracle_spread_g_psf(L, w) -> float:
@@ -335,7 +348,7 @@ class TestEsfDerivativeSolver:
         base = make_params()
         lengths = [2e-3, 5e-3, 10e-3]
         waists = list(np.geomspace(20e-6, 2e-3, 50))
-        rows = theory_sweep_rows(base, lengths, waists, setup)
+        rows = sweep_rows(base, lengths, waists, setup)
         for row in rows:
             p = base.with_crystal_length(row["L_m"]).with_waist(row["w_p_m"])
             assert row["spread_g_esf_m"] == pytest.approx(spread_g_esf_numeric(p), rel=1e-13)
@@ -345,7 +358,7 @@ class TestEsfDerivativeSolver:
         # them all: every width is bit for bit its one-row call
         base = make_params()
         waists = list(np.geomspace(20e-6, 2e-3, 400))
-        rows = theory_sweep_rows(base, [2e-3, 5e-3, 10e-3], waists, setup)
+        rows = sweep_rows(base, [2e-3, 5e-3, 10e-3], waists, setup)
         assert -(-len(rows) // _BLOCK_ROWS) == 10
         for row in rows:
             p = base.with_crystal_length(row["L_m"]).with_waist(row["w_p_m"])
@@ -490,18 +503,40 @@ class TestMinResolvableDistance:
 class TestSweep:
     def test_reference_grid(self, setup, tmp_path):
         base = make_params()
-        rows = theory_sweep_rows(base, [2e-3, 5e-3, 10e-3], [50e-6, 142e-6, 214e-6, 308e-6], setup)
-        assert len(rows) == 12
-        assert all(tuple(r) == SWEEP_COLUMNS for r in rows)
-        assert all(not isinstance(r["spread_v_m"], str) for r in rows)
+        columns = theory_sweep_rows(base, [2e-3, 5e-3, 10e-3], [50e-6, 142e-6, 214e-6, 308e-6],
+                                    setup)
+        assert tuple(columns) == SWEEP_COLUMNS
+        assert all(column.shape == (12,) for column in columns.values())
+        assert [columns[name].dtype for name in SWEEP_COLUMNS] == [
+            np.float64, np.float64, object, np.float64, np.float64, object, np.float64, object]
+        assert all(not isinstance(v, str) for v in columns["spread_v_m"])
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(rows, path)
+        write_sweep_csv(columns, path)
         header = path.read_text().splitlines()[0]
         assert header == "L_m,w_p_m,spread_v_m,spread_g_psf_m,spread_g_esf_m,ratio,w_sing_m,d_min_m"
 
+    def test_large_sweep_memory(self, setup, tmp_path):
+        # 10 x 3,000 rows, marker rows among them: the columns hold at most
+        # 200 B a row, and writing them stays within a bounded peak. A small
+        # sweep first loads what the sweep imports, so only the sweep is traced.
+        base = make_params()
+        lengths = list(np.geomspace(1e-3, 10e-3, 10))
+        waists = list(np.geomspace(5e-6, 5e-3, 3000))
+        write_sweep_csv(theory_sweep_rows(base, lengths[:2], waists[:10], setup), tmp_path / "warm.csv")
+        tracemalloc.start()
+        try:
+            columns = theory_sweep_rows(base, lengths, waists, setup)
+            held = tracemalloc.get_traced_memory()[0]
+            write_sweep_csv(columns, tmp_path / "sweep.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held <= 200 * len(lengths) * len(waists)
+        assert peak <= 10e6
+
     def test_separable_rows_marked(self, setup):
         base = make_params()
-        rows = theory_sweep_rows(base, [10e-3], [10e-6, 25.4e-6, 100e-6], setup)
+        rows = sweep_rows(base, [10e-3], [10e-6, 25.4e-6, 100e-6], setup)
         by_waist = {round(r["w_p_m"] * 1e6, 1): r for r in rows}
         assert by_waist[10.0]["spread_v_m"] == SEPARABLE_MARKER
         # 25.4 um sits inside the divergence band of w_sing(10 mm)
@@ -522,7 +557,7 @@ class TestSweep:
         base = make_params()
         w_sing = singular_waist(base.with_crystal_length(10e-3))
         # the last waist lies in the marker band at 10 mm
-        rows = theory_sweep_rows(base, [2e-3, 10e-3], [50e-6, 142e-6, 1.0005 * w_sing], setup)
+        rows = sweep_rows(base, [2e-3, 10e-3], [50e-6, 142e-6, 1.0005 * w_sing], setup)
         assert sum(row["spread_v_m"] == SEPARABLE_MARKER for row in rows) == 1
         for row in rows:
             p = replace(base, crystal_length=row["L_m"], pump_waist=row["w_p_m"])
@@ -542,7 +577,7 @@ class TestSweep:
         w = waist_ratio * singular_waist(base)
         simulate_edge(base.with_waist(w), setup, tmp_path, rows=4, cols=256, pixel_pitch=2e-6)
         theory = json.loads((tmp_path / "comparison.json").read_text())["theory_adjusted"]
-        rows = theory_sweep_rows(base, [2e-3, 5e-3], [50e-6, w, 308e-6], setup)
+        rows = sweep_rows(base, [2e-3, 5e-3], [50e-6, w, 308e-6], setup)
         (row,) = [r for r in rows if r["L_m"] == 5e-3 and r["w_p_m"] == w]
         assert theory == {key: row[key] for key in
                           ("spread_g_psf_m", "spread_g_esf_m", "w_sing_m", "spread_v_m", "d_min_m")}
@@ -576,7 +611,7 @@ class TestSweepIsOneRowCalls:
         lengths, waists = grid
         setup = OpticalSetup(m_d=2.67 * m_u, m_u=m_u, m_d_i=m_u, m_u_i=m_u, m_d_c=2.67)
         base = make_params()
-        rows = theory_sweep_rows(base, lengths, waists, setup)
+        rows = sweep_rows(base, lengths, waists, setup)
         assert [(r["L_m"], r["w_p_m"]) for r in rows] == [
             (L, w) for L in sorted(set(lengths)) for w in sorted(set(waists))
         ]
@@ -612,7 +647,7 @@ class TestSweepIsOneRowCalls:
         monkeypatch.setattr(core, "validate_params", counting)
         monkeypatch.setattr(spreads, "check_positive_length", checking)
         waists = list(np.geomspace(20e-6, 2e-3, 400))
-        rows = theory_sweep_rows(base, [2e-3, 5e-3, 10e-3, 5e-3], waists + waists[:7], setup)
+        rows = sweep_rows(base, [2e-3, 5e-3, 10e-3, 5e-3], waists + waists[:7], setup)
         assert len(rows) == 3 * 400
         assert [p.crystal_length for p in calls] == [2e-3, 5e-3, 10e-3]
         assert waist_checks == [("pump_waist", w) for w in waists]
@@ -692,5 +727,5 @@ class TestWriteSweepCsv:
                    for n in range(_WRITE_ROWS + 3)])
     def test_text_equals_per_cell_formatting(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("csv") / "sweep.csv"
-        write_sweep_csv(rows, path)
+        write_sweep_csv(sweep_columns(rows), path)
         assert path.read_text(encoding="utf-8") == per_cell_sweep_csv(rows)
