@@ -33,7 +33,7 @@ DEFAULT_WAISTS = "50um,142um,214um,308um"
 # needs; the rows of a sweep are bounded by MAX_SWEEP_ROWS
 MAX_RANGE_POINTS = 10_000
 # most rows of one theory-sweep (distinct lengths x distinct waists); a
-# sweep this size peaks near 83 MB resident (ru_maxrss, 10 x 10,000 rows)
+# sweep this size peaks near 80 MB resident (ru_maxrss, 10 x 10,000 rows)
 MAX_SWEEP_ROWS = 100_000
 
 

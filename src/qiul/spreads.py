@@ -199,7 +199,7 @@ _XTOL = 1e-14  # of the bracketing span
 _MAX_ITERATIONS = 100
 _BLOCK_ROWS = 128
 _SOLVE_ROWS = 32 * _BLOCK_ROWS  # bounds the zoom values kept for one solve
-_WRITE_ROWS = 4096  # sweep.csv rows per write: bounds the text held at once
+_WRITE_ROWS = 1024  # sweep.csv rows per write: bounds the text held at once
 
 
 def _g_esf_slope(k, c, x, x_tilde_o):
@@ -444,16 +444,122 @@ def _marked(values: np.ndarray, finite: np.ndarray) -> np.ndarray:
     return column
 
 
+# %.12e of x > 0 is d.dddddddddddde+XX, 18 bytes for a 2-digit exponent.
+# A cell of write_sweep_csv's buffer is 21 bytes: its text, which is at
+# most 20 ("-d.dddddddddddde+XXX"), then the separator in the last byte;
+# row n of _CELL_MASKS selects a cell of n text bytes and its separator.
+_CELL_BYTES = 18
+_TEXT_BYTES = 20
+_CELL_MASKS = np.arange(_TEXT_BYTES + 1) < np.arange(_TEXT_BYTES + 1)[:, None]
+_CELL_MASKS[:, -1] = True
+_MARKER_BYTES = np.frombuffer(SEPARABLE_MARKER.encode("ascii"), dtype=np.uint8)
+_SEPARATORS = np.array([ord(",")] * (len(SWEEP_COLUMNS) - 1) + [ord("\n")], dtype=np.uint8)
+# x 10^(12 - e) = x * _SCALE_UP[e + 10] / _SCALE_DOWN[e + 10] for
+# -10 <= e <= 34: one factor is 1, the other an exact double (<= 1e22)
+_SCALE_UP = 10.0 ** np.maximum(22 - np.arange(45), 0)
+_SCALE_DOWN = 10.0 ** np.maximum(np.arange(45) - 22, 0)
+
+
+def _ascii_words(*columns) -> np.ndarray:
+    """The rows of the broadcast byte columns, 4 ASCII bytes a row, as
+    one uint32 each."""
+    return np.stack(np.broadcast_arrays(*columns), axis=1).astype(np.uint8).view(np.uint32).ravel()
+
+
+# a cell's text as 5 words, 20 bytes of which the first 2 are dropped:
+# "..d." "dddd" "dddd" "dddd" "e+XX". _WORDS holds each word: the 4
+# digits of 0..9999, then "..d." for d = 0..9 from _LEAD_WORD, then
+# "e-10" to "e+35" from _EXPONENT_WORD - 10
+_EXPONENTS = np.arange(-10, 36)
+_WORDS = np.concatenate([
+    _ascii_words(*np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1) + ord("0")),
+    _ascii_words(0, 0, np.arange(10) + ord("0"), ord(".")),
+    _ascii_words(ord("e"), np.where(_EXPONENTS < 0, ord("-"), ord("+")),
+                 np.abs(_EXPONENTS) // 10 + ord("0"), np.abs(_EXPONENTS) % 10 + ord("0")),
+])
+_LEAD_WORD, _EXPONENT_WORD = 10_000, 10_020
+
+
+def _format_12e_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """format(v, ".12e") of each float of values as ASCII bytes: a mask of
+    the cells given exactly, and an (n, 18) uint8 array, one row per
+    cell, that holds their text (and is undefined in the other rows).
+
+    For x > 0, e = floor(log10 x) clipped to -10..34, so that
+    |12 - e| <= 22, and m = x 10^(12 - e) in one correctly rounded
+    multiplication or division. The digits are rint(m), carried into the
+    next decade when that is 10^13. A cell is exact unless x <= 0 or is
+    not finite, m falls outside [1e12, 1e13) (e was clipped, or log10 is
+    one off next to a power of ten), or m is a half-integer (an
+    ambiguous rounding); write_sweep_csv gives the argument. The digits
+    are split by exact float arithmetic on integers below 2^53 and
+    looked up 4 at a time in _WORDS. No step raises or warns under
+    np.errstate(all="raise")."""
+    positive = (values > 0) & (values < np.inf)
+    x = np.where(positive, values, 1.0)
+    e = np.clip(np.floor(np.log10(x)), -10, 34)
+    decade = (e + 10).astype(np.intp)
+    m = x * _SCALE_UP[decade] / _SCALE_DOWN[decade]
+    digits = np.rint(m)
+    exact = positive & (m >= 1e12) & (m < 1e13) & (np.abs(m - digits) < 0.5)
+    digits[~exact] = 1e12  # keeps the lookups of the other cells in range
+    carry = digits == 1e13
+    digits[carry] = 1e12
+    # the leading digit, then the first 5, 9 and all 13 digits
+    lead, head, body = (np.floor(digits / divisor) for divisor in (1e12, 1e8, 1e4))
+    words = np.empty((values.size, 5), dtype=np.intp)
+    words[:, 0] = lead + _LEAD_WORD
+    words[:, 1] = head - 1e4 * lead
+    words[:, 2] = body - 1e4 * head
+    words[:, 3] = digits - 1e4 * body
+    words[:, 4] = e + carry + _EXPONENT_WORD
+    return exact, _WORDS[words].view(np.uint8)[:, 2:]
+
+
 def write_sweep_csv(columns: dict[str, np.ndarray], path) -> None:
     """One line per row of theory_sweep_rows' columns, every number as
-    %.12e, _WRITE_ROWS rows a write. A row with a marker is formatted
-    cell by cell; every other one with one format string."""
-    line = ",".join(["%.12e"] * len(SWEEP_COLUMNS)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        for start in range(0, len(columns["L_m"]), _WRITE_ROWS):
-            block = zip(*(columns[name][start:start + _WRITE_ROWS].tolist() for name in SWEEP_COLUMNS))
-            fh.write("".join(
-                ",".join(v if isinstance(v, str) else format(v, ".12e") for v in values) + "\n"
-                if SEPARABLE_MARKER in values else line % values
-                for values in block))
+    %.12e and every marker as its text, written as ASCII bytes a block
+    of _WRITE_ROWS rows at a time.
+
+    A block's cells, row by row, are formatted by one numpy kernel,
+    _format_12e_cells, which is exact for every cell it marks. For
+    x > 0 and |p| <= 22, with p = 12 - floor(log10 x), 10^|p| is an
+    exact double, so m = x 10^p (x / 10^-p for p < 0) is one correctly
+    rounded operation. Rounding is monotone and every half-integer below
+    2^52 is a double, so unless m is itself a half-integer, m lies on the
+    same side of each half-integer as x 10^p does: for m in
+    [1e12, 1e13), rint(m) is x 10^p rounded to 13 digits, which is what
+    the correctly rounded %.12e prints. The other cells, under 1% of a
+    model sweep, are formatted with format(v, ".12e"): zero, negative,
+    NaN and infinite values, values outside 1e-10..1e35 (3-digit
+    exponents among them), log10 one off next to a power of ten, and
+    half-integer m, exact ties among them. Marker cells get
+    SEPARABLE_MARKER. Each cell is written with its separator into a row
+    of a (cells, 21) uint8 buffer, and one boolean-mask select over the
+    buffer gives the block's bytes. The text equals format(v, ".12e")
+    cell by cell."""
+    n_rows = len(columns["L_m"])
+    with open(path, "wb") as fh:
+        fh.write((",".join(SWEEP_COLUMNS) + "\n").encode("ascii"))
+        for start in range(0, n_rows, _WRITE_ROWS):
+            stop = min(start + _WRITE_ROWS, n_rows)
+            marked = np.empty((stop - start, len(SWEEP_COLUMNS)), dtype=bool)
+            values = np.empty(marked.shape)
+            for j, name in enumerate(SWEEP_COLUMNS):
+                column = columns[name][start:stop]
+                marked[:, j] = column == SEPARABLE_MARKER
+                values[:, j] = np.where(marked[:, j], 0.0, column)
+            marked, values = marked.ravel(), values.ravel()
+            exact, text = _format_12e_cells(values)
+            buffer = np.empty((values.size, _TEXT_BYTES + 1), dtype=np.uint8)
+            buffer[:, :_CELL_BYTES] = text
+            buffer.reshape(stop - start, len(SWEEP_COLUMNS), -1)[:, :, -1] = _SEPARATORS
+            lengths = np.full(values.size, _CELL_BYTES)
+            fallback = np.flatnonzero(~exact & ~marked)
+            cells = [format(v, ".12e").encode("ascii") for v in values[fallback].tolist()]
+            buffer[fallback, :_TEXT_BYTES] = np.array(cells, dtype=f"S{_TEXT_BYTES}").view(
+                np.uint8).reshape(-1, _TEXT_BYTES)
+            lengths[fallback] = [len(cell) for cell in cells]
+            buffer[marked, :_MARKER_BYTES.size] = _MARKER_BYTES
+            lengths[marked] = _MARKER_BYTES.size
+            fh.write(buffer[np.take(_CELL_MASKS, lengths, axis=0)])

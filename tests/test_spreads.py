@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import erf
 
-from qiul import core, spreads
+from qiul import cli, core, spreads
 from qiul.core import OpticalSetup, singular_waist
 from qiul.errors import (
     MultiPeak,
@@ -39,7 +39,10 @@ from qiul.spreads import (
     SWEEP_COLUMNS,
     _BLOCK_ROWS,
     _SOLVE_ROWS,
+    _SCALE_DOWN,
+    _SCALE_UP,
     _WRITE_ROWS,
+    _format_12e_cells,
     _g_esf_slope,
     _g_esf_widths,
     half_width_1e,
@@ -534,6 +537,19 @@ class TestSweep:
         assert held <= 200 * len(lengths) * len(waists)
         assert peak <= 10e6
 
+    @pytest.mark.parametrize("lengths, waists", [
+        ([1.7e-3, 4.4e-3, 8.9e-3], "20um:2mm:log400"),
+        (list(np.geomspace(1e-3, 10e-3, 10)), list(np.geomspace(5e-6, 5e-3, 3000))),
+    ], ids=["3x400", "10x3000-with-markers"])
+    def test_sweep_csv_equals_per_cell_formatting(self, setup, tmp_path, lengths, waists):
+        if isinstance(waists, str):
+            waists = cli.parse_length_list(waists)
+        base = make_params()
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(theory_sweep_rows(base, lengths, waists, setup), path)
+        assert path.read_text(encoding="utf-8") == per_cell_sweep_csv(
+            sweep_rows(base, lengths, waists, setup))
+
     def test_separable_rows_marked(self, setup):
         base = make_params()
         rows = sweep_rows(base, [10e-3], [10e-6, 25.4e-6, 100e-6], setup)
@@ -716,6 +732,40 @@ def _csv_row(L, w, w_sing, marked=False):
     return row
 
 
+# (value, its %.12e text, whether _format_12e_cells gives it): exact ties
+# round half to even, a carry into the next decade, the neighbours of a
+# power of ten that log10 misplaces, the ends of the kernel's range and
+# of the float range, signed zeros and non-finite values
+NAMED_CELLS = [
+    (1234567890122.5, "1.234567890122e+12", False),
+    (1234567890123.5, "1.234567890124e+12", False),
+    (9.9999999999996e-4, "1.000000000000e-03", True),
+    (math.nextafter(1e-3, 0.0), "1.000000000000e-03", None),
+    (1e-3, "1.000000000000e-03", None),
+    (math.nextafter(1e-3, 1.0), "1.000000000000e-03", None),
+    (1e-10, "1.000000000000e-10", None),
+    (1e22, "1.000000000000e+22", True),
+    (1e23, "1.000000000000e+23", None),
+    (1e101, "1.000000000000e+101", False),
+    (5e-324, "4.940656458412e-324", False),
+    (1.7976931348623157e308, "1.797693134862e+308", False),
+    (0.0, "0.000000000000e+00", False),
+    (-0.0, "-0.000000000000e+00", False),
+    (-1.5e-5, "-1.500000000000e-05", False),
+    (math.nan, "nan", False),
+    (math.inf, "inf", False),
+    (-math.inf, "-inf", False),
+]
+
+
+def cells_as_rows(values) -> list[dict]:
+    """values as the cells of consecutive rows, the last row padded with 1e-3."""
+    n = len(SWEEP_COLUMNS)
+    values = list(values)
+    values += [1e-3] * (-len(values) % n)
+    return [dict(zip(SWEEP_COLUMNS, values[i:i + n])) for i in range(0, len(values), n)]
+
+
 class TestWriteSweepCsv:
     @settings(max_examples=150, deadline=None)
     @given(rows=sweep_csv_rows())
@@ -725,7 +775,66 @@ class TestWriteSweepCsv:
     # more rows than one write holds, marker rows on both sides of the split
     @example(rows=[_csv_row(2e-3, 1e-6 * (n + 1), 1.1e-5, marked=n % 997 == 0 or n == _WRITE_ROWS)
                    for n in range(_WRITE_ROWS + 3)])
+    # non-finite values in unmarked columns, and marker rows next to rows
+    # of cells the kernel leaves to format()
+    @example(rows=[_csv_row(math.nan, math.inf, -math.inf), _csv_row(2e-3, 1e-5, 1e-5, marked=True),
+                   dict(zip(SWEEP_COLUMNS, (math.nan, -math.inf, math.inf, math.nan, -1.5e-5,
+                                            math.inf, -0.0, math.nan))),
+                   _csv_row(-2e-3, 1234567890122.5, 1e101, marked=True)])
+    @example(rows=cells_as_rows(v for v, _, _ in NAMED_CELLS))
     def test_text_equals_per_cell_formatting(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("csv") / "sweep.csv"
         write_sweep_csv(sweep_columns(rows), path)
         assert path.read_text(encoding="utf-8") == per_cell_sweep_csv(rows)
+
+    def test_writes_under_raising_float_errors(self, tmp_path):
+        # cli.main runs the writer under raise_float_errors
+        rows = [_csv_row(v, -v, v) for v, _, _ in NAMED_CELLS]
+        rows += [_csv_row(v, 1e-5, v, marked=True) for v in (math.nan, 1e308, -1e-300)]
+        path = tmp_path / "sweep.csv"
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_sweep_csv(sweep_columns(rows), path)
+        assert path.read_text(encoding="utf-8") == per_cell_sweep_csv(rows)
+
+
+def kernel_mismatches(values: np.ndarray) -> tuple[int, list]:
+    """The number of cells _format_12e_cells gives, and those among them
+    whose text differs from format(v, ".12e")."""
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exact, text = _format_12e_cells(values)
+    assert exact.shape == values.shape and text.shape == (values.size, 18)
+    return int(exact.sum()), [
+        (v, row.tobytes()) for v, row in zip(values[exact].tolist(), text[exact])
+        if row.tobytes().decode("ascii") != format(v, ".12e")]
+
+
+class TestFormat12eCells:
+    def test_scale_tables_are_exact_powers_of_ten(self):
+        assert [float(10**k) for k in range(22, -1, -1)] + [1.0] * 22 == _SCALE_UP.tolist()
+        assert [1.0] * 22 + [float(10**k) for k in range(23)] == _SCALE_DOWN.tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(), min_size=1, max_size=64))
+    def test_exact_cells_equal_format(self, values):
+        assert kernel_mismatches(np.array(values))[1] == []
+
+    def test_seeded_log_uniform_values(self):
+        # over the whole float range, both signs; then over the kernel's
+        # range, where it leaves under 1% of the cells to format()
+        rng = np.random.default_rng(29)
+        n = 100_000
+        whole = np.exp(rng.uniform(math.log(5e-324), math.log(1.7976931348623157e308), n))
+        n_exact, wrong = kernel_mismatches(whole * rng.choice([-1.0, 1.0], n))
+        assert wrong == [] and n_exact > 1000
+        n_exact, wrong = kernel_mismatches(np.exp(rng.uniform(math.log(1e-10), math.log(1e35), n)))
+        assert wrong == [] and n_exact >= 0.99 * n
+
+    @pytest.mark.parametrize("value, text, exact", NAMED_CELLS, ids=[repr(v) for v, _, _ in NAMED_CELLS])
+    def test_named_values(self, value, text, exact):
+        assert format(value, ".12e") == text
+        n_exact, wrong = kernel_mismatches(np.array([value]))
+        assert wrong == []
+        if exact is not None:
+            assert n_exact == exact
