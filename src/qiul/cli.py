@@ -35,6 +35,14 @@ MAX_RANGE_POINTS = 10_000
 # most rows of one theory-sweep (distinct lengths x distinct waists); a
 # sweep this size peaks near 80 MB resident (ru_maxrss, 10 x 10,000 rows)
 MAX_SWEEP_ROWS = 100_000
+# most pixels of one simulate-edge stack (phases x rows x cols), 2 GiB of
+# float64. Above its start-up, a run peaked at 2.7x its stack's bytes
+# with 3 phases and 1.3x with 16 (ru_maxrss, 3 x 256 x 8192 and
+# 16 x 64 x 8192 pixels), so a run at this bound would peak near 3 to 6 GB
+MAX_STACK_PIXELS = 2**28
+# most phase steps of one simulate-edge stack, far above the 3 to 64 of
+# any measurement; each step is one synthesis task and one frame
+MAX_PHASES = 4096
 
 
 def parse_length_list(text: str) -> list[float]:
@@ -103,6 +111,13 @@ def _cmd_theory_sweep(args) -> int:
 def _cmd_simulate_edge(args) -> int:
     params, setup = load_config(args.config)
     noise = parse_noise(args.noise, args.background)
+    if args.phases > MAX_PHASES:
+        raise SchemaError(f"a stack has at most {MAX_PHASES} phase steps, got {args.phases}")
+    # fewer than 3 phases are refused only after the rows x cols scene is
+    # built, so such a count is bounded as 1
+    if max(args.phases, 1) * args.rows * args.cols > MAX_STACK_PIXELS:
+        raise SchemaError(f"a stack has at most {MAX_STACK_PIXELS} pixels, got {args.phases} "
+                          f"phases x {args.rows} rows x {args.cols} columns")
     result = simulate_edge(
         params,
         setup,

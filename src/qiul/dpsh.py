@@ -244,12 +244,13 @@ def _demodulate_frames(frames: np.ndarray, phases: np.ndarray) -> DemodulationRe
     b, c, s = coeffs.reshape(3, *shape)
     amp = np.hypot(c, s)
     invalid = ~(b > 0)
-    vis = np.full(amp.shape, np.nan)
+    phase = np.arctan2(np.negative(s, out=s), c, out=c)  # c is not read again
+    np.add(phase, 2.0 * math.pi, out=phase, where=phase <= -math.pi)
+    vis = s  # nor is s: the visibility takes its row, not a new image
+    vis.fill(np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(amp, b, out=vis, where=~invalid)
         np.clip(vis, 0.0, 1.0, out=vis)
-    phase = np.arctan2(np.negative(s, out=s), c, out=c)  # s and c are not read again
-    np.add(phase, 2.0 * math.pi, out=phase, where=phase <= -math.pi)
     return DemodulationResult(
         g_image=np.multiply(amp, 2.0, out=amp),
         v_image=vis,

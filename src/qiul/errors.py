@@ -53,22 +53,22 @@ class QuadratureNotConverged(NumericalError):
     pass
 
 
-class NotConverged(NumericalError):
+class _WithParameters(NumericalError):
+    """A numerical error that carries parameter values as parameters."""
+
+    def __init__(self, message, parameters=None):
+        super().__init__(message)
+        self.parameters = parameters
+
+
+class NotConverged(_WithParameters):
     """An iteration stopped before its tolerance; parameters holds the
     fit engine's last parameter values (None from other solvers)."""
 
-    def __init__(self, message, parameters=None):
-        super().__init__(message)
-        self.parameters = parameters
 
-
-class SingularNormalEquations(NumericalError):
+class SingularNormalEquations(_WithParameters):
     """Damping could not make the normal equations solvable; parameters
     holds the fit engine's last parameter values."""
-
-    def __init__(self, message, parameters=None):
-        super().__init__(message)
-        self.parameters = parameters
 
 
 # -- profile / width extraction --------------------------------------------

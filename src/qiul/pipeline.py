@@ -238,6 +238,7 @@ def simulate_edge(
     out.mkdir(parents=True, exist_ok=True)
     phases = 2.0 * math.pi * np.arange(n_phases) / n_phases
     stack = synthesize_stack(scene, phases, noise=noise, seed=seed, pixel_pitch=pixel_pitch)
+    del scene  # its two frame-sized arrays are not read again
     save_stack(stack, out)
     analysis, estimate = _analyze(stack, params, out)
 

@@ -243,10 +243,12 @@ def _g_esf_widths(k, c, x_tilde_o) -> np.ndarray:
     window where f exceeds a quarter of its peak; a zoom grid over that
     window carries the checks of half_width_1e and brackets the peak and
     both crossings. The grids are evaluated in blocks of rows, which keeps
-    them small; the first failing row raises NoCrossing (no positive
-    finite maximum, or no 1/e crossing on one side) or MultiPeak (more
-    than one local maximum above half maximum, or a maximum not isolated
-    between two grid points), its index as the error's row. Illinois
+    them small. The first failing row raises, its index as the error's
+    row, with the first of these that holds for it: NoCrossing (no
+    positive finite maximum), MultiPeak (more than one local maximum
+    above half maximum), NoCrossing (no 1/e crossing on the left, else
+    on the right), MultiPeak (the grid maximum is not isolated: f' is
+    not > 0 one grid point left of it and < 0 one right). Illinois
     regula falsi then solves f' = 0 for the peak and f = peak/e for the
     two crossings nearest it, to 1e-14 of the span. The rows are solved
     in chunks of _SOLVE_ROWS, one solve for the peaks and one for the
@@ -258,16 +260,13 @@ def _g_esf_widths(k, c, x_tilde_o) -> np.ndarray:
     widths = np.empty(k.size)
     for start in range(0, k.size, _SOLVE_ROWS):
         chunk = slice(start, start + _SOLVE_ROWS)
-        try:
-            widths[chunk] = _g_esf_chunk_widths(k[chunk], c[chunk], x_tilde_o[chunk])
-        except (NoCrossing, MultiPeak) as err:
-            err.row += start
-            raise
+        widths[chunk] = _g_esf_chunk_widths(k[chunk], c[chunk], x_tilde_o[chunk], start)
     return widths
 
 
-def _g_esf_chunk_widths(k, c, x_tilde_o) -> np.ndarray:
-    """_g_esf_widths for one chunk of rows (1-d arrays of equal length)."""
+def _g_esf_chunk_widths(k, c, x_tilde_o, first_row) -> np.ndarray:
+    """_g_esf_widths for one chunk of rows (1-d arrays of equal length),
+    the first of which is row first_row of the whole call."""
     n_rows = k.size
     on_row = np.arange(n_rows)
     span = 8.0 / np.sqrt(k + c * c) + np.abs(x_tilde_o)
@@ -278,12 +277,8 @@ def _g_esf_chunk_widths(k, c, x_tilde_o) -> np.ndarray:
     i = np.empty(n_rows, dtype=np.intp)
     for start in range(0, n_rows, _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        try:
-            lo[block], width[block], i[block], s_lo[block], s_hi[block] = _g_esf_zoom_block(
-                k[block], c[block], x_tilde_o[block], span[block], f[block])
-        except (NoCrossing, MultiPeak) as err:
-            err.row += start
-            raise
+        lo[block], width[block], i[block], s_lo[block], s_hi[block] = _g_esf_zoom_block(
+            k[block], c[block], x_tilde_o[block], span[block], f[block], first_row + start)
 
     grid_peak = f[on_row, i]
     x_peak = _illinois(lambda q, t: _g_esf_slope(k[q], c[q], t, x_tilde_o[q]),
@@ -309,12 +304,14 @@ def _g_esf_chunk_widths(k, c, x_tilde_o) -> np.ndarray:
     return 0.5 * (crossings[n_rows:] - crossings[:n_rows])
 
 
-def _g_esf_zoom_block(k, c, x_tilde_o, span, f):
+def _g_esf_zoom_block(k, c, x_tilde_o, span, f, first_row):
     """The grids of _g_esf_widths for one block of rows (1-d arrays of
-    equal length; span is the coarse grid's half-width): writes the
-    zoom-grid values into f and returns the zoom window (lo, width), the
-    column of the grid peak and the slopes at the columns either side of
-    it. Raises for the first failing row, its index in the block as row."""
+    equal length; span is the coarse grid's half-width), the first of
+    which is row first_row of the whole call: writes the zoom-grid values
+    into f and returns the zoom window (lo, width), the column of the
+    grid peak and the slopes at the columns either side of it. Raises
+    the error of _g_esf_widths for the block's first failing row, with
+    first_row added to its index as row."""
     n_rows = k.size
     on_row = np.arange(n_rows)
     kc, cc, xc = k[:, None], c[:, None], x_tilde_o[:, None]
@@ -343,22 +340,21 @@ def _g_esf_zoom_block(k, c, x_tilde_o, span, f):
     below = f < grid_peak[:, None] / math.e
     no_left = ~np.any(below & (_ZOOM_COLUMNS <= i[:, None]), axis=1)
     no_right = ~np.any(below & (_ZOOM_COLUMNS >= i[:, None]), axis=1)
-    bad = no_peak | (n_max > 1) | no_left | no_right
+    # a passing row has a crossing either side of its peak column i, so
+    # 0 < i < 128; the clips keep a failing row's neighbours on the grid
+    s_lo = _g_esf_slope(k, c, lo + width * _ZOOM_GRID[np.maximum(i - 1, 0)], x_tilde_o)
+    s_hi = _g_esf_slope(k, c, lo + width * _ZOOM_GRID[np.minimum(i + 1, _ZOOM_GRID.size - 1)],
+                        x_tilde_o)
+    bad = no_peak | (n_max > 1) | no_left | no_right | ~((s_lo > 0) & (s_hi < 0))
     if bad.any():
         r = int(np.argmax(bad))
         side = "left" if no_left[r] else "right"
         err = (NoCrossing("ESF derivative has no positive finite maximum") if no_peak[r]
                else MultiPeak(f"{n_max[r]} local maxima above half maximum") if n_max[r] > 1
-               else NoCrossing(f"ESF derivative never decays to 1/e of its maximum on the {side}"))
-        err.row = r
-        raise err
-
-    s_lo = _g_esf_slope(k, c, lo + width * _ZOOM_GRID[i - 1], x_tilde_o)
-    s_hi = _g_esf_slope(k, c, lo + width * _ZOOM_GRID[i + 1], x_tilde_o)
-    isolated = (s_lo > 0) & (s_hi < 0)
-    if not isolated.all():
-        err = MultiPeak("ESF derivative maximum is not isolated between two grid points")
-        err.row = int(np.argmin(isolated))
+               else NoCrossing(f"ESF derivative never decays to 1/e of its maximum on the {side}")
+               if no_left[r] or no_right[r]
+               else MultiPeak("ESF derivative maximum is not isolated between two grid points"))
+        err.row = first_row + r
         raise err
     return lo, width, i, s_lo, s_hi
 

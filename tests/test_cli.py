@@ -15,7 +15,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qiul
-from qiul.cli import MAX_RANGE_POINTS, MAX_SWEEP_ROWS, main, parse_length_list, parse_noise
+from qiul.cli import (
+    MAX_PHASES,
+    MAX_RANGE_POINTS,
+    MAX_STACK_PIXELS,
+    MAX_SWEEP_ROWS,
+    main,
+    parse_length_list,
+    parse_noise,
+)
 from qiul.core import load_config
 from qiul.dpsh import SceneModel, save_stack, synthesize_stack
 from qiul.errors import SchemaError
@@ -377,6 +385,34 @@ class TestSimulateAndAnalyze:
                     "--config", config_file, "--out", tmp_path / "ana"])
         assert code == 2
         assert str(manifest) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size, message", [
+        (["--cols", 100_000_000_000], f"at most {MAX_STACK_PIXELS} pixels, got 4 phases x 48 rows"),
+        (["--phases", 0, "--cols", 100_000_000_000], f"at most {MAX_STACK_PIXELS} pixels"),
+        (["--phases", MAX_PHASES + 1, "--rows", 1, "--cols", 8],
+         f"at most {MAX_PHASES} phase steps, got {MAX_PHASES + 1}"),
+        (["--phases", 10**30], f"at most {MAX_PHASES} phase steps"),
+    ])
+    def test_oversized_stack_exit_code(self, tmp_path, capsys, monkeypatch, size, message):
+        # refused before simulate_edge is reached, so no size here is run for real
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate_edge called")
+
+        monkeypatch.setattr(qiul.cli, "simulate_edge", refuse)
+        assert run(["simulate-edge", "--out", tmp_path / "sim", *size]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("size, code", [
+        (["--phases", 4, "--cols", 64], 0),
+        (["--phases", 4, "--cols", 72], 2),
+        (["--phases", 5, "--cols", 8], 2),
+    ])
+    def test_stack_caps_are_inclusive(self, tmp_path, monkeypatch, size, code):
+        # 4 phases x 2 rows x 64 columns against caps of 512 pixels and 4 phases
+        monkeypatch.setattr(qiul.cli, "MAX_STACK_PIXELS", 512)
+        monkeypatch.setattr(qiul.cli, "MAX_PHASES", 4)
+        assert run(["simulate-edge", "--out", tmp_path, "--rows", 2, "--pitch", "1um", *size]) == code
 
     def test_empty_image_exit_code(self, tmp_path):
         assert run(["simulate-edge", "--out", tmp_path / "sim", "--rows", 0]) == 2

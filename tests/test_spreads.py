@@ -439,16 +439,35 @@ class TestEsfDerivativeSolver:
             _g_esf_widths(k, c, [0.0, 3e-2, multi_peak])
         assert got.value.row == 1
 
-    def test_maximum_not_isolated_names_its_row(self, monkeypatch):
-        # a zero slope either side of the grid peak of the last row only
+    @pytest.fixture
+    def flat_at_1e7(self, monkeypatch):
+        """(k, c) at L = 10 mm, w_p = 308 um, with a zero slope either side
+        of the grid peak of every row whose x_tilde_o is 1e-7."""
         slope = spreads._g_esf_slope
         monkeypatch.setattr(spreads, "_g_esf_slope", lambda k, c, x, x_tilde_o: np.where(
             x_tilde_o == 1e-7, 0.0, slope(k, c, x, x_tilde_o)))
         p = make_params(10e-3, 308e-6)
-        k, c = g_envelope_coefficient(p), esf_slope_coefficient(p)
+        return g_envelope_coefficient(p), esf_slope_coefficient(p)
+
+    def test_maximum_not_isolated_names_its_row(self, flat_at_1e7):
         with pytest.raises(MultiPeak, match="not isolated") as got:
-            _g_esf_widths(k, c, [0.0, 0.0, 1e-7])
+            _g_esf_widths(*flat_at_1e7, [0.0, 0.0, 1e-7])
         assert got.value.row == 2
+
+    def test_maximum_not_isolated_is_reported_before_a_later_row(self, flat_at_1e7):
+        # row 1 has no crossing on the right, but row 0 fails first
+        with pytest.raises(MultiPeak, match="not isolated") as got:
+            _g_esf_widths(*flat_at_1e7, [1e-7, 3e-2])
+        assert got.value.row == 0
+
+    @pytest.mark.parametrize("n_rows, flat_row", [(200, 130), (_SOLVE_ROWS + 5, _SOLVE_ROWS + 3)])
+    def test_maximum_not_isolated_names_its_row_past_a_block(self, flat_at_1e7, n_rows, flat_row):
+        # in the second block of the first chunk, and in the second chunk
+        x_tilde_o = np.zeros(n_rows)
+        x_tilde_o[flat_row] = 1e-7
+        with pytest.raises(MultiPeak, match="not isolated") as got:
+            _g_esf_widths(*flat_at_1e7, x_tilde_o)
+        assert got.value.row == flat_row
 
     def test_sweep_error_names_the_failing_row(self, setup):
         # 2 um lies below ~0.094 w_sing only at L = 10 mm, whose rows come
