@@ -21,7 +21,8 @@ import numpy as np
 
 from .core import load_config, parse_dimensionless, parse_length
 from .dpsh import NoiseModel
-from .errors import NumericalError, SchemaError, ToolkitError, ValidationError, raise_float_errors
+from .errors import (NumericalError, SchemaError, ToolkitError, TooFewPhases, ValidationError,
+                     raise_float_errors)
 from .fitting import fit_double_slit
 from .imaging import read_profile_csv
 from .pipeline import analyze_stack, simulate_edge, write_json
@@ -111,11 +112,11 @@ def _cmd_theory_sweep(args) -> int:
 def _cmd_simulate_edge(args) -> int:
     params, setup = load_config(args.config)
     noise = parse_noise(args.noise, args.background)
+    if args.phases < 3:
+        raise TooFewPhases(f"need >= 3 phase steps, got {args.phases}")
     if args.phases > MAX_PHASES:
         raise SchemaError(f"a stack has at most {MAX_PHASES} phase steps, got {args.phases}")
-    # fewer than 3 phases are refused only after the rows x cols scene is
-    # built, so such a count is bounded as 1
-    if max(args.phases, 1) * args.rows * args.cols > MAX_STACK_PIXELS:
+    if args.phases * args.rows * args.cols > MAX_STACK_PIXELS:
         raise SchemaError(f"a stack has at most {MAX_STACK_PIXELS} pixels, got {args.phases} "
                           f"phases x {args.rows} rows x {args.cols} columns")
     result = simulate_edge(

@@ -22,6 +22,7 @@ from .errors import (
     MultiPeak,
     NoCrossing,
     NotConverged,
+    NumericalError,
     RangeNotSpanned,
     SeparableState,
     raise_float_errors,
@@ -180,16 +181,15 @@ def spread_v_closed(params: SourceParams) -> float:
     return 1.0 / abs(esf_slope_coefficient(params))
 
 
-def spread_g_esf_numeric(params: SourceParams, x_tilde_o: float = 0.0) -> float:
+def spread_g_esf_numeric(params: SourceParams) -> float:
     """Magnification-adjusted 1/e half-width (symmetric crossing
     definition) of the peak-normalized derivative of the amplitude edge
-    response, solved to roundoff on the analytic derivative (see
-    _g_esf_widths). Evaluated at unit magnification, hence independent
-    of the setup magnifications. Raises NoCrossing when the derivative
-    has no positive finite maximum or does not fall to 1/e of it on
-    both sides, and MultiPeak when it has more than one local maximum
-    above half maximum."""
-    return float(_g_esf_widths(*_coefficients(params), x_tilde_o)[0])
+    response: W(r) / sqrt(k) for r = c / sqrt(k), W solved to roundoff
+    by _g_esf_widths. Evaluated at unit magnification, hence independent
+    of the setup magnifications."""
+    k, c = _coefficients(params)
+    root_k = math.sqrt(k)
+    return float(_g_esf_widths(c / root_k)[0]) / root_k
 
 
 _COARSE_GRID = np.linspace(-1.0, 1.0, 65)  # in units of the span
@@ -202,12 +202,13 @@ _SOLVE_ROWS = 32 * _BLOCK_ROWS  # bounds the zoom values kept for one solve
 _WRITE_ROWS = 1024  # sweep.csv rows per write: bounds the text held at once
 
 
-def _g_esf_slope(k, c, x, x_tilde_o):
-    """d/dx of imaging._unit_g_esf_derivative; zero at its peak."""
-    cu = c * (x - x_tilde_o)
-    return np.exp(-k * x**2) * (
-        2.0 * k * (2.0 * k * x**2 - 1.0) * (1.0 - erf(cu))
-        + (4.0 / math.sqrt(math.pi)) * c * (2.0 * k * x + c * cu) * np.exp(-(cu**2))
+def _g_esf_slope(r, s):
+    """d/ds of F(s; r) = imaging._unit_g_esf_derivative(1, r, s, 0); zero
+    at its peak."""
+    rs = r * s
+    return np.exp(-(s**2)) * (
+        2.0 * (2.0 * s**2 - 1.0) * (1.0 - erf(rs))
+        + (4.0 / math.sqrt(math.pi)) * r * (2.0 * s + r * rs) * np.exp(-(rs**2))
     )
 
 
@@ -234,57 +235,56 @@ def _illinois(fn, a, b, fa, fb, xtol):
     raise NotConverged(f"Illinois solve took more than {_MAX_ITERATIONS} steps")
 
 
-def _g_esf_widths(k, c, x_tilde_o) -> np.ndarray:
-    """1/e half-widths of the unit-magnification amplitude ESF derivative
-    f = imaging._unit_g_esf_derivative, one per row of the broadcast
-    (k, c, x_tilde_o) arrays.
+def _g_esf_widths(r) -> np.ndarray:
+    """W(r), one per element of r: the 1/e half-width of
+    F(s; r) = e^{-s^2} [-2s (1 - erf(rs)) - (2/sqrt(pi)) r e^{-r^2 s^2}],
+    which is imaging._unit_g_esf_derivative at k = 1, c = r and no
+    offset. With s = sqrt(k) x the derivative at (k, c) is sqrt(k) F, so
+    its half-width is W(c / sqrt(k)) / sqrt(k).
 
-    A coarse grid over +-(8 / sqrt(k + c^2) + |x_tilde_o|) finds the
-    window where f exceeds a quarter of its peak; a zoom grid over that
-    window carries the checks of half_width_1e and brackets the peak and
-    both crossings. The grids are evaluated in blocks of rows, which keeps
-    them small. The first failing row raises, its index as the error's
-    row, with the first of these that holds for it: NoCrossing (no
-    positive finite maximum), MultiPeak (more than one local maximum
-    above half maximum), NoCrossing (no 1/e crossing on the left, else
-    on the right), MultiPeak (the grid maximum is not isolated: f' is
-    not > 0 one grid point left of it and < 0 one right). Illinois
-    regula falsi then solves f' = 0 for the peak and f = peak/e for the
-    two crossings nearest it, to 1e-14 of the span. The rows are solved
-    in chunks of _SOLVE_ROWS, one solve for the peaks and one for the
-    crossings per chunk, so the zoom values kept for a solve stay bounded;
-    each row's solve is independent of the other rows, so the chunking
-    does not change any width."""
-    k, c, x_tilde_o = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
-                                            for v in (k, c, x_tilde_o)))
-    widths = np.empty(k.size)
-    for start in range(0, k.size, _SOLVE_ROWS):
+    For every r, F has one local maximum above half its peak and falls
+    below 1/e of it on both sides within the window +-8 / sqrt(1 + r^2),
+    widened to +-3 for r > 0 (a test scans r over -1e6..1e6): the window
+    holds a spike of width ~1/|r| at s = 0 for r << 0, and the lobe near
+    s = -1/sqrt(2) that +-8 / sqrt(1 + r^2) alone misses for r > 5.2. A
+    coarse grid over the window finds where F exceeds a quarter of its
+    peak, and a zoom grid over that part brackets the peak and both
+    crossings. The grids are evaluated in blocks of rows,
+    which keeps them small. Illinois regula falsi then solves F' = 0 for
+    the peak and F = peak/e for the two crossings nearest it, to 1e-14
+    of the window. The rows are solved in chunks of _SOLVE_ROWS, one
+    solve for the peaks and one for the crossings per chunk, so the zoom
+    values kept for a solve stay bounded; each row's solve is
+    independent of the other rows, so the chunking does not change any
+    width."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    widths = np.empty(r.size)
+    for start in range(0, r.size, _SOLVE_ROWS):
         chunk = slice(start, start + _SOLVE_ROWS)
-        widths[chunk] = _g_esf_chunk_widths(k[chunk], c[chunk], x_tilde_o[chunk], start)
+        widths[chunk] = _g_esf_chunk_widths(r[chunk])
     return widths
 
 
-def _g_esf_chunk_widths(k, c, x_tilde_o, first_row) -> np.ndarray:
-    """_g_esf_widths for one chunk of rows (1-d arrays of equal length),
-    the first of which is row first_row of the whole call."""
-    n_rows = k.size
+def _g_esf_chunk_widths(r) -> np.ndarray:
+    """_g_esf_widths for one chunk of rows (a 1-d array)."""
+    n_rows = r.size
     on_row = np.arange(n_rows)
-    span = 8.0 / np.sqrt(k + c * c) + np.abs(x_tilde_o)
+    span = np.maximum(8.0 / np.sqrt(1.0 + r * r), np.where(r > 0, 3.0, 0.0))
     xtol = _XTOL * span
-    # the zoom grid of row r is lo[r] + width[r] * _ZOOM_GRID; only f is kept
+    # the zoom grid of row q is lo[q] + width[q] * _ZOOM_GRID; only F is kept
     f = np.empty((n_rows, _ZOOM_GRID.size))
     lo, width, s_lo, s_hi = (np.empty(n_rows) for _ in range(4))
     i = np.empty(n_rows, dtype=np.intp)
     for start in range(0, n_rows, _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
         lo[block], width[block], i[block], s_lo[block], s_hi[block] = _g_esf_zoom_block(
-            k[block], c[block], x_tilde_o[block], span[block], f[block], first_row + start)
+            r[block], span[block], f[block])
 
     grid_peak = f[on_row, i]
-    x_peak = _illinois(lambda q, t: _g_esf_slope(k[q], c[q], t, x_tilde_o[q]),
+    s_peak = _illinois(lambda q, t: _g_esf_slope(r[q], t),
                        lo + width * _ZOOM_GRID[i - 1], lo + width * _ZOOM_GRID[i + 1],
                        s_lo, s_hi, xtol)
-    peak = np.maximum(_unit_g_esf_derivative(k, c, x_peak, x_tilde_o), grid_peak)
+    peak = np.maximum(_unit_g_esf_derivative(1.0, r, s_peak, 0.0), grid_peak)
     level = peak / math.e
 
     # the crossings nearest the peak: right of the last grid point below
@@ -296,67 +296,35 @@ def _g_esf_chunk_widths(k, c, x_tilde_o, first_row) -> np.ndarray:
     below_col = np.concatenate([j, m])
     above_col = np.concatenate([j + 1, m - 1])
     crossings = _illinois(
-        lambda q, t: _unit_g_esf_derivative(k[row[q]], c[row[q]], t, x_tilde_o[row[q]])
-        - level[row[q]],
+        lambda q, t: _unit_g_esf_derivative(1.0, r[row[q]], t, 0.0) - level[row[q]],
         lo[row] + width[row] * _ZOOM_GRID[below_col], lo[row] + width[row] * _ZOOM_GRID[above_col],
         f[row, below_col] - level[row], f[row, above_col] - level[row], xtol[row],
     )
     return 0.5 * (crossings[n_rows:] - crossings[:n_rows])
 
 
-def _g_esf_zoom_block(k, c, x_tilde_o, span, f, first_row):
+def _g_esf_zoom_block(r, span, f):
     """The grids of _g_esf_widths for one block of rows (1-d arrays of
-    equal length; span is the coarse grid's half-width), the first of
-    which is row first_row of the whole call: writes the zoom-grid values
-    into f and returns the zoom window (lo, width), the column of the
-    grid peak and the slopes at the columns either side of it. Raises
-    the error of _g_esf_widths for the block's first failing row, with
-    first_row added to its index as row."""
-    n_rows = k.size
-    on_row = np.arange(n_rows)
-    kc, cc, xc = k[:, None], c[:, None], x_tilde_o[:, None]
-
-    x = span[:, None] * _COARSE_GRID
-    coarse = _unit_g_esf_derivative(kc, cc, x, xc)
-    coarse_peak = np.max(coarse, axis=1)
-    no_peak = ~((coarse_peak > 0) & np.isfinite(coarse_peak))
+    equal length; span is the coarse grid's half-width): writes the
+    zoom-grid values into f and returns the zoom window (lo, width), the
+    column of the grid peak and the slopes at the columns either side
+    of it."""
+    on_row = np.arange(r.size)
+    rc = r[:, None]
+    s = span[:, None] * _COARSE_GRID
+    coarse = _unit_g_esf_derivative(1.0, rc, s, 0.0)
     # zoom window: one coarse step beyond the outermost samples above a
     # quarter of the peak, so both of its ends lie below 1/e of the peak
-    high = coarse >= 0.25 * coarse_peak[:, None]
+    high = coarse >= 0.25 * np.max(coarse, axis=1)[:, None]
     last = _COARSE_GRID.size - 1
     first = np.maximum(np.argmax(high, axis=1) - 1, 0)
     final = np.minimum(last - np.argmax(high[:, ::-1], axis=1) + 1, last)
-    lo = x[on_row, first]
-    width = x[on_row, final] - lo
-    f[...] = _unit_g_esf_derivative(kc, cc, lo[:, None] + width[:, None] * _ZOOM_GRID, xc)
-
+    lo = s[on_row, first]
+    width = s[on_row, final] - lo
+    f[...] = _unit_g_esf_derivative(1.0, rc, lo[:, None] + width[:, None] * _ZOOM_GRID, 0.0)
     i = np.argmax(f, axis=1)
-    grid_peak = f[on_row, i]
-    interior = f[:, 1:-1]
-    n_max = np.count_nonzero(
-        (interior > f[:, :-2]) & (interior > f[:, 2:]) & (interior > 0.5 * grid_peak[:, None]),
-        axis=1,
-    )
-    below = f < grid_peak[:, None] / math.e
-    no_left = ~np.any(below & (_ZOOM_COLUMNS <= i[:, None]), axis=1)
-    no_right = ~np.any(below & (_ZOOM_COLUMNS >= i[:, None]), axis=1)
-    # a passing row has a crossing either side of its peak column i, so
-    # 0 < i < 128; the clips keep a failing row's neighbours on the grid
-    s_lo = _g_esf_slope(k, c, lo + width * _ZOOM_GRID[np.maximum(i - 1, 0)], x_tilde_o)
-    s_hi = _g_esf_slope(k, c, lo + width * _ZOOM_GRID[np.minimum(i + 1, _ZOOM_GRID.size - 1)],
-                        x_tilde_o)
-    bad = no_peak | (n_max > 1) | no_left | no_right | ~((s_lo > 0) & (s_hi < 0))
-    if bad.any():
-        r = int(np.argmax(bad))
-        side = "left" if no_left[r] else "right"
-        err = (NoCrossing("ESF derivative has no positive finite maximum") if no_peak[r]
-               else MultiPeak(f"{n_max[r]} local maxima above half maximum") if n_max[r] > 1
-               else NoCrossing(f"ESF derivative never decays to 1/e of its maximum on the {side}")
-               if no_left[r] or no_right[r]
-               else MultiPeak("ESF derivative maximum is not isolated between two grid points"))
-        err.row = first_row + r
-        raise err
-    return lo, width, i, s_lo, s_hi
+    return (lo, width, i, _g_esf_slope(r, lo + width * _ZOOM_GRID[i - 1]),
+            _g_esf_slope(r, lo + width * _ZOOM_GRID[i + 1]))
 
 
 def spread_ratio(params: SourceParams, setup: OpticalSetup | None = None) -> float:
@@ -409,7 +377,8 @@ def theory_sweep_rows(
     spread_g_esf_numeric, singular_waist, min_resolvable_distance at
     setup.m_u); between w_sing (1 + SEPARABLE_REL_TOL) and
     w_sing (1 + 1e-3) the marker stands where spread_v_closed returns a
-    number. A NoCrossing or MultiPeak names the failing L and w_p."""
+    number. A width that is not finite raises NumericalError naming its
+    L and w_p."""
     lengths = sorted(set(float(v) for v in lengths))
     waists = sorted(set(float(v) for v in waists))
     w_sings = [singular_waist(replace(base, crystal_length=L)) for L in lengths]
@@ -417,10 +386,12 @@ def theory_sweep_rows(
         check_positive_length("pump_waist", w)
     grid_l, grid_w = (a.ravel() for a in np.meshgrid(lengths, waists, indexing="ij"))
     k, c = _edge_coefficients(base.lambda_d, base.lambda_u, grid_l, grid_w)
-    try:
-        widths = _g_esf_widths(k, c, 0.0)
-    except (NoCrossing, MultiPeak) as err:
-        raise type(err)(f"L = {grid_l[err.row]:.6g} m, w_p = {grid_w[err.row]:.6g} m: {err}") from err
+    root_k = np.sqrt(k)
+    widths = _g_esf_widths(c / root_k) / root_k
+    bad = np.flatnonzero(~np.isfinite(widths))
+    if bad.size:
+        raise NumericalError(f"L = {grid_l[bad[0]]:.6g} m, w_p = {grid_w[bad[0]]:.6g} m: "
+                             f"amplitude spread {widths[bad[0]]} is not finite")
     w_sing = np.repeat(w_sings, len(waists))
     # the visibility spread diverges like (1 - w_sing^2/w_p^2)^-1: within
     # 0.1% of the singularity the value is meaningless, so mark it too

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -35,3 +36,30 @@ def setup() -> OpticalSetup:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240915)
+
+
+def oracle_w(r) -> float:
+    """W(r) at 50 digits (mpmath): the 1/e half-width of
+    F(s; r) = e^{-s^2} [-2s erfc(rs) - (2/sqrt(pi)) r e^{-r^2 s^2}], the
+    peak where F' vanishes, then its two 1/e crossings, each bracketed on
+    a 401-point grid over a window set by r: +-4 around the lobe near
+    s = -1/sqrt(2) for r >= 0, +-8/sqrt(1 + r^2) around the spike of
+    width ~1/|r| at s = 0 for r < 0."""
+    with mp.workdps(50):
+        r = mp.mpf(r)
+
+        def f(s):
+            return mp.exp(-s * s) * (-2 * s * mp.erfc(r * s)
+                                     - 2 * r / mp.sqrt(mp.pi) * mp.exp(-(r * s) ** 2))
+
+        span = 8 / mp.sqrt(1 + r * r) if r < 0 else mp.mpf(4)
+        xs = [span * (t - 200) / 200 for t in range(401)]
+        fs = [f(x) for x in xs]
+        i = max(range(len(fs)), key=fs.__getitem__)
+        x_peak = mp.findroot(lambda x: mp.diff(f, x), (xs[i - 1], xs[i + 1]), solver="anderson")
+        level = f(x_peak) / mp.e
+        j = max(t for t in range(i + 1) if fs[t] < level)
+        m = min(t for t in range(i, len(fs)) if fs[t] < level)
+        left = mp.findroot(lambda x: f(x) - level, (xs[j], xs[j + 1]), solver="anderson")
+        right = mp.findroot(lambda x: f(x) - level, (xs[m - 1], xs[m]), solver="anderson")
+        return float((right - left) / 2)

@@ -27,8 +27,10 @@ from qiul.cli import (
 from qiul.core import load_config
 from qiul.dpsh import SceneModel, save_stack, synthesize_stack
 from qiul.errors import SchemaError
-from qiul.imaging import Profile1D, write_profile_csv
+from qiul.imaging import Profile1D, _edge_coefficients, write_profile_csv
 from qiul.spreads import min_resolvable_distance
+
+from conftest import LAMBDA_D, LAMBDA_U, oracle_w
 
 
 def run(args):
@@ -198,9 +200,22 @@ class TestTheorySweep:
         # or ZeroDivisionError here, like float64 overflow in numpy
         assert run(["theory-sweep", "--out", tmp_path, *grid]) == 3
 
-    def test_unsolvable_amplitude_spread_names_the_row(self, tmp_path, capsys):
-        # below ~0.094 w_sing the amplitude ESF derivative's 1/e crossing
-        # on the left is not found: exit 3, naming L and w_p of the row
+    def test_far_below_the_singular_waist_exits_0(self, tmp_path):
+        # 1 um and 1.2 um lie below 0.11 w_sing at L = 2 mm; every amplitude
+        # spread is W(r) / sqrt(k) to the 13 digits that %.12e prints
+        out = tmp_path / "sweep"
+        assert run(["theory-sweep", "--out", out, "--lengths=2mm", "--waists=1um,1.2um,50um"]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        assert [row["w_p_m"] for row in rows] == [f"{w:.12e}" for w in (1e-6, 1.2e-6, 50e-6)]
+        for row in rows:
+            k, c = _edge_coefficients(LAMBDA_D, LAMBDA_U, 2e-3, float(row["w_p_m"]))
+            expected = oracle_w(c / math.sqrt(k)) / math.sqrt(k)
+            assert float(row["spread_g_esf_m"]) == pytest.approx(expected, rel=1e-12)
+
+    def test_unsolvable_amplitude_spread_names_the_row(self, tmp_path, capsys, monkeypatch):
+        # a width that is not finite exits 3, naming L and w_p of its row
+        monkeypatch.setattr(qiul.spreads, "_g_esf_widths", lambda r: np.where(r > 0, np.nan, 1.0))
         out = tmp_path / "sweep"
         assert run(["theory-sweep", "--out", out, "--lengths=2mm", "--waists=1um,1.2um,50um"]) == 3
         assert "L = 0.002 m, w_p = 1e-06 m: " in capsys.readouterr().err
@@ -388,7 +403,7 @@ class TestSimulateAndAnalyze:
 
     @pytest.mark.parametrize("size, message", [
         (["--cols", 100_000_000_000], f"at most {MAX_STACK_PIXELS} pixels, got 4 phases x 48 rows"),
-        (["--phases", 0, "--cols", 100_000_000_000], f"at most {MAX_STACK_PIXELS} pixels"),
+        (["--phases", 3, "--cols", 100_000_000_000], f"at most {MAX_STACK_PIXELS} pixels"),
         (["--phases", MAX_PHASES + 1, "--rows", 1, "--cols", 8],
          f"at most {MAX_PHASES} phase steps, got {MAX_PHASES + 1}"),
         (["--phases", 10**30], f"at most {MAX_PHASES} phase steps"),
@@ -401,6 +416,16 @@ class TestSimulateAndAnalyze:
         monkeypatch.setattr(qiul.cli, "simulate_edge", refuse)
         assert run(["simulate-edge", "--out", tmp_path / "sim", *size]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("phases", [2, 0, -1])
+    def test_too_few_phases_refused_before_the_scene(self, tmp_path, capsys, monkeypatch, phases):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_edge_scene called")
+
+        monkeypatch.setattr(qiul.pipeline, "build_edge_scene", refuse)
+        assert run(["simulate-edge", "--out", tmp_path / "sim", "--phases", phases]) == 2
+        assert f"need >= 3 phase steps, got {phases}" in capsys.readouterr().err
         assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("size, code", [
@@ -473,15 +498,28 @@ class TestSimulateAndAnalyze:
         assert err.startswith("error: visibility (v) edge fit: damping exhausted")
         assert "last m_d = " in err
 
-    def test_unsolvable_theory_row_writes_nothing(self, tmp_path, capsys):
+    def test_unsolvable_theory_row_writes_nothing(self, tmp_path, capsys, monkeypatch):
         # the theory row of comparison.json is computed before any output,
         # so its exit 3 leaves no half-written directory behind
+        monkeypatch.setattr(qiul.spreads, "_g_esf_widths", lambda r: np.full(np.shape(r), np.nan))
         cfg = tmp_path / "c.cfg"
         cfg.write_text("crystal_length = 2mm\npump_waist = 1um\n", encoding="utf-8")
         out = tmp_path / "sim"
         assert run(["simulate-edge", "--config", cfg, "--out", out]) == 3
-        assert "never decays" in capsys.readouterr().err
+        assert "L = 0.002 m, w_p = 1e-06 m: " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_far_below_the_singular_waist_reports_its_theory_row(self, tmp_path):
+        # 1 um lies below 0.094 w_sing at L = 2 mm: the run completes, and
+        # the theory row's amplitude spread is W(r) / sqrt(k)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("crystal_length = 2mm\npump_waist = 1um\n", encoding="utf-8")
+        out = tmp_path / "sim"
+        assert run(["simulate-edge", "--config", cfg, "--out", out, "--rows", 4, "--cols", 256]) == 0
+        theory = json.loads((out / "comparison.json").read_text())["theory_adjusted"]
+        k, c = _edge_coefficients(LAMBDA_D, LAMBDA_U, 2e-3, 1e-6)
+        expected = oracle_w(c / math.sqrt(k)) / math.sqrt(k)
+        assert theory["spread_g_esf_m"] == pytest.approx(expected, rel=3e-14)
 
     def test_flat_profile_exit_code(self, tmp_path):
         # at a 1 m pitch the amplitude envelope underflows to zero on every pixel

@@ -57,7 +57,7 @@ from qiul.spreads import (
     write_sweep_csv,
 )
 
-from conftest import LAMBDA_D, LAMBDA_U, make_params
+from conftest import LAMBDA_D, LAMBDA_U, make_params, oracle_w
 
 mp.mp.dps = 50
 LD, LU = mp.mpf("730e-9"), mp.mpf("910e-9")
@@ -86,30 +86,6 @@ def oracle_spread_v(L, w) -> float:
     lead = mp.sqrt(L * (LD + LU) / (4 * mp.pi))
     t = 2 * mp.pi * w**2 * (LD + LU)
     return float(lead * t * mp.sqrt(1 + LD**2 * L / t) / (t - LD * LU * L))
-
-
-def oracle_spread_g_esf(k, c, x_tilde_o) -> float:
-    """1/e half-width of the unit-magnification amplitude ESF derivative
-    at 50 digits for the given coefficients: the peak where the
-    derivative's slope vanishes, then its two 1/e crossings, each
-    bracketed on a 401-point grid."""
-    k, c, x_tilde_o = mp.mpf(k), mp.mpf(c), mp.mpf(x_tilde_o)
-
-    def f(x):
-        u = c * (x - x_tilde_o)
-        return mp.exp(-k * x**2) * (-2 * k * x * mp.erfc(u) - 2 * c / mp.sqrt(mp.pi) * mp.exp(-u**2))
-
-    span = 8 / mp.sqrt(k + c * c) + abs(x_tilde_o)
-    xs = [span * (t - 200) / 200 for t in range(401)]
-    fs = [f(x) for x in xs]
-    i = max(range(len(fs)), key=fs.__getitem__)
-    x_peak = mp.findroot(lambda x: mp.diff(f, x), (xs[i - 1], xs[i + 1]), solver="anderson")
-    level = f(x_peak) / mp.e
-    j = max(t for t in range(i + 1) if fs[t] < level)
-    m = min(t for t in range(i, len(fs)) if fs[t] < level)
-    left = mp.findroot(lambda x: f(x) - level, (xs[j], xs[j + 1]), solver="anderson")
-    right = mp.findroot(lambda x: f(x) - level, (xs[m - 1], xs[m]), solver="anderson")
-    return float((right - left) / 2)
 
 
 def gaussian_profile(width=1.0, n=1024, span=4.0):
@@ -322,28 +298,50 @@ class TestEsfDerivativeSpread:
         x_right = brentq(lambda t: f(t) - level, x[m - 1], x[m], xtol=1e-19)
         assert spread_g_esf_numeric(p) == pytest.approx(0.5 * (x_right - x_left), rel=1e-5)
 
-    def test_no_positive_maximum_raises_before_dividing(self):
-        # the derivative underflows to zero everywhere on the window
-        p = make_params(1e-3, 142e-6)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NoCrossing):
-                spread_g_esf_numeric(p, x_tilde_o=3e-3)
-
-
 class TestEsfDerivativeSolver:
+    # r = c / sqrt(k): 0, the ends of the sweep's usual range, the widened
+    # window's edge (+-2.47) and the old window's limit (5.236), out to 1e4
+    R_VALUES = [0.0, *(sign * r for r in (1e-3, 0.1, 0.5, 1.0, 2.47, 3.0, 5.236, 10.0, 100.0,
+                                          1e3, 1e4) for sign in (-1.0, 1.0))]
+
+    @pytest.mark.parametrize("r", R_VALUES)
+    def test_w_matches_high_precision_reference(self, r):
+        # largest measured deviation over these r: 1.0e-14 (r = 1)
+        assert _g_esf_widths(r)[0] == pytest.approx(oracle_w(r), rel=3e-14)
+
     @pytest.mark.parametrize("length", [2e-3, 10e-3])
-    @pytest.mark.parametrize("waist_ratio", [0.5, 1.001, 100.0])
-    @pytest.mark.parametrize("offset", [0.0, 0.3, -0.7])
-    def test_matches_high_precision_reference(self, length, waist_ratio, offset):
-        # waists below, just above and far above the singular waist;
-        # offsets in units of the envelope width 1/sqrt(k)
+    @pytest.mark.parametrize("waist_ratio", [0.05, 0.5, 1.001, 100.0])
+    def test_matches_high_precision_reference(self, length, waist_ratio):
+        # waists far below (where the old window missed the lobe), below,
+        # just above and far above the singular waist
         p = make_params(length, 100e-6)
         p = p.with_waist(waist_ratio * singular_waist(p))
         k, c = g_envelope_coefficient(p), esf_slope_coefficient(p)
-        x_tilde_o = offset / math.sqrt(k)
-        expected = oracle_spread_g_esf(k, c, x_tilde_o)
-        assert spread_g_esf_numeric(p, x_tilde_o) == pytest.approx(expected, rel=1e-12)
+        expected = oracle_w(c / math.sqrt(k)) / math.sqrt(k)
+        assert spread_g_esf_numeric(p) == pytest.approx(expected, rel=3e-14)
+
+    def test_one_window_holds_one_lobe_for_every_r(self):
+        # the claim the solver rests on: on a fine grid over its window,
+        # merged with one over the spike's 8 / sqrt(1 + r^2) around s = 0,
+        # F has one local maximum above half its peak and falls below 1/e
+        # of it on both sides, for r log-spaced over 1e-6..1e6 on each side
+        r = np.concatenate([-np.geomspace(1e-6, 1e6, 120), [0.0], np.geomspace(1e-6, 1e6, 120)])
+        spike = 8.0 / np.sqrt(1.0 + r * r)
+        span = np.maximum(spike, np.where(r > 0, 3.0, 0.0))
+        # 2001 and 2000 points: the two grids share no interior point
+        s = np.sort(np.concatenate([span[:, None] * np.linspace(-1.0, 1.0, 2001),
+                                    spike[:, None] * np.linspace(-1.0, 1.0, 2000)], axis=1), axis=1)
+        f = _unit_g_esf_derivative(1.0, r[:, None], s, 0.0)
+        peak = f.max(axis=1)[:, None]
+        interior = f[:, 1:-1]
+        n_max = np.count_nonzero((interior > f[:, :-2]) & (interior >= f[:, 2:]) & (interior > peak / 2),
+                                 axis=1)
+        i = np.argmax(f, axis=1)[:, None]
+        below = f < peak / math.e
+        columns = np.arange(s.shape[1])
+        assert np.all(n_max == 1)
+        assert np.all(np.any(below & (columns < i), axis=1))
+        assert np.all(np.any(below & (columns > i), axis=1))
 
     def test_sweep_rows_match_single_row_calls(self, setup):
         # one solve over the sweep's 150 rows (grids in more than one
@@ -377,8 +375,7 @@ class TestEsfDerivativeSolver:
             return illinois(fn, a, *args)
 
         monkeypatch.setattr(spreads, "_illinois", counting)
-        k, c = _edge_coefficients(LAMBDA_D, LAMBDA_U, 5e-3, np.geomspace(100e-6, 2e-3, n_rows))
-        _g_esf_widths(k, c, 0.0)
+        _g_esf_widths(-np.geomspace(0.01, 100.0, n_rows))
         assert sizes == [n_rows, 2 * n_rows]
 
     def test_rows_past_one_chunk_are_solved_in_two(self, monkeypatch):
@@ -392,93 +389,34 @@ class TestEsfDerivativeSolver:
             return illinois(fn, a, *args)
 
         monkeypatch.setattr(spreads, "_illinois", counting)
-        n_rows = _SOLVE_ROWS + 1
-        k, c = _edge_coefficients(LAMBDA_D, LAMBDA_U, 5e-3, np.geomspace(100e-6, 2e-3, n_rows))
-        widths = _g_esf_widths(k, c, 0.0)
+        r = np.linspace(-100.0, 10.0, _SOLVE_ROWS + 1)
+        widths = _g_esf_widths(r)
         assert sizes == [_SOLVE_ROWS, 2 * _SOLVE_ROWS, 1, 2]
         monkeypatch.undo()
-        for k_row, c_row, width in zip(k, c, widths):
-            assert width == _g_esf_widths(k_row, c_row, 0.0)[0]
+        for r_row, width in zip(r, widths):
+            assert width == _g_esf_widths(r_row)[0]
 
     def test_slope_matches_complex_step(self):
         p = make_params(5e-3, 142e-6)
         k, c = g_envelope_coefficient(p), esf_slope_coefficient(p)
-        x = np.linspace(-3e-4, 3e-4, 257)
+        r, s = c / math.sqrt(k), np.linspace(-3.0, 3.0, 257)
         h = 1e-20
-        numeric = np.imag(_unit_g_esf_derivative(k, c, x + 1j * h, 11e-6)) / h
-        analytic = _g_esf_slope(k, c, x, 11e-6)
+        numeric = np.imag(_unit_g_esf_derivative(1.0, r, s + 1j * h, 0.0)) / h
+        analytic = _g_esf_slope(r, s)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(analytic)))
 
-    def test_second_maximum_above_half_raises(self):
-        # an edge left of the envelope lobe adds a second maximum above
-        # half the peak
-        p = make_params(10e-3, 308e-6)
-        with pytest.raises(MultiPeak):
-            spread_g_esf_numeric(p, x_tilde_o=-1.5 / math.sqrt(g_envelope_coefficient(p)))
-
-    def test_no_positive_maximum_raises_before_dividing_in_a_batch(self):
-        # the derivative underflows to zero everywhere for the middle row
-        p = make_params(1e-3, 142e-6)
-        k, c = g_envelope_coefficient(p), esf_slope_coefficient(p)
-        with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
-            warnings.simplefilter("error")
-            with pytest.raises(NoCrossing):
-                spread_g_esf_numeric(p, x_tilde_o=3e-3)
-            with pytest.raises(NoCrossing):
-                _g_esf_widths(k, c, [0.0, 3e-3, 1e-5])
-
-    def test_batch_raises_for_its_first_failing_row(self):
-        p = make_params(10e-3, 308e-6)
-        k, c = g_envelope_coefficient(p), esf_slope_coefficient(p)
-        multi_peak = -1.5 / math.sqrt(k)
-        with pytest.raises(MultiPeak) as got:
-            _g_esf_widths(k, c, [0.0, multi_peak, 3e-2])
-        assert got.value.row == 1
-        with pytest.raises(NoCrossing) as got:
-            _g_esf_widths(k, c, [0.0, 3e-2, multi_peak])
-        assert got.value.row == 1
-
-    @pytest.fixture
-    def flat_at_1e7(self, monkeypatch):
-        """(k, c) at L = 10 mm, w_p = 308 um, with a zero slope either side
-        of the grid peak of every row whose x_tilde_o is 1e-7."""
-        slope = spreads._g_esf_slope
-        monkeypatch.setattr(spreads, "_g_esf_slope", lambda k, c, x, x_tilde_o: np.where(
-            x_tilde_o == 1e-7, 0.0, slope(k, c, x, x_tilde_o)))
-        p = make_params(10e-3, 308e-6)
-        return g_envelope_coefficient(p), esf_slope_coefficient(p)
-
-    def test_maximum_not_isolated_names_its_row(self, flat_at_1e7):
-        with pytest.raises(MultiPeak, match="not isolated") as got:
-            _g_esf_widths(*flat_at_1e7, [0.0, 0.0, 1e-7])
-        assert got.value.row == 2
-
-    def test_maximum_not_isolated_is_reported_before_a_later_row(self, flat_at_1e7):
-        # row 1 has no crossing on the right, but row 0 fails first
-        with pytest.raises(MultiPeak, match="not isolated") as got:
-            _g_esf_widths(*flat_at_1e7, [1e-7, 3e-2])
-        assert got.value.row == 0
-
-    @pytest.mark.parametrize("n_rows, flat_row", [(200, 130), (_SOLVE_ROWS + 5, _SOLVE_ROWS + 3)])
-    def test_maximum_not_isolated_names_its_row_past_a_block(self, flat_at_1e7, n_rows, flat_row):
-        # in the second block of the first chunk, and in the second chunk
-        x_tilde_o = np.zeros(n_rows)
-        x_tilde_o[flat_row] = 1e-7
-        with pytest.raises(MultiPeak, match="not isolated") as got:
-            _g_esf_widths(*flat_at_1e7, x_tilde_o)
-        assert got.value.row == flat_row
-
-    def test_sweep_error_names_the_failing_row(self, setup):
+    def test_sweep_row_far_below_the_singular_waist_is_solved(self, setup):
         # 2 um lies below ~0.094 w_sing only at L = 10 mm, whose rows come
         # after two of 2,200 rows each: row 4,400 is in the third block of
-        # the second chunk
+        # the second chunk, and its width is W(r) / sqrt(k)
         waists = [2e-6, *np.geomspace(20e-6, 2e-3, 2199)]
-        with pytest.raises(NoCrossing) as got:
-            theory_sweep_rows(make_params(), [2e-3, 5e-3, 10e-3], waists, setup)
-        assert str(got.value) == ("L = 0.01 m, w_p = 2e-06 m: ESF derivative never "
-                                  "decays to 1/e of its maximum on the left")
-        assert got.value.__cause__.row == 4400 == 2 * len(waists)
+        columns = theory_sweep_rows(make_params(), [2e-3, 5e-3, 10e-3], waists, setup)
+        assert np.all(np.isfinite(columns["spread_g_esf_m"]))
+        assert (columns["L_m"][4400], columns["w_p_m"][4400]) == (10e-3, 2e-6)
+        k, c = _edge_coefficients(LAMBDA_D, LAMBDA_U, 10e-3, 2e-6)
+        expected = oracle_w(c / math.sqrt(k)) / math.sqrt(k)
+        assert columns["spread_g_esf_m"][4400] == pytest.approx(expected, rel=3e-14)
 
 
 class TestSpreadRatio:
@@ -502,6 +440,22 @@ class TestSpreadRatio:
         assert all(0 < v <= 1.05 for v in values)
         assert all(a < b for a, b in zip(values, values[1:]))
 
+    def test_sweep_ratio_depends_only_on_the_waist_ratio(self, setup):
+        # ratio = |r| W(r), and r = sqrt(ld lu) / (ld + lu) (1/rho - rho)
+        # for rho = w_p / w_sing: equal at every L for a given rho, and
+        # strictly increasing in rho
+        rho = np.geomspace(1.002, 1e3, 400)
+        base = make_params()
+        ratios = []
+        for length in (0.5e-3, 2e-3, 10e-3, 50e-3):
+            w_sing = singular_waist(base.with_crystal_length(length))
+            ratios.append(theory_sweep_rows(base, [length], list(rho * w_sing), setup)["ratio"])
+        ratios = np.array(ratios, dtype=float)
+        # largest measured spread across L: 1.8e-14 relative at rho = 1.002,
+        # where w_p's rounding moves r by ~1/(rho - 1/rho) times as much
+        np.testing.assert_allclose(ratios, np.broadcast_to(ratios[0], ratios.shape), rtol=5e-14)
+        assert np.all(np.diff(ratios, axis=1) > 0)
+
 
 class TestMinResolvableDistance:
     def test_reference_value(self):
@@ -523,6 +477,21 @@ class TestMinResolvableDistance:
 
 
 class TestSweep:
+    @settings(max_examples=60, deadline=None)
+    @given(length=st.floats(math.log10(100.0 * (LAMBDA_D + LAMBDA_U)), math.log10(50e-3)),
+           rho=st.floats(-3.0, 3.0))
+    def test_every_row_is_finite_and_positive_or_marked(self, length, rho):
+        # L log-uniform from the thin-crystal limit 100 (ld + lu) to 50 mm,
+        # w_p / w_sing log-uniform over 1e-3..1e3, far below the ~0.094
+        # where a window of +-8 / sqrt(k + c^2) alone missed the lobe
+        base = make_params().with_crystal_length(10.0**length)
+        waist = 10.0**rho * singular_waist(base)
+        columns = theory_sweep_rows(base, [base.crystal_length], [waist], OpticalSetup())
+        for name in SWEEP_COLUMNS:
+            (value,) = columns[name].tolist()
+            assert value == SEPARABLE_MARKER or (math.isfinite(value) and value > 0), name
+        assert (columns["ratio"][0] == SEPARABLE_MARKER) == (waist <= singular_waist(base) * 1.001)
+
     def test_reference_grid(self, setup, tmp_path):
         base = make_params()
         columns = theory_sweep_rows(base, [2e-3, 5e-3, 10e-3], [50e-6, 142e-6, 214e-6, 308e-6],
