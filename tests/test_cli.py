@@ -221,6 +221,17 @@ class TestTheorySweep:
         assert "L = 0.002 m, w_p = 1e-06 m: " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unconverged_amplitude_spread_says_how_far_off(self, tmp_path, capsys, monkeypatch):
+        # a solve cut off after 2 steps exits 3, naming how many rows were
+        # left and their largest last step against its tolerance
+        monkeypatch.setattr(qiul.spreads, "_MAX_ITERATIONS", 2)
+        out = tmp_path / "sweep"
+        assert run(["theory-sweep", "--out", out, "--lengths=2mm", "--waists=1um,1.2um,50um"]) == 3
+        err = capsys.readouterr().err
+        assert "left 3 rows after 2 steps; largest last step " in err
+        assert float(err.split("largest last step ")[1].split(" times its tolerance")[0]) > 1.0
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", ["m_d_c = 1.2.3", "m_u = 1e309"])
     def test_malformed_config_number_exit_code(self, tmp_path, line):
         cfg = tmp_path / "bad.cfg"

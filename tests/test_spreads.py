@@ -37,7 +37,6 @@ from qiul.pipeline import simulate_edge
 from qiul.spreads import (
     SEPARABLE_MARKER,
     SWEEP_COLUMNS,
-    _BLOCK_ROWS,
     _SOLVE_ROWS,
     _SCALE_DOWN,
     _SCALE_UP,
@@ -61,6 +60,8 @@ from conftest import LAMBDA_D, LAMBDA_U, make_params, oracle_w
 
 mp.mp.dps = 50
 LD, LU = mp.mpf("730e-9"), mp.mpf("910e-9")
+# r log-spaced over +-1e-6..1e6, and r = 0
+SCAN_R = np.concatenate([-np.geomspace(1e-6, 1e6, 241), [0.0], np.geomspace(1e-6, 1e6, 241)])
 
 
 def sweep_rows(*args) -> list[dict]:
@@ -306,7 +307,7 @@ class TestEsfDerivativeSolver:
 
     @pytest.mark.parametrize("r", R_VALUES)
     def test_w_matches_high_precision_reference(self, r):
-        # largest measured deviation over these r: 1.0e-14 (r = 1)
+        # largest measured deviation over these r: 2.2e-16 (r = 0.5)
         assert _g_esf_widths(r)[0] == pytest.approx(oracle_w(r), rel=3e-14)
 
     @pytest.mark.parametrize("length", [2e-3, 10e-3])
@@ -344,8 +345,8 @@ class TestEsfDerivativeSolver:
         assert np.all(np.any(below & (columns > i), axis=1))
 
     def test_sweep_rows_match_single_row_calls(self, setup):
-        # one solve over the sweep's 150 rows (grids in more than one
-        # block), one per call: a shared stopping rule must not shift any row
+        # one solve over the sweep's 150 rows, one per call: a shared
+        # stopping rule must not shift any row
         base = make_params()
         lengths = [2e-3, 5e-3, 10e-3]
         waists = list(np.geomspace(20e-6, 2e-3, 50))
@@ -354,18 +355,18 @@ class TestEsfDerivativeSolver:
             p = base.with_crystal_length(row["L_m"]).with_waist(row["w_p_m"])
             assert row["spread_g_esf_m"] == pytest.approx(spread_g_esf_numeric(p), rel=1e-13)
 
-    def test_ten_block_sweep_equals_single_row_calls(self, setup):
-        # the grids of 3 x 400 rows span ten blocks, and one solve covers
-        # them all: every width is bit for bit its one-row call
+    def test_1200_row_sweep_equals_single_row_calls(self, setup):
+        # one solve covers all 3 x 400 rows: every width is bit for bit
+        # its one-row call
         base = make_params()
         waists = list(np.geomspace(20e-6, 2e-3, 400))
         rows = sweep_rows(base, [2e-3, 5e-3, 10e-3], waists, setup)
-        assert -(-len(rows) // _BLOCK_ROWS) == 10
+        assert len(rows) == 1200
         for row in rows:
             p = base.with_crystal_length(row["L_m"]).with_waist(row["w_p_m"])
             assert row["spread_g_esf_m"] == spread_g_esf_numeric(p)
 
-    @pytest.mark.parametrize("n_rows", [1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 1200])
+    @pytest.mark.parametrize("n_rows", [1, 128, 129, 1200])
     def test_one_peak_solve_and_one_crossing_solve_per_call(self, monkeypatch, n_rows):
         sizes = []
         illinois = spreads._illinois
@@ -377,6 +378,75 @@ class TestEsfDerivativeSolver:
         monkeypatch.setattr(spreads, "_illinois", counting)
         _g_esf_widths(-np.geomspace(0.01, 100.0, n_rows))
         assert sizes == [n_rows, 2 * n_rows]
+
+    def test_brackets_hold_the_peak_and_one_crossing_each(self, monkeypatch):
+        # what the solver rests on, over r log-spaced in +-1e-6..1e6, r = 0
+        # and |r| of 1e-17 and 1e-300: F' >= 0 at the left end of the peak
+        # bracket and <= 0 at its right end; F - peak/e < 0 at both window
+        # ends and changes sign exactly once on each crossing bracket, on a
+        # fine grid merged with one over the spike's 8 / sqrt(1 + r^2)
+        # around s = 0
+        brackets = []
+        illinois = spreads._illinois
+
+        def recording(fn, a, b, fa, fb, xtol):
+            root = illinois(fn, a, b, fa, fb, xtol)
+            brackets.append((a, b, fa, fb, root))
+            return root
+
+        monkeypatch.setattr(spreads, "_illinois", recording)
+        r = np.concatenate([SCAN_R, [-1e-17, 1e-17, -1e-300, 1e-300]])
+        _g_esf_widths(r)
+        (lo, hi, f_lo, f_hi, s_peak), (near, ends, f_near, f_ends, _) = brackets
+        assert np.all(f_lo >= 0) and np.all(f_hi <= 0)
+        assert np.all(lo < hi)
+        np.testing.assert_array_equal(f_lo, _g_esf_slope(r, lo))
+        np.testing.assert_array_equal(f_hi, _g_esf_slope(r, hi))
+        assert np.all(f_near > 0) and np.all(f_ends < 0)
+
+        level = _unit_g_esf_derivative(1.0, r, s_peak, 0.0) / math.e
+        r2, level2 = np.tile(r, 2), np.tile(level, 2)
+        np.testing.assert_array_equal(near, np.tile(s_peak, 2))
+        np.testing.assert_array_equal(f_ends, _unit_g_esf_derivative(1.0, r2, ends, 0.0) - level2)
+        spike = 8.0 / np.sqrt(1.0 + r2 * r2)
+        for rows in np.array_split(np.arange(r2.size), 8):
+            a, b = near[rows, None], ends[rows, None]
+            s = np.concatenate([a + (b - a) * np.linspace(0.0, 1.0, 2001),
+                                np.clip(spike[rows, None] * np.linspace(-1.0, 1.0, 2000),
+                                        np.minimum(a, b), np.maximum(a, b))], axis=1)
+            s.sort(axis=1)
+            above = _unit_g_esf_derivative(1.0, r2[rows, None], s, 0.0) > level2[rows, None]
+            assert np.all(np.count_nonzero(above[:, 1:] != above[:, :-1], axis=1) == 1)
+
+    @pytest.mark.parametrize("name, peak_steps, crossing_steps", [
+        # measured: 9 and 12 on the benchmark's sweep shape (at each of 40
+        # lengths in 1..10 mm too), 11 and 19 on the scan; each bound is
+        # one step above its measured value
+        ("bench", 10, 13), ("scan", 12, 20)])
+    def test_illinois_step_budget(self, monkeypatch, name, peak_steps, crossing_steps):
+        steps = []
+        illinois = spreads._illinois
+
+        def counting(fn, *args):
+            steps.append(0)
+
+            def counted(rows, x):
+                steps[-1] += 1
+                return fn(rows, x)
+
+            return illinois(counted, *args)
+
+        monkeypatch.setattr(spreads, "_illinois", counting)
+        if name == "bench":
+            # the benchmark's sweep shape: 3 lengths x 20um:2mm:log400
+            k, c = _edge_coefficients(LAMBDA_D, LAMBDA_U, np.array([1.7e-3, 4.4e-3, 8.9e-3])[:, None],
+                                      np.geomspace(20e-6, 2e-3, 400))
+            r = (c / np.sqrt(k)).ravel()
+        else:
+            r = SCAN_R
+        _g_esf_widths(r)
+        assert len(steps) == 2
+        assert steps[0] <= peak_steps and steps[1] <= crossing_steps
 
     def test_rows_past_one_chunk_are_solved_in_two(self, monkeypatch):
         # one row more than a chunk: a second peak solve and crossing solve
@@ -408,8 +478,8 @@ class TestEsfDerivativeSolver:
 
     def test_sweep_row_far_below_the_singular_waist_is_solved(self, setup):
         # 2 um lies below ~0.094 w_sing only at L = 10 mm, whose rows come
-        # after two of 2,200 rows each: row 4,400 is in the third block of
-        # the second chunk, and its width is W(r) / sqrt(k)
+        # after two of 2,200 rows each: row 4,400 is in the second chunk,
+        # and its width is W(r) / sqrt(k)
         waists = [2e-6, *np.geomspace(20e-6, 2e-3, 2199)]
         columns = theory_sweep_rows(make_params(), [2e-3, 5e-3, 10e-3], waists, setup)
         assert np.all(np.isfinite(columns["spread_g_esf_m"]))
