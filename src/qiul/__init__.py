@@ -17,13 +17,10 @@ from .biphoton import (
 )
 from .imaging import (
     Profile1D,
-    TransmissionProfile,
     g_esf,
     g_psf,
-    image_function_numeric,
     v_esf,
     v_psf,
-    visibility_numeric,
 )
 from .spreads import (
     SpreadResult,

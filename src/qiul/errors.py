@@ -49,10 +49,6 @@ class SeparableState(NumericalError):
 
 # -- numerics --------------------------------------------------------------
 
-class QuadratureNotConverged(NumericalError):
-    pass
-
-
 class _WithParameters(NumericalError):
     """A numerical error that carries parameter values as parameters."""
 

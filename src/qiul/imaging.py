@@ -1,8 +1,8 @@
 """Image function and visibility in the camera plane.
 
 Closed-form point- and edge-spread expressions for the amplitude image
-G and the visibility image V, plus numeric quadrature over the joint
-density for arbitrary transmission profiles.
+G and the visibility image V; numeric quadrature over the joint density
+is the tests' reference for them (tests/quadrature.py).
 
 Conventions:
 * the edge blocks the left side: T(x_o) = 1 for x_o >= edge position;
@@ -17,24 +17,21 @@ Conventions:
   v_psf raises SeparableState there, v_esf degrades to 1/2.
 
 The G expressions are normalized to peak 1 for the PSF; the ESF scale
-is a convention (see image_function_numeric for the numeric one).
+is a convention (the quadrature's edge response is g_esf / 2).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .biphoton import gaussian_quadratic_form, joint_density_gaussian
 from .core import OpticalSetup, SourceParams, singular_waist
-from .errors import QuadratureNotConverged, SchemaError, SeparableState
+from .errors import SchemaError, SeparableState
 
 __all__ = [
     "Profile1D",
-    "TransmissionProfile",
     "g_psf",
     "v_psf",
     "g_esf",
@@ -42,8 +39,6 @@ __all__ = [
     "g_esf_derivative",
     "esf_slope_coefficient",
     "g_envelope_coefficient",
-    "image_function_numeric",
-    "visibility_numeric",
     "read_profile_csv",
     "write_profile_csv",
 ]
@@ -123,65 +118,6 @@ def read_profile_csv(path) -> Profile1D:
         return Profile1D(grid=grid, values=values, plane=plane)
     except (ValueError, IndexError) as exc:
         raise SchemaError(f"{path}: not a profile CSV ({exc})") from exc
-
-
-@dataclass(frozen=True)
-class TransmissionProfile:
-    """Object transmission T(x_o) in [0, 1].
-
-    kinds: 'point' (delta at x0), 'edge' (0 left of x0, 1 right),
-    'double_slit' (two unit slits of width `slit_width` centered at
-    +-`center_distance`/2), 'sampled' (linear interpolation of values
-    on a grid, 0 outside)."""
-
-    kind: str
-    x0: float = 0.0
-    center_distance: float = 0.0
-    slit_width: float = 0.0
-    grid: np.ndarray | None = None
-    samples: np.ndarray | None = None
-
-    @staticmethod
-    def point(x0: float = 0.0) -> "TransmissionProfile":
-        return TransmissionProfile(kind="point", x0=x0)
-
-    @staticmethod
-    def edge(x0: float = 0.0) -> "TransmissionProfile":
-        return TransmissionProfile(kind="edge", x0=x0)
-
-    @staticmethod
-    def open_aperture() -> "TransmissionProfile":
-        return TransmissionProfile(kind="open")
-
-    @staticmethod
-    def double_slit(center_distance: float, slit_width: float) -> "TransmissionProfile":
-        if not (0 < slit_width < center_distance):
-            raise ValueError("need 0 < slit_width < center_distance")
-        return TransmissionProfile(
-            kind="double_slit", center_distance=center_distance, slit_width=slit_width
-        )
-
-    @staticmethod
-    def sampled(grid, samples) -> "TransmissionProfile":
-        profile = Profile1D(grid, samples)  # 1D, matching, increasing, uniform
-        if profile.values.min() < 0 or profile.values.max() > 1:
-            raise ValueError("transmission values must lie in [0, 1]")
-        return TransmissionProfile(kind="sampled", grid=profile.grid, samples=profile.values)
-
-    def __call__(self, x_o: np.ndarray) -> np.ndarray:
-        x_o = np.asarray(x_o, dtype=float)
-        if self.kind == "open":
-            return np.ones_like(x_o)
-        if self.kind == "edge":
-            return (x_o >= self.x0).astype(float)
-        if self.kind == "double_slit":
-            d, s = self.center_distance, self.slit_width
-            left = np.abs(x_o + d / 2) <= s / 2
-            right = np.abs(x_o - d / 2) <= s / 2
-            return (left | right).astype(float)
-        if self.kind == "sampled":
-            return np.interp(x_o, self.grid, self.samples, left=0.0, right=0.0)
-        raise ValueError(f"transmission kind {self.kind!r} has no pointwise values")
 
 
 # -- closed forms -------------------------------------------------------------
@@ -325,110 +261,3 @@ def _unit_g_esf_derivative(k, c, x, x_tilde_o):
     return np.exp(-k * x**2) * (
         -2.0 * k * x * (1.0 - erf(cu)) - (2.0 / math.sqrt(math.pi)) * c * np.exp(-(cu**2))
     )
-
-
-# -- numeric quadrature over the joint density --------------------------------
-
-_gauss_legendre = functools.cache(np.polynomial.legendre.leggauss)
-
-
-def _integrate_t_weighted(
-    params: SourceParams,
-    setup: OpticalSetup,
-    t: TransmissionProfile | None,
-    x_c: np.ndarray,
-    n_nodes: int,
-) -> np.ndarray:
-    """int dx_o P(x_c/M_d, x_o/M_u) T(x_o) by Gauss-Legendre over the
-    conditional-density window of +-8 widths (t = None means T == 1)."""
-    q = gaussian_quadratic_form(params)
-    x_d = x_c / setup.m_d
-    mu_o = setup.m_u * (-q.a_du / q.a_uu) * x_d  # conditional center in object coords
-    sigma_o = setup.m_u / math.sqrt(q.a_uu)
-    lo = mu_o - 8.0 * sigma_o
-    hi = mu_o + 8.0 * sigma_o
-
-    # split the domain so every piece has a smooth integrand (Gauss-
-    # Legendre converges spectrally only between the kinks of T)
-    if t is not None and t.kind == "edge":
-        pieces = [(np.maximum(lo, t.x0), hi, None, n_nodes)]
-    elif t is not None and t.kind == "double_slit":
-        d, s = t.center_distance, t.slit_width
-        pieces = [
-            (np.maximum(lo, -d / 2 - s / 2), np.minimum(hi, -d / 2 + s / 2), None, n_nodes),
-            (np.maximum(lo, d / 2 - s / 2), np.minimum(hi, d / 2 + s / 2), None, n_nodes),
-        ]
-    elif t is not None and t.kind == "sampled":
-        pieces = []
-        for g0, g1 in zip(t.grid[:-1], t.grid[1:]):
-            base = 9.0 + 8.0 * (g1 - g0) / sigma_o  # widths covered per segment
-            per_segment = min(n_nodes, max(17, int(base * n_nodes / 257.0) | 1))
-            pieces.append((np.maximum(lo, g0), np.minimum(hi, g1), t, per_segment))
-    else:  # open aperture / None
-        pieces = [(lo, hi, None, n_nodes)]
-
-    total = np.zeros_like(x_c)
-    for a, b, weight, n_piece in pieces:
-        nodes, weights = _gauss_legendre(n_piece)
-        span = np.maximum(b - a, 0.0)
-        # map nodes to each interval; (n_x, n_piece)
-        xo = a[:, None] + (nodes[None, :] + 1.0) * 0.5 * span[:, None]
-        integrand = joint_density_gaussian(params, x_d[:, None], xo / setup.m_u)
-        if weight is not None:
-            integrand = integrand * weight(xo)
-        total = total + 0.5 * span * (integrand @ weights)
-    return total
-
-
-def _converged_pair(f_lo: np.ndarray, f_hi: np.ndarray, scale: float) -> None:
-    err = np.max(np.abs(f_hi - f_lo))
-    if err > 1e-8 * scale:
-        raise QuadratureNotConverged(
-            f"node doubling changes the integral by {err:.3g} (> 1e-8 * {scale:.3g})"
-        )
-
-
-def image_function_numeric(
-    params: SourceParams,
-    setup: OpticalSetup,
-    t: TransmissionProfile,
-    grid: np.ndarray,
-    n_nodes: int = 257,
-) -> Profile1D:
-    """Amplitude image G(x_c) for an arbitrary transmission profile,
-    normalized so that a fully open aperture gives the x_d marginal
-    with peak 1 (the edge response then equals g_esf / 2).
-
-    Gauss-Legendre with n_nodes over +-8 conditional widths,
-    convergence-checked by node doubling to 1e-8 of the peak."""
-    x = np.asarray(grid, dtype=float)
-    peak = float(_integrate_t_weighted(params, setup, None, np.zeros(1), n_nodes)[0])
-    if t.kind == "point":
-        vals2 = joint_density_gaussian(params, x / setup.m_d, t.x0 / setup.m_u)
-    else:
-        vals = _integrate_t_weighted(params, setup, t, x, n_nodes)
-        vals2 = _integrate_t_weighted(params, setup, t, x, 2 * n_nodes - 1)
-        _converged_pair(vals, vals2, peak)
-    return Profile1D(grid=x, values=vals2 / peak, plane="camera", kind="g")
-
-
-def visibility_numeric(
-    params: SourceParams,
-    setup: OpticalSetup,
-    t: TransmissionProfile,
-    grid: np.ndarray,
-    n_nodes: int = 257,
-) -> Profile1D:
-    """Visibility V(x_c): ratio of the T-weighted to the unweighted
-    integral of the joint density at each camera position."""
-    x = np.asarray(grid, dtype=float)
-    if t.kind == "point":
-        raise ValueError("visibility of a point object is a ratio of deltas; use g/v PSFs")
-    num = _integrate_t_weighted(params, setup, t, x, n_nodes)
-    num2 = _integrate_t_weighted(params, setup, t, x, 2 * n_nodes - 1)
-    den = _integrate_t_weighted(params, setup, None, x, n_nodes)
-    den2 = _integrate_t_weighted(params, setup, None, x, 2 * n_nodes - 1)
-    _converged_pair(num, num2, float(np.max(den2)))
-    _converged_pair(den, den2, float(np.max(den2)))
-    vals = np.clip(num2 / den2, 0.0, 1.0)
-    return Profile1D(grid=x, values=vals, plane="camera", kind="v")

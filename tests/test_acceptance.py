@@ -20,15 +20,12 @@ from qiul.dpsh import NoiseModel, demodulate, synthesize_stack
 from qiul.fitting import fit_double_slit
 from qiul.imaging import (
     Profile1D,
-    TransmissionProfile,
     g_envelope_coefficient,
     g_esf,
     g_esf_derivative,
     g_psf,
-    image_function_numeric,
     v_esf,
     v_psf,
-    visibility_numeric,
 )
 from qiul.pipeline import simulate_edge
 from qiul.spreads import (
@@ -39,6 +36,7 @@ from qiul.spreads import (
 )
 
 from conftest import CRYSTAL_LENGTHS, PARAM_GRID, PUMP_WAISTS, make_params
+from quadrature import edge, image_function_numeric, visibility_numeric
 
 mp.mp.dps = 50
 SETUP = OpticalSetup()
@@ -122,15 +120,14 @@ def test_criterion_05_closed_form_vs_quadrature():
     """Edge-object quadrature matches g_esf / v_esf to 1e-6 on 512
     points over the reference parameter grid."""
     worst = 0.0
-    edge = TransmissionProfile.edge(0.0)
     for L, w in PARAM_GRID:
         p = make_params(L, w)
         width = SETUP.m_d * max(spread_v_closed(p), spread_g_psf_closed(p))
         x = np.linspace(-4 * width, 4 * width, 512)
-        g_num = image_function_numeric(p, SETUP, edge, x).values
+        g_num = image_function_numeric(p, SETUP, edge(0.0), x).values
         g_ref = g_esf(p, SETUP, x)
         worst = max(worst, float(np.max(np.abs(g_num / g_num.max() - g_ref / g_ref.max()))))
-        v_num = visibility_numeric(p, SETUP, edge, x).values
+        v_num = visibility_numeric(p, SETUP, edge(0.0), x).values
         worst = max(worst, float(np.max(np.abs(v_num - v_esf(p, SETUP, x)))))
     report(5, worst < 1e-6, f"max closed-vs-quadrature deviation {worst:.2e} (12 tuples)")
 

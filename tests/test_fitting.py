@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import erfc
 
 from qiul import fitting
 from qiul.core import DEFAULT_M_D_C, OpticalSetup, singular_waist
@@ -374,13 +375,28 @@ class TestAnalyticJacobians:
         scale = [DEFAULT_M_D_C, 1.6e-4]
         assert_jacobian_matches(v_jacobian(x, p), central_difference(v_model, x, p, scale))
 
+    @staticmethod
+    def erfc_g_model(length, waist):
+        """The peak-normalized amplitude model with its edge factor as
+        erfc(c u): on the dark side 1 - erf(c u) cancels (1.3e-14 at
+        c u = 5.45) to rounding far above the oracle's floor."""
+        k, c = _coefficients(make_params(length, waist))
+
+        def g_model(x, p):
+            raw = np.exp(-k * (x / p["m_d"]) ** 2) * erfc(c * ((x - p["m_u_x_o"]) / p["m_d"]))
+            return raw / np.max(raw)
+        return g_model
+
     @settings(max_examples=30, deadline=None)
     @given(source=st.sampled_from(PARAM_GRID), m_d=st.floats(1.5, 4.0),
            shift=st.floats(-2e-4, 2e-4), window=st.sampled_from(["all", "left", "right"]))
+    @example(source=(2e-3, 50e-6), m_d=1.5, shift=2e-4, window="all")
+    @example(source=(2e-3, 50e-6), m_d=1.5, shift=2e-4, window="left")
     def test_g_edge(self, source, m_d, shift, window):
         # the peak-normalized model, differentiated at its fixed peak
         # sample; "left" and "right" end the grid at the peak, so that it
-        # is the last or the first sample
+        # is the last or the first sample. The oracle differentiates the
+        # same model written with erfc (erfc_g_model).
         g_model, g_jacobian, _, _ = self.edge_models(*source)
         p = {"m_d": m_d, "m_u_x_o": shift}
         x = self.EDGE_GRID
@@ -391,7 +407,8 @@ class TestAnalyticJacobians:
         peak = int(np.argmax(g_model(x, p)))
         assert peak == {"all": i, "left": x.size - 1, "right": 0}[window]
         scale = [DEFAULT_M_D_C, 1.6e-4]
-        assert_jacobian_matches(g_jacobian(x, p), central_difference(g_model, x, p, scale))
+        assert_jacobian_matches(g_jacobian(x, p),
+                                central_difference(self.erfc_g_model(*source), x, p, scale))
 
     def test_edge_models_are_the_closed_forms(self):
         params = make_params(5e-3, 214e-6)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import qiul
+from qiul import errors
 
 MODULES_WITH_ALL = [
     info.name for info in pkgutil.iter_modules(qiul.__path__)
@@ -34,3 +35,20 @@ def test_float_error_policy_defined_once():
                             for kw in node.keywords)):
                 raising.append(path.name)
     assert raising == ["errors.py"]
+
+
+def test_every_leaf_error_is_raised():
+    # the errors module promises that the package raises every leaf
+    # class: each one appears in a `raise Leaf` or `raise Leaf(...)`
+    def leaves(cls):
+        subclasses = cls.__subclasses__()
+        return {leaf for sub in subclasses for leaf in leaves(sub)} if subclasses else {cls}
+
+    declared = {cls.__name__ for cls in leaves(errors.ToolkitError)}
+    raised = set()
+    for path in Path(qiul.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    assert declared - raised == set()
