@@ -34,7 +34,8 @@ from .dpsh import (
 from .errors import ImageTooSmall, NonPositiveParameter, NumericalError, raise_float_errors
 from .fitting import GATE_THRESHOLD, MagnificationEstimate, fit_edge_profiles
 from .imaging import Profile1D, _coefficients, _esf_factors, write_profile_csv
-from .spreads import half_width_1e, knife_edge_width_2476, lsf_from_esf, theory_sweep_rows
+from .spreads import (SEPARABLE_MARKER, half_width_1e, knife_edge_width_2476, lsf_from_esf,
+                      theory_sweep_rows)
 
 __all__ = ["build_edge_scene", "simulate_edge", "analyze_stack", "ANALYSIS_SCHEMA"]
 
@@ -234,6 +235,7 @@ def simulate_edge(
     sweep = theory_sweep_rows(params, [params.crystal_length], [params.pump_waist], setup)
     theory = {key: sweep[key].item(0) for key in
               ("spread_g_psf_m", "spread_g_esf_m", "w_sing_m", "spread_v_m", "d_min_m")}
+    theory = {key: SEPARABLE_MARKER if math.isnan(v) else v for key, v in theory.items()}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     phases = 2.0 * math.pi * np.arange(n_phases) / n_phases

@@ -201,46 +201,55 @@ _WRITE_ROWS = 1024  # sweep.csv rows per write: bounds the text held at once
 # -2.2e-16 at s = -_LOBE_IN, so F' < 0 there for every r > 0, however small
 _LOBE_OUT = math.sqrt(0.5)
 _LOBE_IN = 1.0 / math.sqrt(2.0)
+_TWO_OVER_ROOT_PI = 2.0 / math.sqrt(math.pi)
 
 
-def _g_esf_slope(r, s):
-    """d/ds of F(s; r) = imaging._unit_g_esf_derivative(1, r, s, 0); zero
-    at its peak."""
-    rs = r * s
-    return np.exp(-(s**2)) * (
-        2.0 * (2.0 * s**2 - 1.0) * (1.0 - erf(rs))
-        + (4.0 / math.sqrt(math.pi)) * r * (2.0 * s + r * rs) * np.exp(-(rs**2))
-    )
+def _g_esf_terms(r, s, level=None):
+    """(F', F'') / (1 + r^2) of F(s; r) = imaging._unit_g_esf_derivative(1,
+    r, s, 0), or (F - level, F') where a level is given, from one erf and
+    two exps. The scale leaves the peak and each Newton step as they are,
+    and keeps F''(0) ~ r^3 finite wherever r^2 is."""
+    rs, s2, r2 = r * s, s * s, r * r
+    a = 1.0 - erf(rs)
+    h = _TWO_OVER_ROOT_PI * r * np.exp(-(rs * rs))
+    g = np.exp(-s2)
+    if level is not None:
+        return (g * (-2.0 * s * a - h) - level,
+                g * (2.0 * (2.0 * s2 - 1.0) * a + 2.0 * s * (2.0 + r2) * h))
+    w = 1.0 / (1.0 + r2)
+    return (g * (2.0 * (2.0 * s2 - 1.0) * a * w + 2.0 * s * (1.0 + w) * h),
+            g * (4.0 * s * (3.0 - 2.0 * s2) * a * w + (2.0 + 4.0 * w - 4.0 * s2 * (w + 2.0 + r2)) * h))
 
 
-def _illinois(fn, a, b, fa, fb, xtol):
-    """Root of fn(rows, x) in each bracket [a, b] (fa, fb of opposite
-    sign, or one of them zero) by Illinois regula falsi. A row stops
-    when its step is at most its xtol or it hits the root exactly, and
-    returns its last iterate, or the zero of the chord through its last
-    two iterates where they straddle the root: Illinois' halved end value
-    can carry an iterate as far past the root as it was short of it, so
-    the last iterate alone can be off by up to its step."""
-    root = b.copy()
-    rows = np.arange(b.size)
+def _newton(fn, a, b, x, xtol):
+    """Root of f in each bracket between a and b, where fn(rows, x) gives
+    (f, f') at x for those rows and f(a) >= 0 >= f(b) (a lies on either
+    side of b): Newton's method from x inside the bracket, safeguarded as
+    Numerical Recipes' rtsafe. Each step moves the end of the bracket
+    whose sign f(x) has to x, then takes the Newton step where it lands
+    inside the bracket and bisects it elsewhere; |f| < |f'| (bracket
+    width) is tested first, so no division overflows or divides by zero.
+    A row stops when its step is at most its xtol (a Newton step from a
+    root is 0), and returns its last iterate."""
+    root = x.copy()
+    rows = np.arange(x.size)
     for _ in range(_MAX_ITERATIONS):
-        x = b - fb * (b - a) / (fb - fa)
-        fx = fn(rows, x)
-        flip = (fx > 0) != (fb > 0)
-        step = np.abs(x - b)
-        done = (step <= xtol) | (fx == 0)
-        chord = done & flip
-        x[chord] -= fx[chord] * (x[chord] - b[chord]) / (fx[chord] - fb[chord])
-        a = np.where(flip, b, a)
-        fa = np.where(flip, fb, 0.5 * fa)
-        b, fb = x, fx
+        f, d = fn(rows, x)
+        above = f > 0
+        a, b = np.where(above, x, a), np.where(above, b, x)
+        newton = np.abs(f) < np.abs(d) * np.abs(b - a)
+        t = x - np.where(newton, f, 0.0) / np.where(newton, d, 1.0)
+        t = np.where(newton & ((t - a) * (t - b) <= 0.0), t, 0.5 * (a + b))
+        step = np.abs(t - x)
+        done = step <= xtol
         if done.any():
-            root[rows[done]] = x[done]
+            root[rows[done]] = t[done]
             keep = ~done
-            rows, a, b, fa, fb, xtol, step = (v[keep] for v in (rows, a, b, fa, fb, xtol, step))
+            rows, a, b, t, xtol, step = (v[keep] for v in (rows, a, b, t, xtol, step))
+        x = t
         if rows.size == 0:
             return root
-    raise NotConverged(f"Illinois solve left {rows.size} rows after {_MAX_ITERATIONS} steps; "
+    raise NotConverged(f"Newton solve left {rows.size} rows after {_MAX_ITERATIONS} steps; "
                        f"largest last step {np.max(step / xtol):.3g} times its tolerance")
 
 
@@ -257,9 +266,9 @@ def _g_esf_widths(r) -> np.ndarray:
     holds a spike of width ~1/|r| at s = 0 for r << 0, and the lobe near
     s = -1/sqrt(2) that +-8 / sqrt(1 + r^2) alone misses for r > 5.2.
     Brackets placed by r, which a test checks over the same scan, hold
-    the peak and the crossings, so no grid is evaluated. Illinois regula
-    falsi solves F' = 0 for the peak and F = peak/e for the two
-    crossings, with steps down to 1e-14 of the window (W then lies
+    the peak and the crossings, so no grid is evaluated. Safeguarded
+    Newton steps (_newton) solve F' = 0 for the peak and F = peak/e for
+    the two crossings, down to steps of 1e-14 of the window (W then lies
     within 4.4e-16 of a 50-digit reference on the benchmark's sweeps).
     The rows are solved in chunks of _SOLVE_ROWS, one solve for the
     peaks and one for the crossings per chunk, so the values held by a
@@ -280,24 +289,32 @@ def _g_esf_chunk_widths(r) -> np.ndarray:
     at -1/sqrt(2), which narrows the bracket to [-1.5, -1/sqrt(2)]. F
     falls from the peak to below peak/e at both window ends, once on
     each side, so [-span, s_peak] and [s_peak, span] bracket the
-    crossings (F < 0 for s > 0 when r > 0)."""
+    crossings (F < 0 for s > 0 when r > 0). Each solve starts from an
+    estimate of its root within its bracket."""
     span = np.maximum(8.0 / np.sqrt(1.0 + r * r), np.where(r > 0, 3.0, 0.0))
     xtol = _XTOL * span
     lo = np.where(r < 0, -np.minimum(_LOBE_OUT, 1.0 / np.maximum(-r, 1.0)), -1.5)
     hi = np.where(r > 0, -_LOBE_IN, 0.0)
-    s_peak = _illinois(lambda q, t: _g_esf_slope(r[q], t), lo, hi,
-                       _g_esf_slope(r, lo), _g_esf_slope(r, hi), xtol)
+    # the peak starts at the zero of F' expanded to first order about
+    # s = 0, -1 / ((2/sqrt(pi)) |r| (3 + r^2)), where the peak lies for
+    # r << 0; the added sqrt(2) moves it to -1/sqrt(2), the peak of
+    # F(s; 0), as r -> 0, and there for r > 0
+    q = np.maximum(-r, 0.0)  # |r| for r < 0
+    m = np.minimum(q, 1e100)  # m^3 stays finite, and the start within [lo, 0]
+    start = -1.0 / (math.sqrt(2.0) + _TWO_OVER_ROOT_PI * m * (3.0 + m * m))
+    s_peak = _newton(lambda rows, s: _g_esf_terms(r[rows], s), lo, hi, start, xtol)
     peak = _unit_g_esf_derivative(1.0, r, s_peak, 0.0)
     level = peak / math.e
 
-    # the left crossings, then the right ones
+    # the left crossings, then the right ones, started where those of
+    # F(s; 0) lie, 1/1.26 and 1/1.835 from its peak, and of the spike,
+    # 1/|r| from it
     r2, level2 = np.tile(r, 2), np.tile(level, 2)
-    ends = np.concatenate([-span, span])
-    crossings = _illinois(
-        lambda q, t: _unit_g_esf_derivative(1.0, r2[q], t, 0.0) - level2[q],
-        np.tile(s_peak, 2), ends, np.tile(peak - level, 2),
-        _unit_g_esf_derivative(1.0, r2, ends, 0.0) - level2, np.tile(xtol, 2),
-    )
+    crossings = _newton(
+        lambda rows, s: _g_esf_terms(r2[rows], s, level2[rows]), np.tile(s_peak, 2),
+        np.concatenate([-span, span]),
+        np.concatenate([s_peak - 1.0 / np.hypot(1.26, q), s_peak + 1.0 / np.hypot(1.835, q)]),
+        np.tile(xtol, 2))
     return 0.5 * (crossings[r.size:] - crossings[:r.size])
 
 
@@ -327,6 +344,8 @@ SWEEP_COLUMNS = (
     "ratio", "w_sing_m", "d_min_m",
 )
 SEPARABLE_MARKER = "SeparableState"
+# the columns that diverge at w_sing: NaN there, written as SEPARABLE_MARKER
+_DIVERGING = np.isin(SWEEP_COLUMNS, ("spread_v_m", "ratio", "d_min_m"))
 
 
 @raise_float_errors
@@ -336,12 +355,11 @@ def theory_sweep_rows(
     waists: list[float],
     setup: OpticalSetup,
 ) -> dict[str, np.ndarray]:
-    """The sweep as columns: SWEEP_COLUMNS -> a 1-d array with one value
-    per (L, w_p) pair, the pairs sorted. L_m, w_p_m, spread_g_psf_m,
-    spread_g_esf_m and w_sing_m are float64 arrays; spread_v_m, ratio
-    and d_min_m, which diverge at the singular waist w_sing, are object
-    arrays of Python floats that hold the SeparableState marker at
-    waists at or below w_sing (1 + 1e-3). Each distinct L is validated
+    """The sweep as columns: SWEEP_COLUMNS -> a 1-d float64 array with
+    one value per (L, w_p) pair, the pairs sorted. spread_v_m, ratio and
+    d_min_m, which diverge at the singular waist w_sing, are NaN at
+    waists at or below w_sing (1 + 1e-3), where write_sweep_csv writes
+    the SeparableState marker. Each distinct L is validated
     once with base (validate_params; the thin-crystal check reads only
     L), and each distinct w_p once by core.check_positive_length, the
     only check that reads it. k and c come from the one-row formula
@@ -350,7 +368,7 @@ def theory_sweep_rows(
     library call (spread_g_psf_closed, spread_v_closed,
     spread_g_esf_numeric, singular_waist, min_resolvable_distance at
     setup.m_u); between w_sing (1 + SEPARABLE_REL_TOL) and
-    w_sing (1 + 1e-3) the marker stands where spread_v_closed returns a
+    w_sing (1 + 1e-3) NaN stands where spread_v_closed returns a
     number. A width that is not finite raises NumericalError naming its
     L and w_p."""
     lengths = sorted(set(float(v) for v in lengths))
@@ -370,19 +388,10 @@ def theory_sweep_rows(
     # the visibility spread diverges like (1 - w_sing^2/w_p^2)^-1: within
     # 0.1% of the singularity the value is meaningless, so mark it too
     finite = grid_w > w_sing * (1.0 + 1e-3)
-    spread_v = 1.0 / np.abs(c[finite])
-    ratio = widths[finite] / spread_v
-    d_min = _d_min(spread_v, setup.m_u)
+    spread_v = np.divide(1.0, np.abs(c), out=np.full(c.shape, np.nan), where=finite)
     return dict(zip(SWEEP_COLUMNS, (
-        grid_l, grid_w, _marked(spread_v, finite), 1.0 / np.sqrt(k + c * c), widths,
-        _marked(ratio, finite), w_sing, _marked(d_min, finite))))
-
-
-def _marked(values: np.ndarray, finite: np.ndarray) -> np.ndarray:
-    """values at the rows where finite holds, SEPARABLE_MARKER elsewhere."""
-    column = np.full(finite.shape, SEPARABLE_MARKER, dtype=object)
-    column[finite] = values
-    return column
+        grid_l, grid_w, spread_v, 1.0 / np.sqrt(k + c * c), widths, widths / spread_v, w_sing,
+        _d_min(spread_v, setup.m_u))))
 
 
 # %.12e of x > 0 is d.dddddddddddde+XX, 18 bytes for a 2-digit exponent.
@@ -459,8 +468,8 @@ def _format_12e_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def write_sweep_csv(columns: dict[str, np.ndarray], path) -> None:
     """One line per row of theory_sweep_rows' columns, every number as
-    %.12e and every marker as its text, written as ASCII bytes a block
-    of _WRITE_ROWS rows at a time.
+    %.12e and SEPARABLE_MARKER for each NaN of spread_v_m, ratio and
+    d_min_m, written as ASCII bytes a block of _WRITE_ROWS rows at a time.
 
     A block's cells, row by row, are formatted by one numpy kernel,
     _format_12e_cells, which is exact for every cell it marks. For
@@ -474,23 +483,18 @@ def write_sweep_csv(columns: dict[str, np.ndarray], path) -> None:
     model sweep, are formatted with format(v, ".12e"): zero, negative,
     NaN and infinite values, values outside 1e-10..1e35 (3-digit
     exponents among them), log10 one off next to a power of ten, and
-    half-integer m, exact ties among them. Marker cells get
-    SEPARABLE_MARKER. Each cell is written with its separator into a row
-    of a (cells, 21) uint8 buffer, and one boolean-mask select over the
-    buffer gives the block's bytes. The text equals format(v, ".12e")
-    cell by cell."""
+    half-integer m, exact ties among them; a NaN outside the diverging
+    columns among them. Marker cells get SEPARABLE_MARKER. Each cell is
+    written with its separator into a row of a (cells, 21) uint8 buffer,
+    and one boolean-mask select over the buffer gives the block's bytes.
+    The text equals format(v, ".12e") cell by cell."""
     n_rows = len(columns["L_m"])
     with open(path, "wb") as fh:
         fh.write((",".join(SWEEP_COLUMNS) + "\n").encode("ascii"))
         for start in range(0, n_rows, _WRITE_ROWS):
             stop = min(start + _WRITE_ROWS, n_rows)
-            marked = np.empty((stop - start, len(SWEEP_COLUMNS)), dtype=bool)
-            values = np.empty(marked.shape)
-            for j, name in enumerate(SWEEP_COLUMNS):
-                column = columns[name][start:stop]
-                marked[:, j] = column == SEPARABLE_MARKER
-                values[:, j] = np.where(marked[:, j], 0.0, column)
-            marked, values = marked.ravel(), values.ravel()
+            values = np.column_stack([columns[name][start:stop] for name in SWEEP_COLUMNS])
+            marked, values = (np.isnan(values) & _DIVERGING).ravel(), values.ravel()
             exact, text = _format_12e_cells(values)
             buffer = np.empty((values.size, _TEXT_BYTES + 1), dtype=np.uint8)
             buffer[:, :_CELL_BYTES] = text

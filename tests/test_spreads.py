@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -21,6 +22,7 @@ from qiul.errors import (
     RangeNotSpanned,
     SeparableState,
     ThinCrystalRegime,
+    raise_float_errors,
 )
 from qiul.imaging import (
     Profile1D,
@@ -42,7 +44,7 @@ from qiul.spreads import (
     _SCALE_UP,
     _WRITE_ROWS,
     _format_12e_cells,
-    _g_esf_slope,
+    _g_esf_terms,
     _g_esf_widths,
     half_width_1e,
     knife_edge_width_2476,
@@ -62,18 +64,44 @@ mp.mp.dps = 50
 LD, LU = mp.mpf("730e-9"), mp.mpf("910e-9")
 # r log-spaced over +-1e-6..1e6, and r = 0
 SCAN_R = np.concatenate([-np.geomspace(1e-6, 1e6, 241), [0.0], np.geomspace(1e-6, 1e6, 241)])
+# r of the benchmark's sweep shape: 3 lengths x 20um:2mm:log400
+_K, _C = _edge_coefficients(LAMBDA_D, LAMBDA_U, np.array([1.7e-3, 4.4e-3, 8.9e-3])[:, None],
+                            np.geomspace(20e-6, 2e-3, 400))
+BENCH_R = (_C / np.sqrt(_K)).ravel()
+# the columns that diverge at the singular waist: NaN there, which
+# sweep.csv writes as SEPARABLE_MARKER
+DIVERGING = ("spread_v_m", "ratio", "d_min_m")
+
+
+def marked(row: dict) -> dict:
+    """row with each NaN of a diverging column replaced by SEPARABLE_MARKER."""
+    return {name: SEPARABLE_MARKER if name in DIVERGING and isinstance(v, float) and math.isnan(v)
+            else v for name, v in row.items()}
 
 
 def sweep_rows(*args) -> list[dict]:
-    """theory_sweep_rows(*args) as one dict per row."""
+    """theory_sweep_rows(*args) as one dict per row, the marker in the
+    diverging columns of separable rows."""
     columns = theory_sweep_rows(*args)
-    return [dict(zip(SWEEP_COLUMNS, values))
+    return [marked(dict(zip(SWEEP_COLUMNS, values)))
             for values in zip(*(columns[name].tolist() for name in SWEEP_COLUMNS))]
 
 
 def sweep_columns(rows: list[dict]) -> dict:
-    """Row dicts as the object-array columns that write_sweep_csv takes."""
-    return {name: np.array([row[name] for row in rows], dtype=object) for name in SWEEP_COLUMNS}
+    """Row dicts as the float columns that write_sweep_csv takes, NaN
+    where a row holds the marker."""
+    return {name: np.array([math.nan if row[name] == SEPARABLE_MARKER else row[name] for row in rows],
+                           dtype=float) for name in SWEEP_COLUMNS}
+
+
+def first_difference(text: str, expected: str) -> str | None:
+    """The first line where text and expected differ, or None where they
+    are equal: a failing comparison of long texts reports one line."""
+    for i, (got, want) in enumerate(itertools.zip_longest(text.splitlines(keepends=True),
+                                                          expected.splitlines(keepends=True))):
+        if got != want:
+            return f"line {i + 1}: {got!r} != {want!r}"
+    return None
 
 
 def oracle_spread_g_psf(L, w) -> float:
@@ -305,10 +333,11 @@ class TestEsfDerivativeSolver:
     R_VALUES = [0.0, *(sign * r for r in (1e-3, 0.1, 0.5, 1.0, 2.47, 3.0, 5.236, 10.0, 100.0,
                                           1e3, 1e4) for sign in (-1.0, 1.0))]
 
-    @pytest.mark.parametrize("r", R_VALUES)
+    @pytest.mark.parametrize("r", R_VALUES + BENCH_R[50::100].tolist())
     def test_w_matches_high_precision_reference(self, r):
-        # largest measured deviation over these r: 2.2e-16 (r = 0.5)
-        assert _g_esf_widths(r)[0] == pytest.approx(oracle_w(r), rel=3e-14)
+        # largest measured deviation over these r, 12 of them from the
+        # benchmark's sweep: 2.2e-16
+        assert _g_esf_widths(r)[0] == pytest.approx(oracle_w(r), rel=1e-15)
 
     @pytest.mark.parametrize("length", [2e-3, 10e-3])
     @pytest.mark.parametrize("waist_ratio", [0.05, 0.5, 1.001, 100.0])
@@ -369,13 +398,13 @@ class TestEsfDerivativeSolver:
     @pytest.mark.parametrize("n_rows", [1, 128, 129, 1200])
     def test_one_peak_solve_and_one_crossing_solve_per_call(self, monkeypatch, n_rows):
         sizes = []
-        illinois = spreads._illinois
+        newton = spreads._newton
 
         def counting(fn, a, *args):
             sizes.append(a.size)
-            return illinois(fn, a, *args)
+            return newton(fn, a, *args)
 
-        monkeypatch.setattr(spreads, "_illinois", counting)
+        monkeypatch.setattr(spreads, "_newton", counting)
         _g_esf_widths(-np.geomspace(0.01, 100.0, n_rows))
         assert sizes == [n_rows, 2 * n_rows]
 
@@ -385,29 +414,35 @@ class TestEsfDerivativeSolver:
         # bracket and <= 0 at its right end; F - peak/e < 0 at both window
         # ends and changes sign exactly once on each crossing bracket, on a
         # fine grid merged with one over the spike's 8 / sqrt(1 + r^2)
-        # around s = 0
+        # around s = 0; each Newton start lies in its bracket
         brackets = []
-        illinois = spreads._illinois
+        newton = spreads._newton
 
-        def recording(fn, a, b, fa, fb, xtol):
-            root = illinois(fn, a, b, fa, fb, xtol)
-            brackets.append((a, b, fa, fb, root))
+        def recording(fn, a, b, x, xtol):
+            root = newton(fn, a, b, x, xtol)
+            brackets.append((fn, a, b, x, root))
             return root
 
-        monkeypatch.setattr(spreads, "_illinois", recording)
+        monkeypatch.setattr(spreads, "_newton", recording)
         r = np.concatenate([SCAN_R, [-1e-17, 1e-17, -1e-300, 1e-300]])
         _g_esf_widths(r)
-        (lo, hi, f_lo, f_hi, s_peak), (near, ends, f_near, f_ends, _) = brackets
+        (slope, lo, hi, start, s_peak), (crossing, near, ends, starts, _) = brackets
+        f_lo, f_hi = _g_esf_terms(r, lo)[0], _g_esf_terms(r, hi)[0]
         assert np.all(f_lo >= 0) and np.all(f_hi <= 0)
         assert np.all(lo < hi)
-        np.testing.assert_array_equal(f_lo, _g_esf_slope(r, lo))
-        np.testing.assert_array_equal(f_hi, _g_esf_slope(r, hi))
-        assert np.all(f_near > 0) and np.all(f_ends < 0)
+        assert np.all((lo <= start) & (start <= hi))
+        rows = np.arange(r.size)
+        np.testing.assert_array_equal(slope(rows, lo)[0], f_lo)
+        np.testing.assert_array_equal(slope(rows, hi)[0], f_hi)
 
         level = _unit_g_esf_derivative(1.0, r, s_peak, 0.0) / math.e
         r2, level2 = np.tile(r, 2), np.tile(level, 2)
+        f_near = _unit_g_esf_derivative(1.0, r2, near, 0.0) - level2
+        f_ends = _unit_g_esf_derivative(1.0, r2, ends, 0.0) - level2
+        assert np.all(f_near > 0) and np.all(f_ends < 0)
+        assert np.all((starts - near) * (starts - ends) < 0)
         np.testing.assert_array_equal(near, np.tile(s_peak, 2))
-        np.testing.assert_array_equal(f_ends, _unit_g_esf_derivative(1.0, r2, ends, 0.0) - level2)
+        np.testing.assert_array_equal(crossing(np.arange(r2.size), ends)[0], f_ends)
         spike = 8.0 / np.sqrt(1.0 + r2 * r2)
         for rows in np.array_split(np.arange(r2.size), 8):
             a, b = near[rows, None], ends[rows, None]
@@ -419,13 +454,13 @@ class TestEsfDerivativeSolver:
             assert np.all(np.count_nonzero(above[:, 1:] != above[:, :-1], axis=1) == 1)
 
     @pytest.mark.parametrize("name, peak_steps, crossing_steps", [
-        # measured: 9 and 12 on the benchmark's sweep shape (at each of 40
-        # lengths in 1..10 mm too), 11 and 19 on the scan; each bound is
+        # measured: 5 and 4 on the benchmark's sweep shape (at each of 40
+        # lengths in 1..10 mm too), 6 and 7 on the scan; each bound is
         # one step above its measured value
-        ("bench", 10, 13), ("scan", 12, 20)])
-    def test_illinois_step_budget(self, monkeypatch, name, peak_steps, crossing_steps):
+        ("bench", 6, 5), ("scan", 7, 8)], ids=["bench", "scan"])
+    def test_newton_step_budget(self, monkeypatch, name, peak_steps, crossing_steps):
         steps = []
-        illinois = spreads._illinois
+        newton = spreads._newton
 
         def counting(fn, *args):
             steps.append(0)
@@ -434,31 +469,33 @@ class TestEsfDerivativeSolver:
                 steps[-1] += 1
                 return fn(rows, x)
 
-            return illinois(counted, *args)
+            return newton(counted, *args)
 
-        monkeypatch.setattr(spreads, "_illinois", counting)
-        if name == "bench":
-            # the benchmark's sweep shape: 3 lengths x 20um:2mm:log400
-            k, c = _edge_coefficients(LAMBDA_D, LAMBDA_U, np.array([1.7e-3, 4.4e-3, 8.9e-3])[:, None],
-                                      np.geomspace(20e-6, 2e-3, 400))
-            r = (c / np.sqrt(k)).ravel()
-        else:
-            r = SCAN_R
-        _g_esf_widths(r)
+        monkeypatch.setattr(spreads, "_newton", counting)
+        _g_esf_widths(BENCH_R if name == "bench" else SCAN_R)
         assert len(steps) == 2
         assert steps[0] <= peak_steps and steps[1] <= crossing_steps
+
+    def test_newton_bisects_where_its_step_would_not_be_finite(self):
+        # f = 1e10 (1 - x^2) on [0, 2], root 1: f' vanishes at the start 0,
+        # and at the start 5e-324 f / f' overflows
+        fn = lambda rows, x: (1e10 * (1.0 - x * x), -2e10 * x)
+        with raise_float_errors:
+            roots = spreads._newton(fn, np.zeros(2), np.full(2, 2.0), np.array([0.0, 5e-324]),
+                                    np.full(2, 1e-14))
+        np.testing.assert_allclose(roots, 1.0, rtol=1e-14)
 
     def test_rows_past_one_chunk_are_solved_in_two(self, monkeypatch):
         # one row more than a chunk: a second peak solve and crossing solve
         # for that row alone, and every width is bit for bit its one-row call
         sizes = []
-        illinois = spreads._illinois
+        newton = spreads._newton
 
         def counting(fn, a, *args):
             sizes.append(a.size)
-            return illinois(fn, a, *args)
+            return newton(fn, a, *args)
 
-        monkeypatch.setattr(spreads, "_illinois", counting)
+        monkeypatch.setattr(spreads, "_newton", counting)
         r = np.linspace(-100.0, 10.0, _SOLVE_ROWS + 1)
         widths = _g_esf_widths(r)
         assert sizes == [_SOLVE_ROWS, 2 * _SOLVE_ROWS, 1, 2]
@@ -466,15 +503,23 @@ class TestEsfDerivativeSolver:
         for r_row, width in zip(r, widths):
             assert width == _g_esf_widths(r_row)[0]
 
-    def test_slope_matches_complex_step(self):
+    def test_terms_match_complex_step(self):
+        # F' and F'' against the complex-step derivatives of F and of F',
+        # the peak solve's pair scaled by 1 / (1 + r^2); F - level against
+        # imaging's F
         p = make_params(5e-3, 142e-6)
         k, c = g_envelope_coefficient(p), esf_slope_coefficient(p)
         r, s = c / math.sqrt(k), np.linspace(-3.0, 3.0, 257)
         h = 1e-20
-        numeric = np.imag(_unit_g_esf_derivative(1.0, r, s + 1j * h, 0.0)) / h
-        analytic = _g_esf_slope(r, s)
-        np.testing.assert_allclose(analytic, numeric, rtol=1e-12,
-                                   atol=1e-12 * np.max(np.abs(analytic)))
+        f = _unit_g_esf_derivative(1.0, r, s, 0.0)
+        slope = np.imag(_unit_g_esf_derivative(1.0, r, s + 1j * h, 0.0)) / h
+        curvature = np.imag(_g_esf_terms(r, s + 1j * h, 0.0)[1]) / h
+        level_pair, peak_pair = _g_esf_terms(r, s, 0.25), _g_esf_terms(r, s)
+        for analytic, numeric in ((level_pair[1], slope), ((1.0 + r * r) * peak_pair[0], slope),
+                                  ((1.0 + r * r) * peak_pair[1], curvature)):
+            np.testing.assert_allclose(analytic, numeric, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(analytic)))
+        np.testing.assert_array_equal(level_pair[0], f - 0.25)
 
     def test_sweep_row_far_below_the_singular_waist_is_solved(self, setup):
         # 2 um lies below ~0.094 w_sing only at L = 10 mm, whose rows come
@@ -550,6 +595,8 @@ class TestSweep:
     @settings(max_examples=60, deadline=None)
     @given(length=st.floats(math.log10(100.0 * (LAMBDA_D + LAMBDA_U)), math.log10(50e-3)),
            rho=st.floats(-3.0, 3.0))
+    # with other starts, a Newton step taken without its guard overflowed here
+    @example(length=-2.0, rho=-1.5)
     def test_every_row_is_finite_and_positive_or_marked(self, length, rho):
         # L log-uniform from the thin-crystal limit 100 (ld + lu) to 50 mm,
         # w_p / w_sing log-uniform over 1e-3..1e3, far below the ~0.094
@@ -559,8 +606,9 @@ class TestSweep:
         columns = theory_sweep_rows(base, [base.crystal_length], [waist], OpticalSetup())
         for name in SWEEP_COLUMNS:
             (value,) = columns[name].tolist()
-            assert value == SEPARABLE_MARKER or (math.isfinite(value) and value > 0), name
-        assert (columns["ratio"][0] == SEPARABLE_MARKER) == (waist <= singular_waist(base) * 1.001)
+            separable = name in DIVERGING and math.isnan(value)
+            assert separable or (math.isfinite(value) and value > 0), name
+        assert math.isnan(columns["ratio"][0]) == (waist <= singular_waist(base) * 1.001)
 
     def test_reference_grid(self, setup, tmp_path):
         base = make_params()
@@ -568,8 +616,7 @@ class TestSweep:
                                     setup)
         assert tuple(columns) == SWEEP_COLUMNS
         assert all(column.shape == (12,) for column in columns.values())
-        assert [columns[name].dtype for name in SWEEP_COLUMNS] == [
-            np.float64, np.float64, object, np.float64, np.float64, object, np.float64, object]
+        assert [columns[name].dtype for name in SWEEP_COLUMNS] == [np.float64] * len(SWEEP_COLUMNS)
         assert all(not isinstance(v, str) for v in columns["spread_v_m"])
         path = tmp_path / "sweep.csv"
         write_sweep_csv(columns, path)
@@ -605,8 +652,8 @@ class TestSweep:
         base = make_params()
         path = tmp_path / "sweep.csv"
         write_sweep_csv(theory_sweep_rows(base, lengths, waists, setup), path)
-        assert path.read_text(encoding="utf-8") == per_cell_sweep_csv(
-            sweep_rows(base, lengths, waists, setup))
+        assert first_difference(path.read_text(encoding="utf-8"),
+                                per_cell_sweep_csv(sweep_rows(base, lengths, waists, setup))) is None
 
     def test_separable_rows_marked(self, setup):
         base = make_params()
@@ -759,10 +806,11 @@ class TestSweepIsOneRowCalls:
 
 
 def per_cell_sweep_csv(rows) -> str:
-    """write_sweep_csv's text formatted one cell at a time."""
+    """write_sweep_csv's text formatted one cell at a time, NaN in a
+    diverging column as the marker."""
     return "".join(
         ",".join(v if isinstance(v, str) else format(v, ".12e") for v in cells) + "\n"
-        for cells in [SWEEP_COLUMNS] + [[row[name] for name in SWEEP_COLUMNS] for row in rows]
+        for cells in [SWEEP_COLUMNS] + [[marked(row)[name] for name in SWEEP_COLUMNS] for row in rows]
     )
 
 
@@ -843,7 +891,7 @@ class TestWriteSweepCsv:
     def test_text_equals_per_cell_formatting(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("csv") / "sweep.csv"
         write_sweep_csv(sweep_columns(rows), path)
-        assert path.read_text(encoding="utf-8") == per_cell_sweep_csv(rows)
+        assert first_difference(path.read_text(encoding="utf-8"), per_cell_sweep_csv(rows)) is None
 
     def test_writes_under_raising_float_errors(self, tmp_path):
         # cli.main runs the writer under raise_float_errors
