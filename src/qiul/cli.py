@@ -21,8 +21,8 @@ import numpy as np
 
 from .core import load_config, parse_dimensionless, parse_length
 from .dpsh import NoiseModel
-from .errors import (NumericalError, SchemaError, ToolkitError, TooFewPhases, ValidationError,
-                     raise_float_errors)
+from .errors import (NonPositiveParameter, NumericalError, SchemaError, ToolkitError, TooFewPhases,
+                     ValidationError, raise_float_errors)
 from .fitting import fit_double_slit
 from .imaging import read_profile_csv
 from .pipeline import analyze_stack, simulate_edge, write_json
@@ -119,6 +119,8 @@ def _cmd_simulate_edge(args) -> int:
     if args.phases * args.rows * args.cols > MAX_STACK_PIXELS:
         raise SchemaError(f"a stack has at most {MAX_STACK_PIXELS} pixels, got {args.phases} "
                           f"phases x {args.rows} rows x {args.cols} columns")
+    if args.seed < 0:
+        raise NonPositiveParameter(f"seed must be a non-negative integer, got {args.seed!r}")
     result = simulate_edge(
         params,
         setup,

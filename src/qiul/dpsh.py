@@ -224,13 +224,16 @@ def _demodulate_frames(frames: np.ndarray, phases: np.ndarray) -> DemodulationRe
     `frames`, so the fit holds no second stack-sized array, and only the
     shape of `frames` means anything afterwards.
 
-    Both contractions over the phase axis (the fit and the fitted
-    frames) run in blocks of 65536 // n_phases pixels (at least one), so
-    that no matrix product exceeds 3 * 65536 multiply-adds. Above 4 * 65536 OpenBLAS
-    hands a product to its worker threads, which then spin for about
-    0.1 s and take a CPU from the caller's next work, such as the
+    One loop walks the pixels in blocks of 65536 // n_phases (at least
+    one): each block is fitted, then its fitted frames are subtracted
+    from it while it is still in cache, so the stack is read once. No
+    matrix product exceeds 3 * 65536 multiply-adds: above 4 * 65536
+    OpenBLAS hands a product to its worker threads, which then spin for
+    about 0.1 s and take a CPU from the caller's next work, such as the
     synthesis pool. Blocks split only the pixel axis, so every value is
-    bitwise equal to one product over the whole stack."""
+    bitwise equal to one product over the whole stack, and the mean of
+    the squared residual is one reduction over the whole array, since
+    block-wise partial sums would change its bits."""
     design = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
     sv = np.linalg.svd(design, compute_uv=False)  # descending: rank < 3 or condition > 1e12
     if sv[-1] <= 1e-9 or sv[0] > 1e12 * sv[-1]:
@@ -239,8 +242,13 @@ def _demodulate_frames(frames: np.ndarray, phases: np.ndarray) -> DemodulationRe
     n_phases, *shape = frames.shape
     block = max(1, 65536 // n_phases)
     flat = frames.reshape(n_phases, -1)  # a view, as both callers' frames are C-ordered
-    coeffs = _matmul_by_columns(pinv, flat, block)  # (3, pixels)
-    residual_rms = _residual_rms_in_place(flat, design, coeffs, block)
+    coeffs = np.empty((3, flat.shape[1]))
+    fitted = np.empty((n_phases, min(block, flat.shape[1])))
+    for j in range(0, flat.shape[1], block):
+        cols = flat[:, j:j + block]
+        fit = np.matmul(pinv, cols, out=coeffs[:, j:j + block])
+        np.subtract(cols, np.matmul(design, fit, out=fitted[:, :cols.shape[1]]), out=cols)
+    residual_rms = float(np.sqrt(np.mean(np.square(flat, out=flat))))
     b, c, s = coeffs.reshape(3, *shape)
     amp = np.hypot(c, s)
     invalid = ~(b > 0)
@@ -259,29 +267,6 @@ def _demodulate_frames(frames: np.ndarray, phases: np.ndarray) -> DemodulationRe
         b_image=b,
         n_invalid=int(np.count_nonzero(invalid)),
     )
-
-
-def _matmul_by_columns(left: np.ndarray, right: np.ndarray, block: int) -> np.ndarray:
-    """left @ right for 2D arrays, computed `block` columns of right at a
-    time into one preallocated result."""
-    out = np.empty((left.shape[0], right.shape[1]))
-    for j in range(0, right.shape[1], block):
-        np.matmul(left, right[:, j:j + block], out=out[:, j:j + block])
-    return out
-
-
-def _residual_rms_in_place(frames: np.ndarray, design: np.ndarray, coeffs: np.ndarray,
-                           block: int) -> float:
-    """RMS of frames - design @ coeffs for 2D arrays. The residual is
-    formed and squared in `frames`, `block` columns of the fitted frames
-    at a time; the mean is one reduction over the whole array, since
-    block-wise partial sums would change its bits."""
-    fitted = np.empty((frames.shape[0], min(block, frames.shape[1])))
-    for j in range(0, frames.shape[1], block):
-        cols = frames[:, j:j + block]
-        fit = np.matmul(design, coeffs[:, j:j + block], out=fitted[:, :cols.shape[1]])
-        np.subtract(cols, fit, out=cols)
-    return float(np.sqrt(np.mean(np.square(frames, out=frames))))
 
 
 def pixel_centers(n: int, pixel_pitch: float) -> np.ndarray:
@@ -376,8 +361,8 @@ def load_stack(manifest_path) -> InterferogramStack:
     of a real dtype, not of shape `(len(phases_rad), rows, cols)`,
     shorter than its header claims or non-finite raises CorruptFrame
     naming the file. The file is opened once: its header is checked,
-    then its data is read into one float64 array, so no header makes the
-    loader allocate more than the file holds."""
+    then its data is read into one array of its dtype and order, so no
+    header makes the loader allocate more than the file holds."""
     manifest_path = Path(manifest_path)
     try:  # RecursionError: arrays or objects nested too deep for the parser
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -417,15 +402,11 @@ def load_stack(manifest_path) -> InterferogramStack:
         if shape[1] < 1 or shape[2] < MIN_COLUMNS:
             raise SchemaError(f"{manifest_path}: a stack needs at least 1 row and {MIN_COLUMNS} "
                               f"columns, got {shape[1]} x {shape[2]}")
-        frames = np.empty(shape)
-        # straight into the frames when the file holds float64 in C order,
-        # else through a buffer of the file's dtype and order
-        direct = dtype == frames.dtype and not fortran_order
-        buf = frames if direct else np.empty(shape[::-1] if fortran_order else shape, dtype)
+        buf = np.empty(shape[::-1] if fortran_order else shape, dtype)
         if fh.readinto(buf) != buf.nbytes:  # the file shrank since the header check
             raise CorruptFrame(path, "truncated data")
-        if not direct:
-            frames[...] = buf.T if fortran_order else buf
+    # no copy when the file holds float64 in C order: the buffer is the frames
+    frames = np.ascontiguousarray(buf.T if fortran_order else buf, dtype=float)
     finite = np.isfinite(frames).all(axis=(1, 2))
     if not finite.all():
         raise CorruptFrame(path, f"non-finite values in phase step {int(np.argmin(finite))}")

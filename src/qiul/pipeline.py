@@ -204,9 +204,9 @@ def analyze_stack(manifest_path, params: SourceParams, out_dir) -> dict:
     parameters (wavelengths, crystal length, pump waist); magnifications
     are estimated, never assumed. Float64 overflow, division by zero or
     an invalid operation raises FloatingPointError."""
+    stack = load_stack(manifest_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stack = load_stack(manifest_path)
     analysis, _ = _analyze(stack, params, out)
     return analysis
 
@@ -237,7 +237,6 @@ def simulate_edge(
               ("spread_g_psf_m", "spread_g_esf_m", "w_sing_m", "spread_v_m", "d_min_m")}
     theory = {key: SEPARABLE_MARKER if math.isnan(v) else v for key, v in theory.items()}
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     phases = 2.0 * math.pi * np.arange(n_phases) / n_phases
     stack = synthesize_stack(scene, phases, noise=noise, seed=seed, pixel_pitch=pixel_pitch)
     del scene  # its two frame-sized arrays are not read again

@@ -32,7 +32,6 @@ from .imaging import (
     Profile1D,
     _coefficients,
     _edge_coefficients,
-    _unit_g_esf_derivative,
     erf,
     esf_slope_coefficient,
 )
@@ -303,7 +302,7 @@ def _g_esf_chunk_widths(r) -> np.ndarray:
     m = np.minimum(q, 1e100)  # m^3 stays finite, and the start within [lo, 0]
     start = -1.0 / (math.sqrt(2.0) + _TWO_OVER_ROOT_PI * m * (3.0 + m * m))
     s_peak = _newton(lambda rows, s: _g_esf_terms(r[rows], s), lo, hi, start, xtol)
-    peak = _unit_g_esf_derivative(1.0, r, s_peak, 0.0)
+    peak = _g_esf_terms(r, s_peak, 0.0)[0]
     level = peak / math.e
 
     # the left crossings, then the right ones, started where those of

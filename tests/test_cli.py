@@ -412,6 +412,13 @@ class TestSimulateAndAnalyze:
         assert code == 2
         assert str(manifest) in capsys.readouterr().err
 
+    def test_rejected_manifest_creates_no_out(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("{}")
+        assert run(["analyze-stack", "--manifest", manifest, "--out", tmp_path / "ana"]) == 2
+        assert "not a qiul.stack/3 manifest" in capsys.readouterr().err
+        assert not (tmp_path / "ana").exists()
+
     @pytest.mark.parametrize("size, message", [
         (["--cols", 100_000_000_000], f"at most {MAX_STACK_PIXELS} pixels, got 4 phases x 48 rows"),
         (["--phases", 3, "--cols", 100_000_000_000], f"at most {MAX_STACK_PIXELS} pixels"),
@@ -437,6 +444,15 @@ class TestSimulateAndAnalyze:
         monkeypatch.setattr(qiul.pipeline, "build_edge_scene", refuse)
         assert run(["simulate-edge", "--out", tmp_path / "sim", "--phases", phases]) == 2
         assert f"need >= 3 phase steps, got {phases}" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
+    def test_negative_seed_refused_before_the_scene(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_edge_scene called")
+
+        monkeypatch.setattr(qiul.pipeline, "build_edge_scene", refuse)
+        assert run(["simulate-edge", "--out", tmp_path / "sim", "--seed", -1]) == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
         assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("size, code", [

@@ -269,6 +269,27 @@ class TestDemodulate:
         assert result.residual_rms == float(np.sqrt(np.mean((frames - fitted) ** 2)))
         assert result.n_invalid == np.count_nonzero(invalid) > 0
 
+    @pytest.mark.parametrize("n_phases", [3, 16, 64])
+    def test_products_stay_below_openblas_threading(self, n_phases, rng, monkeypatch):
+        # OpenBLAS threads a dgemm above 4 * 65536 multiply-adds; demodulate
+        # keeps every product within 3 * 65536. 25,000 pixels leave a
+        # partial last block for every n_phases here.
+        products = []
+        matmul = np.matmul
+
+        def recording_matmul(a, b, **kwargs):
+            products.append((a.shape[0] * a.shape[1] * b.shape[1], b.shape[1]))
+            return matmul(a, b, **kwargs)
+
+        phases = 2.0 * math.pi * np.arange(n_phases) / n_phases
+        frames = rng.uniform(0.0, 1000.0, size=(n_phases, 5, 5000))
+        monkeypatch.setattr(np, "matmul", recording_matmul)
+        demodulate(InterferogramStack(frames=frames, phases=phases))
+        monkeypatch.undo()
+        assert max(size for size, _ in products) <= 3 * 65536
+        # the fit and the fitted frames each cover every pixel
+        assert sum(cols for _, cols in products) == 2 * 25_000
+
     def test_more_phases_than_one_block_holds(self):
         # 65536 // n_phases is 0 here: the blocks still hold one pixel
         phases = 2.0 * math.pi * np.arange(65537) / 65537
