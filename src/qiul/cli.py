@@ -34,7 +34,7 @@ DEFAULT_WAISTS = "50um,142um,214um,308um"
 # needs; the rows of a sweep are bounded by MAX_SWEEP_ROWS
 MAX_RANGE_POINTS = 10_000
 # most rows of one theory-sweep (distinct lengths x distinct waists); a
-# sweep this size peaks near 80 MB resident (ru_maxrss, 10 x 10,000 rows)
+# sweep this size peaks at 64 MB resident (ru_maxrss, 10 x 10,000 rows)
 MAX_SWEEP_ROWS = 100_000
 # most pixels of one simulate-edge stack (phases x rows x cols), 2 GiB of
 # float64. Above its start-up, a run peaked at 2.7x its stack's bytes

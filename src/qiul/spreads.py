@@ -85,8 +85,9 @@ def half_width_1e(profile: Profile1D) -> SpreadResult:
     """Half the distance between the left and right 1/e-of-maximum
     crossings around the (unique) peak, crossings located by linear
     interpolation."""
-    x = profile.grid
-    v = profile.values
+    x, v = profile.grid, profile.values
+    if v.size < 3:
+        raise ValueError("need at least 3 samples to locate a crossing")
     i_max = int(np.argmax(v))
     peak = v[i_max]
     if not (peak > 0 and np.isfinite(peak)):
@@ -116,8 +117,9 @@ def half_width_1e(profile: Profile1D) -> SpreadResult:
 def knife_edge_width_2476(esf: Profile1D) -> SpreadResult:
     """Distance between the 24%- and 76%-of-maximum crossings of a
     monotone-trend edge profile (either orientation)."""
-    v = esf.values
-    x = esf.grid
+    x, v = esf.grid, esf.values
+    if v.size < 3:
+        raise ValueError("need at least 3 samples to locate a crossing")
     n = max(2, v.size // 10)
     if np.mean(v[-n:]) < np.mean(v[:n]):  # descending edge: mirror it
         v = v[::-1].copy()
@@ -193,7 +195,7 @@ def spread_g_esf_numeric(params: SourceParams) -> float:
 
 _XTOL = 1e-14  # of the window
 _MAX_ITERATIONS = 100
-_SOLVE_ROWS = 4096  # bounds the values held by one solve
+_SOLVE_ROWS = 4096  # bounds a solve: 100,000 sweep rows peak at 64 MB ru_maxrss, 100 MB unchunked
 _WRITE_ROWS = 1024  # sweep.csv rows per write: bounds the text held at once
 # F(s; 0) peaks at s = -1/sqrt(2). Rounded up, 2 s^2 - 1 is +2.2e-16 at
 # s = -_LOBE_OUT, so F' > 0 there for every r < 0; rounded down, it is
@@ -221,34 +223,30 @@ def _g_esf_terms(r, s, level=None):
 
 
 def _newton(fn, a, b, x, xtol):
-    """Root of f in each bracket between a and b, where fn(rows, x) gives
-    (f, f') at x for those rows and f(a) >= 0 >= f(b) (a lies on either
-    side of b): Newton's method from x inside the bracket, safeguarded as
-    Numerical Recipes' rtsafe. Each step moves the end of the bracket
-    whose sign f(x) has to x, then takes the Newton step where it lands
-    inside the bracket and bisects it elsewhere; |f| < |f'| (bracket
-    width) is tested first, so no division overflows or divides by zero.
-    A row stops when its step is at most its xtol (a Newton step from a
-    root is 0), and returns its last iterate."""
-    root = x.copy()
-    rows = np.arange(x.size)
+    """Root of f in each bracket between a and b, where fn(x) gives
+    (f, f') at x and f(a) >= 0 >= f(b) (a lies on either side of b):
+    Newton's method from x inside the bracket, safeguarded as Numerical
+    Recipes' rtsafe. Each step moves the end of the bracket whose sign
+    f(x) has to x, then takes the Newton step where it lands inside the
+    bracket and bisects it elsewhere; |f| < |f'| (bracket width) is
+    tested first, so no division overflows or divides by zero. Every row
+    is stepped each time; one whose step was at most its xtol (a Newton
+    step from a root is 0) keeps that iterate while the others go on."""
+    done = np.zeros(x.shape, dtype=bool)
     for _ in range(_MAX_ITERATIONS):
-        f, d = fn(rows, x)
+        f, d = fn(x)
         above = f > 0
         a, b = np.where(above, x, a), np.where(above, b, x)
         newton = np.abs(f) < np.abs(d) * np.abs(b - a)
         t = x - np.where(newton, f, 0.0) / np.where(newton, d, 1.0)
         t = np.where(newton & ((t - a) * (t - b) <= 0.0), t, 0.5 * (a + b))
         step = np.abs(t - x)
-        done = step <= xtol
-        if done.any():
-            root[rows[done]] = t[done]
-            keep = ~done
-            rows, a, b, t, xtol, step = (v[keep] for v in (rows, a, b, t, xtol, step))
-        x = t
-        if rows.size == 0:
-            return root
-    raise NotConverged(f"Newton solve left {rows.size} rows after {_MAX_ITERATIONS} steps; "
+        x = np.where(done, x, t)
+        done |= step <= xtol
+        if done.all():
+            return x
+    step, xtol = step[~done], xtol[~done]
+    raise NotConverged(f"Newton solve left {step.size} rows after {_MAX_ITERATIONS} steps; "
                        f"largest last step {np.max(step / xtol):.3g} times its tolerance")
 
 
@@ -301,7 +299,7 @@ def _g_esf_chunk_widths(r) -> np.ndarray:
     q = np.maximum(-r, 0.0)  # |r| for r < 0
     m = np.minimum(q, 1e100)  # m^3 stays finite, and the start within [lo, 0]
     start = -1.0 / (math.sqrt(2.0) + _TWO_OVER_ROOT_PI * m * (3.0 + m * m))
-    s_peak = _newton(lambda rows, s: _g_esf_terms(r[rows], s), lo, hi, start, xtol)
+    s_peak = _newton(lambda s: _g_esf_terms(r, s), lo, hi, start, xtol)
     peak = _g_esf_terms(r, s_peak, 0.0)[0]
     level = peak / math.e
 
@@ -310,7 +308,7 @@ def _g_esf_chunk_widths(r) -> np.ndarray:
     # 1/|r| from it
     r2, level2 = np.tile(r, 2), np.tile(level, 2)
     crossings = _newton(
-        lambda rows, s: _g_esf_terms(r2[rows], s, level2[rows]), np.tile(s_peak, 2),
+        lambda s: _g_esf_terms(r2, s, level2), np.tile(s_peak, 2),
         np.concatenate([-span, span]),
         np.concatenate([s_peak - 1.0 / np.hypot(1.26, q), s_peak + 1.0 / np.hypot(1.835, q)]),
         np.tile(xtol, 2))

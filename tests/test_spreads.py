@@ -19,6 +19,7 @@ from qiul.errors import (
     MultiPeak,
     NoCrossing,
     NonPositiveParameter,
+    NotConverged,
     RangeNotSpanned,
     SeparableState,
     ThinCrystalRegime,
@@ -182,6 +183,18 @@ class TestKnifeEdge:
         x = np.linspace(0, 1, 64)
         with pytest.raises(RangeNotSpanned):
             knife_edge_width_2476(Profile1D(grid=x, values=0.5 + 0.1 * x))
+
+
+@pytest.mark.parametrize("extract, values", [
+    (half_width_1e, [0.0, 1.0, 0.0]), (knife_edge_width_2476, [0.0, 0.5, 1.0])],
+    ids=["half_width_1e", "knife_edge_width_2476"])
+def test_fewer_than_three_samples_refused(extract, values):
+    # _crossing's slope estimate reads samples k and k + 2, which a
+    # two-sample profile does not have
+    with np.errstate(all="raise"):
+        assert extract(Profile1D(grid=np.arange(3.0), values=np.array(values))).width > 0
+        with pytest.raises(ValueError, match="at least 3 samples"):
+            extract(Profile1D(grid=np.arange(2.0), values=np.array([0.0, 1.0])))
 
 
 class TestLsfFromEsf:
@@ -431,9 +444,8 @@ class TestEsfDerivativeSolver:
         assert np.all(f_lo >= 0) and np.all(f_hi <= 0)
         assert np.all(lo < hi)
         assert np.all((lo <= start) & (start <= hi))
-        rows = np.arange(r.size)
-        np.testing.assert_array_equal(slope(rows, lo)[0], f_lo)
-        np.testing.assert_array_equal(slope(rows, hi)[0], f_hi)
+        np.testing.assert_array_equal(slope(lo)[0], f_lo)
+        np.testing.assert_array_equal(slope(hi)[0], f_hi)
 
         level = _unit_g_esf_derivative(1.0, r, s_peak, 0.0) / math.e
         r2, level2 = np.tile(r, 2), np.tile(level, 2)
@@ -442,7 +454,7 @@ class TestEsfDerivativeSolver:
         assert np.all(f_near > 0) and np.all(f_ends < 0)
         assert np.all((starts - near) * (starts - ends) < 0)
         np.testing.assert_array_equal(near, np.tile(s_peak, 2))
-        np.testing.assert_array_equal(crossing(np.arange(r2.size), ends)[0], f_ends)
+        np.testing.assert_array_equal(crossing(ends)[0], f_ends)
         spike = 8.0 / np.sqrt(1.0 + r2 * r2)
         for rows in np.array_split(np.arange(r2.size), 8):
             a, b = near[rows, None], ends[rows, None]
@@ -465,9 +477,9 @@ class TestEsfDerivativeSolver:
         def counting(fn, *args):
             steps.append(0)
 
-            def counted(rows, x):
+            def counted(x):
                 steps[-1] += 1
-                return fn(rows, x)
+                return fn(x)
 
             return newton(counted, *args)
 
@@ -479,11 +491,20 @@ class TestEsfDerivativeSolver:
     def test_newton_bisects_where_its_step_would_not_be_finite(self):
         # f = 1e10 (1 - x^2) on [0, 2], root 1: f' vanishes at the start 0,
         # and at the start 5e-324 f / f' overflows
-        fn = lambda rows, x: (1e10 * (1.0 - x * x), -2e10 * x)
+        fn = lambda x: (1e10 * (1.0 - x * x), -2e10 * x)
         with raise_float_errors:
             roots = spreads._newton(fn, np.zeros(2), np.full(2, 2.0), np.array([0.0, 5e-324]),
                                     np.full(2, 1e-14))
         np.testing.assert_allclose(roots, 1.0, rtol=1e-14)
+
+    def test_newton_reports_the_rows_it_could_not_finish(self):
+        # a tolerance of -1 is never met: that row is still stepping after
+        # the step budget, beside a row frozen at its root
+        fn = lambda x: (1.0 - x * x, -2.0 * x)
+        with np.errstate(all="raise"), pytest.raises(NotConverged) as error:
+            spreads._newton(fn, np.zeros(2), np.full(2, 2.0), np.full(2, 0.5),
+                            np.array([1e-14, -1.0]))
+        assert "left 1 rows after 100 steps" in str(error.value)
 
     def test_rows_past_one_chunk_are_solved_in_two(self, monkeypatch):
         # one row more than a chunk: a second peak solve and crossing solve
