@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@raise_float_errors
+@raise_float_errors()
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:

@@ -7,11 +7,15 @@ failures (non-convergence, degenerate extraction) with 3, I/O with 4.
 
 import numpy as np
 
-# The float-error policy of every entry point: float64 overflow, division
-# by zero or an invalid operation (inf - inf) raises FloatingPointError,
-# not a warning followed by meaningless numbers. Use it only as a
-# decorator: nested decorated calls work, nested `with` blocks are a TypeError.
-raise_float_errors = np.errstate(over="raise", divide="raise", invalid="raise")
+
+def raise_float_errors() -> np.errstate:
+    """The float-error policy of every entry point: float64 overflow,
+    division by zero or an invalid operation (inf - inf) raises
+    FloatingPointError, not a warning followed by meaningless numbers.
+
+    Each call returns a fresh np.errstate, for `@raise_float_errors()` or
+    `with raise_float_errors():`; one instance can be entered only once."""
+    return np.errstate(over="raise", divide="raise", invalid="raise")
 
 
 class ToolkitError(Exception):

@@ -26,6 +26,7 @@ from .errors import (
     SeparableState,
     SingularNormalEquations,
     TooFewSamples,
+    ValidationError,
     raise_float_errors,
 )
 from .imaging import Profile1D, _coefficients, _esf_factors
@@ -339,29 +340,53 @@ def _two_peak_candidates(values: np.ndarray) -> tuple[int, int]:
     raise PeaksNotResolved("no second maximum separated by a valley below 80% of the lower peak")
 
 
-def _unit_gaussian(x, p, n: str):
-    # z = (x - mu_n) / width_n and exp(-z^2), peak n of the two-slit model
-    z = (x - p["mu" + n]) / p["width" + n]
-    return z, np.exp(-(z**2))
+def _two_slit_models():
+    """(model, jacobian) of one two-slit fit: the model
+    offset + amp1 exp(-z1^2) + amp2 exp(-z2^2), z_n = (x - mu_n) / width_n,
+    and its columns d/d(offset, amp1, mu1, width1, amp2, mu2, width2).
+
+    The fit engine asks for the Jacobian where it last evaluated the
+    model, so both read one evaluation of (z_n, exp(-z_n^2)), kept for
+    the last (x, mu1, width1, mu2, width2) they were called with."""
+    last = [None, None, None]  # x, (mu1, width1, mu2, width2), peaks
+
+    def peaks(x, p):
+        key = (p["mu1"], p["width1"], p["mu2"], p["width2"])
+        if last[0] is not x or last[1] != key:
+            zs = [(x - p["mu" + n]) / p["width" + n] for n in ("1", "2")]
+            last[:] = x, key, [(z, np.exp(-(z**2))) for z in zs]
+        return last[2]
+
+    def model(x, p):
+        (_, e1), (_, e2) = peaks(x, p)
+        return p["offset"] + p["amp1"] * e1 + p["amp2"] * e2
+
+    def jacobian(x, p):
+        cols = {"offset": np.ones_like(x)}
+        for n, (z, e) in zip(("1", "2"), peaks(x, p)):
+            d_mu = 2.0 * p["amp" + n] * e * z / p["width" + n]
+            cols.update({"amp" + n: e, "mu" + n: d_mu, "width" + n: d_mu * z})
+        return cols
+
+    return model, jacobian
 
 
-def _two_gaussians(x, p):
-    """offset + amp1 exp(-((x - mu1) / width1)^2) + amp2 exp(-((x - mu2) / width2)^2)"""
-    return (p["offset"] + p["amp1"] * _unit_gaussian(x, p, "1")[1]
-            + p["amp2"] * _unit_gaussian(x, p, "2")[1])
+def _start_width(profile: Profile1D, peak: int, outward: int, offset: float, sep0: float) -> float:
+    # 1/e half-width of a Gaussian with the half width at half maximum
+    # above `offset` that the profile has on the side of sample `peak`
+    # given by outward (-1 left, +1 right); sep0 / 4 where the profile
+    # never drops to half height on that side
+    side = profile.values[peak::outward]
+    half = 0.5 * (side[0] + offset)
+    below = np.flatnonzero(side <= half)
+    if below.size == 0 or below[0] == 0:
+        return sep0 / 4.0
+    k = int(below[0])
+    hwhm = (k - 1 + (side[k - 1] - half) / (side[k - 1] - side[k])) * profile.step
+    return min(max(float(hwhm) / math.sqrt(math.log(2.0)), profile.step), sep0 / 2.0)
 
 
-def _two_gaussians_jacobian(x, p):
-    """Columns d/d(offset, amp1, mu1, width1, amp2, mu2, width2) of _two_gaussians."""
-    cols = {"offset": np.ones_like(x)}
-    for n in ("1", "2"):
-        z, e = _unit_gaussian(x, p, n)
-        d_mu = 2.0 * p["amp" + n] * e * z / p["width" + n]
-        cols.update({"amp" + n: e, "mu" + n: d_mu, "width" + n: d_mu * z})
-    return cols
-
-
-@raise_float_errors
+@raise_float_errors()
 def fit_double_slit(
     profile: Profile1D,
     slit_distance_object: float = SLIT_DISTANCE_DEFAULT,
@@ -370,7 +395,18 @@ def fit_double_slit(
     """Two-Gaussian-plus-offset fit of a two-slit camera profile; the
     magnification is the fitted peak distance over the object-plane slit
     distance, its uncertainty the quadrature sum of the fit covariance
-    and the object tolerance terms; OverflowError if either is not finite."""
+    and the object tolerance terms; OverflowError if either is not finite.
+    A profile of any other plane raises ValidationError.
+
+    Each peak starts at its smoothed maximum, and each width at the
+    peak's half width at half maximum over sqrt(ln 2), measured on the
+    side away from the other slit and clamped to [step, sep0 / 2]
+    (sep0 / 4 where the profile never falls to half height there), sep0
+    being the start peak distance. Each step evaluates the two peaks
+    once, for the model and the Jacobian together (_two_slit_models)."""
+    if profile.plane != "camera":
+        raise ValidationError(f"the two-slit fit needs a camera-plane profile, "
+                              f"got plane={profile.plane}")
     if not 0 < slit_distance_object < math.inf:
         raise NonPositiveParameter(f"slit distance must be a positive finite length, "
                                    f"got {slit_distance_object!r}")
@@ -387,10 +423,10 @@ def fit_double_slit(
         "offset": offset0,
         "amp1": float(y[i] - offset0),
         "mu1": float(x[i]),
-        "width1": sep0 / 4.0,
+        "width1": _start_width(profile, i, -1, offset0, sep0),
         "amp2": float(y[j] - offset0),
         "mu2": float(x[j]),
-        "width2": sep0 / 4.0,
+        "width2": _start_width(profile, j, 1, offset0, sep0),
     }
     span = float(x[-1] - x[0])
     bounds = {
@@ -400,8 +436,8 @@ def fit_double_slit(
         "mu2": (x[0], x[-1]),
     }
     try:
-        fit = least_squares_fit(_two_gaussians, profile, init=init, bounds=bounds,
-                                jacobian=_two_gaussians_jacobian)
+        model, jacobian = _two_slit_models()
+        fit = least_squares_fit(model, profile, init=init, bounds=bounds, jacobian=jacobian)
     except FloatingPointError as exc:
         raise FloatingPointError(f"two-slit fit: {exc} on a profile grid step of "
                                  f"{profile.step:.3g} m") from exc

@@ -197,7 +197,7 @@ def _analyze(stack, params: SourceParams, out: Path) -> tuple[dict, Magnificatio
     return analysis, estimate
 
 
-@raise_float_errors
+@raise_float_errors()
 def analyze_stack(manifest_path, params: SourceParams, out_dir) -> dict:
     """Demodulate a stack from disk and run row selection, spread
     extraction, and the magnification fits. Needs only the source
@@ -211,7 +211,7 @@ def analyze_stack(manifest_path, params: SourceParams, out_dir) -> dict:
     return analysis
 
 
-@raise_float_errors
+@raise_float_errors()
 def simulate_edge(
     params: SourceParams,
     setup: OpticalSetup,

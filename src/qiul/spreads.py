@@ -345,7 +345,7 @@ SEPARABLE_MARKER = "SeparableState"
 _DIVERGING = np.isin(SWEEP_COLUMNS, ("spread_v_m", "ratio", "d_min_m"))
 
 
-@raise_float_errors
+@raise_float_errors()
 def theory_sweep_rows(
     base: SourceParams,
     lengths: list[float],

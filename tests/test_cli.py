@@ -598,6 +598,19 @@ class TestMagnificationCommand:
         assert report["magnification"] == pytest.approx(2.67, abs=1e-3)
         assert report["relative_uncertainty"] >= 23.0 / 133.0 - 1e-9
 
+    def test_object_plane_profile_exit_code(self, tmp_path, capsys):
+        # the camera-plane peak distance over the object-plane slit
+        # distance is the magnification: an object-plane profile is refused
+        x = np.linspace(-6e-4, 6e-4, 801)
+        sep = 2.67 * 133e-6
+        y = 0.02 + np.exp(-(((x + sep / 2) / 5e-5) ** 2)) + np.exp(-(((x - sep / 2) / 5e-5) ** 2))
+        profile_path = tmp_path / "slits.csv"
+        write_profile_csv(Profile1D(grid=x, values=y, plane="object"), profile_path)
+        out = tmp_path / "m"
+        assert run(["magnification", "--profile", profile_path, "--out", out]) == 2
+        assert "plane=object" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_peak_exit_code(self, tmp_path):
         x = np.linspace(-5e-4, 5e-4, 301)
         profile_path = tmp_path / "single.csv"

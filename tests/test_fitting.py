@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import least_squares
 from scipy.special import erfc
 
 from qiul import fitting
 from qiul.core import DEFAULT_M_D_C, OpticalSetup, singular_waist
-from qiul.errors import NotConverged, PeaksNotResolved
+from qiul.errors import NotConverged, PeaksNotResolved, ValidationError
 from qiul.fitting import (
     fit_double_slit,
     fit_edge_profiles,
@@ -326,7 +327,7 @@ class TestDoubleSlit:
         # analytic Jacobian per iteration plus the one for the covariance
         profile = self.two_gauss_profile(noise=0.02, rng=np.random.default_rng(17))
         fit_double_slit(profile, slit_distance_object=133e-6)
-        assert fit_counts == [(7, 7, 6)]
+        assert fit_counts == [(6, 6, 5)]
 
     def test_noise_bias_below_one_percent(self):
         rng = np.random.default_rng(17)
@@ -337,6 +338,78 @@ class TestDoubleSlit:
             estimates.append(m.magnification)
         truth = 355.11e-6 / 133e-6
         assert abs(np.mean(estimates) - truth) / truth < 0.01
+
+    def test_object_plane_profile_rejected(self):
+        profile = self.two_gauss_profile()
+        with pytest.raises(ValidationError, match="plane=object"):
+            fit_double_slit(Profile1D(profile.grid, profile.values, plane="object"))
+
+    @staticmethod
+    def bench_profile(m, n, seed):
+        """The benchmark's two-slit profile: 133 um * m apart, 1/e width
+        50 um * m / 2.67, a 2% offset and 1% additive noise; with its
+        true parameters."""
+        sep, width = m * 133e-6, 50e-6 * m / 2.67
+        x = np.linspace(-2.0 * sep, 2.0 * sep, n)
+        truth = {"offset": 0.02, "amp1": 1.0, "mu1": -sep / 2, "width1": width,
+                 "amp2": 1.0, "mu2": sep / 2, "width2": width}
+        y = fitting._two_slit_models()[0](x, truth)
+        y = y + np.random.default_rng(seed).normal(0.0, 0.01, n)
+        return Profile1D(grid=x, values=y, plane="camera"), truth
+
+    BENCH_CASES = [(m, n, seed) for seed, (m, n) in enumerate(
+        (m, n) for m in np.linspace(1.5, 4.0, 6) for n in (801, 2401, 4001))]
+
+    def test_start_widths_at_the_half_maximum(self, monkeypatch):
+        # each width starts within 25% of the true one (a quarter of the
+        # peak distance is 1.78x it), and the fit takes no more steps
+        # than from a quarter of the peak distance
+        starts = []
+
+        def spy(model, data, init, bounds, *, jacobian):
+            starts.append((model, data, init, bounds, jacobian))
+            return least_squares_fit(model, data, init, bounds, jacobian=jacobian)
+
+        monkeypatch.setattr(fitting, "least_squares_fit", spy)
+        for m, n, seed in self.BENCH_CASES:
+            profile, truth = self.bench_profile(m, n, seed)
+            fit = fit_double_slit(profile).fit
+            model, data, init, bounds, jacobian = starts.pop()
+            for name in ("width1", "width2"):
+                assert abs(init[name] / truth[name] - 1.0) < 0.25, (m, n, name)
+            quarter = (init["mu2"] - init["mu1"]) / 4.0
+            former = least_squares_fit(model, data, {**init, "width1": quarter, "width2": quarter},
+                                       bounds, jacobian=jacobian)
+            assert fit.iterations <= former.iterations, (m, n)
+
+    @staticmethod
+    def reference_magnification(profile, start, slit_distance):
+        # scipy's MINPACK Levenberg-Marquardt to its tightest tolerances,
+        # in micrometres so that every parameter is of order one
+        x = profile.grid * 1e6
+        names = ("offset", "amp1", "mu1", "width1", "amp2", "mu2", "width2")
+        unit = [1e6 if name[:2] in ("mu", "wi") else 1.0 for name in names]
+
+        def residual(t):
+            offset, a1, m1, w1, a2, m2, w2 = t
+            return (offset + a1 * np.exp(-(((x - m1) / w1) ** 2))
+                    + a2 * np.exp(-(((x - m2) / w2) ** 2)) - profile.values)
+
+        t = least_squares(residual, [start[k] * u for k, u in zip(names, unit)], method="lm",
+                          xtol=1e-15, ftol=1e-15, gtol=1e-15).x
+        return abs(t[5] - t[2]) * 1e-6 / slit_distance
+
+    def test_magnification_matches_a_reference_fit(self):
+        cases = [self.bench_profile(m, n, seed) for m, n, seed in self.BENCH_CASES]
+        sep = 355.11e-6
+        truth = {"offset": 0.03, "amp1": 1.0, "mu1": -sep / 2, "width1": 50e-6,
+                 "amp2": 1.0, "mu2": sep / 2, "width2": 50e-6}
+        cases.append((self.two_gauss_profile(), truth))
+        cases.append((self.two_gauss_profile(noise=0.02, rng=np.random.default_rng(17)), truth))
+        for profile, start in cases:
+            m = fit_double_slit(profile, slit_distance_object=133e-6).magnification
+            reference = self.reference_magnification(profile, start, 133e-6)
+            assert abs(m / reference - 1.0) < 1e-9
 
 
 class TestAnalyticJacobians:
@@ -358,8 +431,31 @@ class TestAnalyticJacobians:
              "amp2": amps[1], "mu2": mus[1], "width2": widths[1]}
         x = self.SLIT_GRID
         scale = [1.0, 1.0, 3.5e-4, 5e-5, 1.0, 3.5e-4, 5e-5]
-        assert_jacobian_matches(fitting._two_gaussians_jacobian(x, p),
-                                central_difference(fitting._two_gaussians, x, p, scale))
+        model, jacobian = fitting._two_slit_models()
+        assert_jacobian_matches(jacobian(x, p), central_difference(model, x, p, scale))
+
+    def test_two_slit_shared_evaluation_equals_a_fresh_one(self):
+        # the pair shares its last (z_n, exp(-z_n^2)): evaluated again at
+        # the same point, after each of mu1, width1, mu2 and width2
+        # moves, with new amplitudes only (a hit), on a new grid and back
+        # at the first point, every model and Jacobian column equals a
+        # fresh pair's, bit for bit
+        p = {"offset": 0.02, "amp1": 1.1, "mu1": -1.7e-4, "width1": 5e-5,
+             "amp2": 0.9, "mu2": 1.8e-4, "width2": 4.5e-5}
+        points = [p, p]
+        for name, value in (("mu1", -1.6e-4), ("width1", 6e-5), ("mu2", 1.7e-4),
+                            ("width2", 5.5e-5), ("amp1", 0.4), ("offset", 0.1)):
+            points.append({**points[-1], name: value})
+        grid = np.linspace(-5e-4, 5e-4, 401)
+        model, jacobian = fitting._two_slit_models()
+        for x, params in [(self.SLIT_GRID, q) for q in points] + [(grid, p), (self.SLIT_GRID, p)]:
+            fresh_model, fresh_jacobian = fitting._two_slit_models()
+            np.testing.assert_array_equal(model(x, params), fresh_model(x, params))
+            expected = fresh_jacobian(x, params)
+            columns = jacobian(x, params)
+            assert columns.keys() == expected.keys()
+            for name, column in expected.items():
+                np.testing.assert_array_equal(columns[name], column)
 
     @staticmethod
     def edge_models(length, waist):

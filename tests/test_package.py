@@ -3,6 +3,7 @@ import importlib
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qiul
@@ -35,6 +36,21 @@ def test_float_error_policy_defined_once():
                             for kw in node.keywords)):
                 raising.append(path.name)
     assert raising == ["errors.py"]
+
+
+def test_float_error_policy_enters_twice():
+    # one process enters the policy again and again, one block after the
+    # other and one inside the other
+    @errors.raise_float_errors()
+    def divide(a, b):
+        return a / b
+
+    for _ in range(2):
+        with errors.raise_float_errors(), pytest.raises(FloatingPointError):
+            np.ones(1) / 0.0
+        with errors.raise_float_errors(), errors.raise_float_errors():
+            with pytest.raises(FloatingPointError):
+                divide(np.ones(1), 0.0)
 
 
 def test_every_leaf_error_is_raised():

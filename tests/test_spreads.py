@@ -492,7 +492,7 @@ class TestEsfDerivativeSolver:
         # f = 1e10 (1 - x^2) on [0, 2], root 1: f' vanishes at the start 0,
         # and at the start 5e-324 f / f' overflows
         fn = lambda x: (1e10 * (1.0 - x * x), -2e10 * x)
-        with raise_float_errors:
+        with raise_float_errors():
             roots = spreads._newton(fn, np.zeros(2), np.full(2, 2.0), np.array([0.0, 5e-324]),
                                     np.full(2, 1e-14))
         np.testing.assert_allclose(roots, 1.0, rtol=1e-14)
