@@ -19,13 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import load_config, parse_dimensionless, parse_length
+from .core import load_config, parse_dimensionless, parse_length, write_json
 from .dpsh import NoiseModel
 from .errors import (NonPositiveParameter, NumericalError, SchemaError, ToolkitError, TooFewPhases,
                      ValidationError, raise_float_errors)
 from .fitting import fit_double_slit
 from .imaging import read_profile_csv
-from .pipeline import analyze_stack, simulate_edge, write_json
+from .pipeline import analyze_stack, simulate_edge
 from .spreads import theory_sweep_rows, write_sweep_csv
 
 DEFAULT_LENGTHS = "2mm,5mm,10mm"

@@ -1,4 +1,5 @@
-"""Source parameters, optical setup, and key-value config files.
+"""Source parameters, optical setup, key-value config files, and the
+JSON writer of every output file.
 
 All lengths are SI meters internally; unit suffixes (nm/um/mm/...) are
 handled only when reading key-value config files. The closed-form model
@@ -9,9 +10,11 @@ down-converted wavelengths.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 from .errors import (
     EnergyConservationViolated,
@@ -208,3 +211,9 @@ def load_config(path=None) -> tuple[SourceParams, OpticalSetup]:
         m_d_c=m_d_c,
     )
     return params, setup
+
+
+def write_json(data: dict, path) -> None:
+    """Write JSON-native data as UTF-8 text: indented, keys sorted, one
+    final newline."""
+    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")

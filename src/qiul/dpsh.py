@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import write_json
 from .errors import CorruptFrame, DegeneratePhases, NonPositiveParameter, SchemaError, TooFewPhases
 from .imaging import Profile1D
 
@@ -307,7 +308,7 @@ def save_stack(stack: InterferogramStack, out_dir) -> Path:
         "frames": "frames.npy",
     }
     path = out / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(manifest, path)
     return path
 
 

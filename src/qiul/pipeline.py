@@ -11,14 +11,13 @@ the saved stack writes byte-identical output; a test pins this.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .core import OpticalSetup, SourceParams
+from .core import OpticalSetup, SourceParams, write_json
 from .dpsh import (
     DEFAULT_PIXEL_PITCH,
     MIN_COLUMNS,
@@ -34,33 +33,13 @@ from .dpsh import (
 from .errors import ImageTooSmall, NonPositiveParameter, NumericalError, raise_float_errors
 from .fitting import GATE_THRESHOLD, MagnificationEstimate, fit_edge_profiles
 from .imaging import Profile1D, _coefficients, _esf_factors, write_profile_csv
-from .spreads import (SEPARABLE_MARKER, half_width_1e, knife_edge_width_2476, lsf_from_esf,
-                      theory_sweep_rows)
+from .spreads import (KNIFE_EDGE_FACTOR, SEPARABLE_MARKER, half_width_1e, knife_edge_width_2476,
+                      lsf_from_esf, theory_sweep_rows)
 
 __all__ = ["build_edge_scene", "simulate_edge", "analyze_stack", "ANALYSIS_SCHEMA"]
 
 ANALYSIS_SCHEMA = "qiul.analysis/2"
 BEAM_WINDOW_FLOOR = 0.02
-
-
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    return obj
-
-
-def write_json(data: dict, path) -> None:
-    Path(path).write_text(
-        json.dumps(_jsonify(data), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def build_edge_scene(
@@ -106,7 +85,7 @@ def _fit_to_dict(fit) -> dict:
     """A fit as JSON; the covariance is null where J^T J could not be inverted."""
     return {
         "parameters": dict(fit.parameters),
-        "covariance": fit.covariance if np.isfinite(fit.covariance).all() else None,
+        "covariance": fit.covariance.tolist() if np.isfinite(fit.covariance).all() else None,
         "residual_rms": fit.residual_rms,
         "iterations": fit.iterations,
     }
@@ -178,7 +157,9 @@ def _analyze(stack, params: SourceParams, out: Path) -> tuple[dict, Magnificatio
         "spreads_camera": spreads,
         "fits": {"g": _fit_to_dict(estimate.g_fit), "v": _fit_to_dict(estimate.v_fit)},
         "gate": {
-            "ratio_deviation": estimate.gate_ratio_deviation,
+            # JSON has no infinity: an undefined comparison is the string "inf"
+            "ratio_deviation": (estimate.gate_ratio_deviation
+                                if math.isfinite(estimate.gate_ratio_deviation) else "inf"),
             "passed": estimate.gate_passed,
             "threshold": GATE_THRESHOLD,
         },
@@ -243,7 +224,17 @@ def simulate_edge(
     save_stack(stack, out)
     analysis, estimate = _analyze(stack, params, out)
 
-    measured_v = analysis["spreads_camera"]["v_lsf_one_over_e"].get("width_m")
+    camera = analysis["spreads_camera"]
+
+    def relative_error(spread: str, theory_key: str, factor: float = 1.0):
+        """|camera width / M_d / (theory x factor) - 1|, or None where the
+        spread was not extracted or the theory value is the marker."""
+        width, truth = camera[spread].get("width_m"), theory[theory_key]
+        if width is None or isinstance(truth, str):
+            return None
+        return abs(width / setup.m_d / (truth * factor) - 1.0)
+
+    measured_v = camera["v_lsf_one_over_e"].get("width_m")
     comparison = {
         "true_m_d": setup.m_d,
         "true_m_u": setup.m_u,
@@ -253,15 +244,13 @@ def simulate_edge(
             if estimate.m_d_avg is not None else None
         ),
         "theory_adjusted": theory,
-        "measured_camera": analysis["spreads_camera"],
+        "measured_camera": camera,
         "measured_delta_v_m": (
             measured_v / setup.m_d if measured_v is not None else None
         ),
-        "delta_v_relative_error": (
-            abs(measured_v / setup.m_d / theory["spread_v_m"] - 1.0)
-            if measured_v is not None and not isinstance(theory["spread_v_m"], str)
-            else None
-        ),
+        "delta_v_relative_error": relative_error("v_lsf_one_over_e", "spread_v_m"),
+        "v_knife_relative_error": relative_error("v_knife_24_76", "spread_v_m", KNIFE_EDGE_FACTOR),
+        "delta_g_esf_relative_error": relative_error("g_derivative_one_over_e", "spread_g_esf_m"),
     }
     write_json(comparison, out / "comparison.json")
     return {"analysis": analysis, "comparison": comparison}

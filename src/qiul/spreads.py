@@ -40,6 +40,7 @@ __all__ = [
     "SpreadResult",
     "half_width_1e",
     "knife_edge_width_2476",
+    "KNIFE_EDGE_FACTOR",
     "lsf_from_esf",
     "spread_g_psf_closed",
     "spread_v_closed",
@@ -112,6 +113,10 @@ def half_width_1e(profile: Profile1D) -> SpreadResult:
 
     return SpreadResult(width=0.5 * (x_right - x_left),
                         interpolation_error_estimate=0.5 * (e_left + e_right))
+
+
+# 2 erfinv(0.52): knife-edge width over the 1/e half-width of an erf edge
+KNIFE_EDGE_FACTOR = 0.9988626635073269
 
 
 def knife_edge_width_2476(esf: Profile1D) -> SpreadResult:

@@ -28,7 +28,7 @@ from qiul.core import load_config
 from qiul.dpsh import SceneModel, save_stack, synthesize_stack
 from qiul.errors import SchemaError
 from qiul.imaging import Profile1D, _edge_coefficients, write_profile_csv
-from qiul.spreads import min_resolvable_distance
+from qiul.spreads import KNIFE_EDGE_FACTOR, min_resolvable_distance
 
 from conftest import LAMBDA_D, LAMBDA_U, oracle_w
 
@@ -302,6 +302,26 @@ class TestSimulateAndAnalyze:
         analysis = json.loads((out / "analysis.json").read_text())
         assert analysis["gate"] == {"passed": False, "ratio_deviation": "inf", "threshold": 0.1}
         assert analysis["m_d_avg"] is None
+
+    def test_noisy_knife_width_error_is_reported(self, tmp_path):
+        # at this noisy point the 24%-76% width is 1.182 mm where theory x M_d
+        # is 43.2 um: comparison.json shows it, and the two spreads that
+        # were not extracted have no error
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("crystal_length = 2mm\npump_waist = 308um\n", encoding="utf-8")
+        out = tmp_path / "sim"
+        assert run(["simulate-edge", "--config", cfg, "--out", out, "--phases", 16, "--rows", 16,
+                    "--cols", 1024, "--pitch", "3.3637um", "--noise", "read:0.01,shot:on",
+                    "--seed", 3]) == 0
+        comparison = json.loads((out / "comparison.json").read_text())
+        width = comparison["measured_camera"]["v_knife_24_76"]["width_m"]
+        theory = comparison["theory_adjusted"]["spread_v_m"] * 2.67 * KNIFE_EDGE_FACTOR
+        assert comparison["v_knife_relative_error"] == pytest.approx(width / theory - 1.0)
+        assert comparison["v_knife_relative_error"] > 1.0
+        assert "error" in comparison["measured_camera"]["v_lsf_one_over_e"]
+        assert "error" in comparison["measured_camera"]["g_derivative_one_over_e"]
+        assert comparison["delta_v_relative_error"] is None
+        assert comparison["delta_g_esf_relative_error"] is None
 
     def test_m_u_inconsistent_with_m_u_i_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -777,6 +797,35 @@ class TestDeterminism:
         for name in ("manifest.json", "analysis.json", "comparison.json",
                      "frames.npy", "v_image.npy"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+class TestJsonFiles:
+    def test_every_json_file_is_written_by_one_writer(self, tmp_path, config_file):
+        # indented by 2, keys sorted, one final newline: the same text
+        # whichever command wrote it, the stack manifest included
+        profile = tmp_path / "slits.csv"
+        TestMagnificationCommand.write_two_slit_profile(profile)
+        gate = tmp_path / "gate.cfg"
+        gate.write_text("crystal_length = 0.0034394590617580615\n"
+                        "pump_waist = 0.00018188514218936237\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["theory-sweep", "--config", config_file, "--out", out / "sweep",
+                    "--lengths", "5mm", "--waists", "214um"]) == 0
+        assert run(["simulate-edge", "--config", config_file, "--out", out / "sim",
+                    "--rows", 8, "--cols", 256, "--pitch", "2um"]) == 0
+        assert run(["simulate-edge", "--config", gate, "--out", out / "gate", "--cols", 2048,
+                    "--pitch", "1.3022839461649018e-05m",
+                    "--edge-offset=-0.003383019184727057m"]) == 0
+        assert run(["analyze-stack", "--manifest", out / "sim" / "manifest.json",
+                    "--config", config_file, "--out", out / "ana"]) == 0
+        assert run(["magnification", "--profile", profile, "--out", out / "mag"]) == 0
+        written = sorted(str(p.relative_to(out)) for p in out.rglob("*.json"))
+        assert written == ["ana/analysis.json", "gate/analysis.json", "gate/comparison.json",
+                           "gate/manifest.json", "mag/magnification.json", "sim/analysis.json",
+                           "sim/comparison.json", "sim/manifest.json"]
+        for name in written:
+            text = (out / name).read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:

@@ -1,3 +1,4 @@
+import json
 import math
 import tempfile
 import tracemalloc
@@ -16,8 +17,9 @@ import qiul.spreads
 from qiul.core import OpticalSetup, singular_waist
 from qiul.dpsh import NoiseModel
 from qiul.errors import ToolkitError, ValidationError
-from qiul.imaging import Profile1D
+from qiul.imaging import Profile1D, g_envelope_coefficient
 from qiul.pipeline import analyze_stack, build_edge_scene, simulate_edge
+from qiul.spreads import KNIFE_EDGE_FACTOR, spread_v_closed
 
 from conftest import make_params
 
@@ -144,3 +146,56 @@ class TestSimulateEdge:
         analysis = result["analysis"]
         if analysis["gate"]["passed"]:
             assert abs(analysis["m_d_avg"] - setup.m_d) <= 1e-12
+
+
+class TestReturnedDictsAreTheJsonWritten:
+    @pytest.mark.parametrize("params, setup, kwargs, pinned", [
+        (make_params(5e-3, 214e-6), OpticalSetup(),
+         dict(rows=12, cols=256, pixel_pitch=2e-6, n_phases=4, seed=5,
+              noise=NoiseModel(read_sigma=100.0, shot=True)),
+         lambda analysis: analysis["gate"]["passed"]),
+        # test_cli's test_gate_fails_edge_outside_beam_window: the deviation is "inf"
+        (make_params(0.0034394590617580615, 0.00018188514218936237), OpticalSetup(),
+         dict(cols=2048, pixel_pitch=1.3022839461649018e-05, x_tilde_o=-0.003383019184727057),
+         lambda analysis: analysis["gate"]["ratio_deviation"] == "inf"),
+        # a config line m_d_c = 2e-3: the amplitude fit has no covariance
+        (make_params(), OpticalSetup(m_d=2e-3, m_d_c=2e-3), dict(rows=2, cols=64, n_phases=3),
+         lambda analysis: analysis["fits"]["g"]["covariance"] is None),
+    ], ids=["noisy", "gate-failing", "null-covariance"])
+    def test_simulate_and_analyze_return_what_they_write(self, tmp_path, params, setup, kwargs,
+                                                         pinned):
+        def written(path):
+            return json.loads(path.read_text(encoding="utf-8"))
+
+        sim, ana = tmp_path / "sim", tmp_path / "ana"
+        result = simulate_edge(params, setup, sim, **kwargs)
+        assert pinned(result["analysis"])
+        assert result["analysis"] == written(sim / "analysis.json")
+        assert result["comparison"] == written(sim / "comparison.json")
+        analysis = analyze_stack(sim / "manifest.json", params, ana)
+        assert analysis == written(ana / "analysis.json") == result["analysis"]
+
+
+class TestComparisonErrors:
+    def test_knife_factor(self):
+        from scipy.special import erfinv
+
+        assert KNIFE_EDGE_FACTOR == 2.0 * erfinv(0.52)
+
+    @pytest.mark.parametrize("length", [2e-3, 5e-3, 10e-3])
+    @pytest.mark.parametrize("waist", [50e-6, 142e-6, 214e-6, 308e-6])
+    def test_noiseless_spreads_match_theory(self, tmp_path, length, waist):
+        # the benchmark's edge geometry without noise: a pitch of a thirtieth
+        # of the camera-plane visibility spread and ten widths of columns.
+        # Measured worst errors: 6.5e-4, 1.1e-3 and 2.6e-2 for the knife
+        # edge at 10 mm / 50 um, whose edge is not an erf
+        params, setup = make_params(length, waist), OpticalSetup()
+        spread = setup.m_d * spread_v_closed(params)
+        envelope = setup.m_d / math.sqrt(g_envelope_coefficient(params))
+        pitch = spread / 30.0
+        cols = int(min(4096, max(1024, 10.0 * max(envelope, spread) / pitch)))
+        comparison = simulate_edge(params, setup, tmp_path, n_phases=4, rows=4, cols=cols,
+                                   pixel_pitch=pitch)["comparison"]
+        assert comparison["delta_v_relative_error"] < 1e-3
+        assert comparison["delta_g_esf_relative_error"] < 2e-3
+        assert comparison["v_knife_relative_error"] < 3e-2

@@ -718,12 +718,17 @@ class TestSweep:
         base = make_params(5e-3, 100e-6)
         w = waist_ratio * singular_waist(base)
         simulate_edge(base.with_waist(w), setup, tmp_path, rows=4, cols=256, pixel_pitch=2e-6)
-        theory = json.loads((tmp_path / "comparison.json").read_text())["theory_adjusted"]
+        comparison = json.loads((tmp_path / "comparison.json").read_text())
+        theory = comparison["theory_adjusted"]
         rows = sweep_rows(base, [2e-3, 5e-3], [50e-6, w, 308e-6], setup)
         (row,) = [r for r in rows if r["L_m"] == 5e-3 and r["w_p_m"] == w]
         assert theory == {key: row[key] for key in
                           ("spread_g_psf_m", "spread_g_esf_m", "w_sing_m", "spread_v_m", "d_min_m")}
         assert (theory["spread_v_m"] == SEPARABLE_MARKER) == (waist_ratio < 1.001)
+        # no visibility error against the marker; the amplitude one stays
+        for key in ("delta_v_relative_error", "v_knife_relative_error"):
+            assert (comparison[key] is None) == (waist_ratio < 1.001), key
+        assert comparison["delta_g_esf_relative_error"] is not None
 
 
 # waists whose float power w**2 (libm pow) and product w*w round apart: a
